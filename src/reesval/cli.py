@@ -156,9 +156,32 @@ def _build_algebra(ring_spec):
     return AffineAlgebra(ring, modulus, asserted=tuple(ring_spec.get("assert", [])))
 
 
+class _Positional(list):
+    """Positional arguments; a missing one is a recorded command error."""
+
+    def __getitem__(self, i):
+        if i >= len(self):
+            raise PreconditionError(f"missing argument {i + 1}")
+        return super().__getitem__(i)
+
+
+class _Flags(dict):
+    """--flag values; a missing required flag is a recorded command error."""
+
+    def __missing__(self, key):
+        raise PreconditionError(f"missing flag --{key}")
+
+
+def _int(text):
+    try:
+        return int(text)
+    except ValueError:
+        raise PreconditionError(f"expected an integer, got {text!r}") from None
+
+
 def _flags(tokens):
     """Split positional arguments from --flag value pairs."""
-    pos, flags = [], {}
+    pos, flags = _Positional(), _Flags()
     i = 0
     while i < len(tokens):
         if tokens[i].startswith("--"):
@@ -197,7 +220,7 @@ class _Session:
         return {"basis": [str(g) for g in self.ideal(pos[0]).gb()]}
 
     def cmd_power(self, pos, flags):
-        J = self.ideal(pos[0]).power(int(pos[1]))
+        J = self.ideal(pos[0]).power(_int(pos[1]))
         return {"generators": [str(g) for g in J.gb()]}
 
     def cmd_saturate(self, pos, flags):
@@ -207,7 +230,7 @@ class _Session:
     def cmd_symbolic_power(self, pos, flags):
         sep = flags.get("separator", "auto")
         J, cert = symbolic_power(
-            self.algebra, self.ideal(pos[0]), int(pos[1]), separator=sep,
+            self.algebra, self.ideal(pos[0]), _int(pos[1]), separator=sep,
             seed=self.seed,
         )
         return {"generators": [str(g) for g in J.gb()], "certificate": cert}
@@ -215,7 +238,7 @@ class _Session:
     def cmd_ord(self, pos, flags):
         n, confirmed = ord_at(
             self.algebra, self.ideal(pos[0]), self.poly(pos[1]),
-            nmax=int(flags.get("nmax", 12)), seed=self.seed,
+            nmax=_int(flags.get("nmax", 12)), seed=self.seed,
         )
         return {"ord": n, "confirmed": confirmed}
 
@@ -228,7 +251,7 @@ class _Session:
 
     def cmd_length_table(self, pos, flags):
         f = self.poly(flags["f"]) if "f" in flags else None
-        N = int(pos[1])
+        N = _int(pos[1])
         table = length_sampler(self.algebra, self.ideal(pos[0]), f=f, N=N)
         dim = krull_dim(Ideal(self.algebra, (f,) if f is not None else ()))
         e, stabilized = multiplicity_from_table(table, dim)
@@ -250,14 +273,14 @@ class _Session:
         }
 
     def cmd_closure(self, pos, flags):
-        J = integral_closure_power(self.ideal(pos[0]), int(pos[1]))
+        J = integral_closure_power(self.ideal(pos[0]), _int(pos[1]))
         return {"generators": [str(g) for g in J.gens]}
 
     def cmd_monomial_multiplicity(self, pos, flags):
         return {"e": monomial_multiplicity(self.ideal(pos[0]))}
 
     def cmd_briancon_skoda(self, pos, flags):
-        B = find_min_briancon_skoda(self.ideal(pos[0]), int(pos[1]))
+        B = find_min_briancon_skoda(self.ideal(pos[0]), _int(pos[1]))
         return {"B": B if B is not None else f"not found <= {pos[1]}"}
 
     def cmd_rees(self, pos, flags):
@@ -293,30 +316,30 @@ class _Session:
         if kind == "zariski-nagata":
             report = check_local_zariski_nagata(
                 self.algebra, self.ideal(flags["p"]), self.ideal(flags["q"]),
-                int(flags.get("nmax", 3)), seed=self.seed,
+                _int(flags.get("nmax", 3)), seed=self.seed,
             )
         elif kind == "main-a":
-            eS = int(flags["eS"]) if "eS" in flags else None
+            eS = _int(flags["eS"]) if "eS" in flags else None
             report = check_main_theorem_A(
                 self.algebra, self.ideal(flags["p"]), self.ideal(flags["q"]),
-                int(flags.get("nmax", 2)), eS=eS, seed=self.seed,
+                _int(flags.get("nmax", 2)), eS=eS, seed=self.seed,
             )
         elif kind == "izumi-mult":
             fs = [self.poly(f) for f in flags["fs"].split(";")]
-            C = int(flags["C"]) if "C" in flags else None
+            C = _int(flags["C"]) if "C" in flags else None
             report = check_uniform_izumi_multiplicity(
                 self.algebra, self.ideal(flags["q"]), fs, C=C, seed=self.seed
             )
         elif kind == "chevalley":
             constants = UniformConstants(
-                A=int(flags.get("A", 0)), B=int(flags.get("B", 0)),
-                C=int(flags.get("C", 1)), E=int(flags.get("E", 1)),
-                e=int(flags.get("e", 1)),
+                A=_int(flags.get("A", 0)), B=_int(flags.get("B", 0)),
+                C=_int(flags.get("C", 1)), E=_int(flags.get("E", 1)),
+                e=_int(flags.get("e", 1)),
                 provenance={"all": "user"},
             )
             report = check_improved_chevalley(
                 self.algebra, self.ideal(flags["p"]), self.ideal(flags["q"]),
-                constants, int(flags.get("nmax", 2)), seed=self.seed,
+                constants, _int(flags.get("nmax", 2)), seed=self.seed,
             )
         elif kind == "order-ideal-graded":
             report = check_order_ideal_theorem_graded(
@@ -347,9 +370,20 @@ _COMMANDS = {
 
 
 def run(session, seed=0, budget=None, fail_fast=False, timings=False):
-    """Execute a parsed session; returns (report dict, ok flag)."""
-    if budget is not None:
-        groebner.set_default_budget(budget)
+    """Execute a parsed session; returns (report dict, ok flag).
+
+    budget caps the reduction steps of each Groebner computation during
+    this run only; the previous default is restored afterwards.
+    """
+    previous = groebner.set_default_budget(budget) if budget is not None else None
+    try:
+        return _run(session, seed, fail_fast, timings)
+    finally:
+        if previous is not None:
+            groebner.set_default_budget(previous)
+
+
+def _run(session, seed, fail_fast, timings):
     state = _Session(session, seed)
     results = []
     ok = True

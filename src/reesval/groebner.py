@@ -18,11 +18,9 @@ _budget = [DEFAULT_BUDGET]
 
 
 def set_default_budget(n):
-    _budget[0] = n
-
-
-def get_default_budget():
-    return _budget[0]
+    """Set the reduction-step budget of later calls; returns the previous one."""
+    previous, _budget[0] = _budget[0], n
+    return previous
 
 
 def _divides(a, b):

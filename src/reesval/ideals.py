@@ -2,8 +2,9 @@
 
 An Ideal handle holds generators inside an AffineAlgebra; semantically it
 denotes (generators + modulus)/modulus, and every cached basis includes the
-modulus generators. Intersections, colons and kernels all route through one
-mechanism: elimination.
+modulus generators. Intersections, colons, saturations, radical membership,
+kernels and Rees presentations all route through one function, `eliminate`:
+a Groebner basis under a block order that puts the dropped variables first.
 """
 
 from __future__ import annotations
@@ -15,7 +16,35 @@ from .errors import PreconditionError
 from .poly import Block, GrevLex, PolyRing
 from .rings import AffineAlgebra
 
-SATURATION_MAX_ITER = 64
+
+def eliminate(ring, gens, drop, target):
+    """Generators of the ideal (gens) of `ring` intersected with k[target].
+
+    The names in `drop` go first, in ring.names order, under a block order
+    (grevlex inside each block); the reduced basis elements that use none
+    of them are mapped by name into `target`, whose variables must include
+    every name of `ring` not dropped.
+    """
+    front = tuple(n for n in ring.names if n in drop)
+    back = tuple(n for n in ring.names if n not in drop)
+    ering = PolyRing(front + back, ring.field, Block(len(front)))
+    pos = [ering.var_index(n) for n in ring.names]
+    gens = [g.map_exponents(ering, pos) for g in gens if not g.is_zero()]
+    if not gens:
+        return ()
+    tpos = [0] * len(front) + [target.var_index(n) for n in back]
+    return tuple(
+        g.map_exponents(target, tpos)
+        for g in groebner.buchberger(gens)
+        if not any(g.uses_var(i) for i in range(len(front)))
+    )
+
+
+def _with_t(ring):
+    """k[_t, ring vars] and the embedding of ring's polynomials into it."""
+    tring = PolyRing(("_t",) + ring.names, ring.field)
+    pos = list(range(1, ring.nvars + 1))
+    return tring, lambda g: g.map_exponents(tring, pos)
 
 
 class Ideal:
@@ -98,32 +127,12 @@ class Ideal:
         variables (any modulus content is folded into the generators).
         """
         ring = self.algebra.ring
-        drop = tuple(n for n in ring.names if n in drop_names)
         if set(drop_names) - set(ring.names):
             raise PreconditionError("unknown variable in drop set")
         keep = tuple(n for n in ring.names if n not in drop_names)
-        if not drop:
-            target = AffineAlgebra(PolyRing(keep, ring.field, GrevLex()))
-            pos = list(range(ring.nvars))
-            return Ideal(
-                target, tuple(g.map_exponents(target.ring, pos) for g in self.ambient_gens())
-            )
-        ering = PolyRing(drop + keep, ring.field, Block(len(drop)))
-        pos = [ering.var_index(n) for n in ring.names]
-        gens = [g.map_exponents(ering, pos) for g in self.ambient_gens()]
-        target = AffineAlgebra(PolyRing(keep, ring.field, GrevLex()))
-        if not gens:
-            return Ideal(target, ())
-        gb = groebner.buchberger(gens)
-        kept = []
-        kpos = [0] * ering.nvars
-        for n in keep:
-            kpos[ering.var_index(n)] = target.ring.var_index(n)
-        for g in gb:
-            if any(g.uses_var(ering.var_index(n)) for n in drop):
-                continue
-            kept.append(g.map_exponents(target.ring, kpos))
-        return Ideal(target, tuple(kept))
+        target = PolyRing(keep, ring.field, GrevLex())
+        gens = eliminate(ring, self.ambient_gens(), drop_names, target)
+        return Ideal(AffineAlgebra(target), gens)
 
     def intersect(self, other):
         """I cap J via the auxiliary variable t: eliminate t from t*I + (1-t)*J."""
@@ -143,63 +152,46 @@ class Ideal:
         gens = tuple(_exact_divide(g, f) for g in inter)
         return Ideal(self.algebra, gens)
 
-    def quotient_ideal(self, other):
-        self._check(other)
-        gens = [g for g in other.gens if not self.algebra.reduce(g).is_zero()]
-        if not gens:
-            raise PreconditionError("colon by the zero ideal")
-        result = self.quotient(gens[0])
-        for g in gens[1:]:
-            result = result.intersect(self.quotient(g))
-        return result
+    def _saturation_gens(self, f):
+        """Rabinowitsch: (I + modulus) : f^infinity is (I + modulus, 1 - t*f) cap k[x]."""
+        ring = self.algebra.ring
+        tring, embed = _with_t(ring)
+        gens = [embed(g) for g in self.ambient_gens()]
+        gens.append(tring.one - tring.gen("_t") * embed(f))
+        return eliminate(tring, gens, ("_t",), ring)
 
-    def saturate(self, f, max_iter=SATURATION_MAX_ITER):
-        """(I : f^infinity) by iterated colon; returns (ideal, iterations used).
+    def saturate(self, f):
+        """(I : f^infinity) by one elimination; returns (ideal, depth).
 
-        Stabilization is detected by mutual containment of consecutive steps.
+        The depth is the least k with f^k * (I : f^infinity) inside I, found
+        by normal forms against the basis of I; it equals the number of
+        colons by f before the chain I, I:f, I:f^2, ... stabilizes. At depth
+        0 the ideal returned is self.
         """
-        current = self
-        for k in range(max_iter):
-            nxt = current.quotient(f)
-            if current.contains_ideal(nxt):
-                return current, k
-            current = nxt
-        raise PreconditionError(f"saturation did not stabilize within {max_iter} steps")
+        if self.algebra.reduce(f).is_zero():
+            raise PreconditionError("colon by zero")
+        sat = self._saturation_gens(f)
+        depth, power = 0, self.algebra.ring.one
+        pending = [g for g in sat if not self.contains_poly(g)]
+        while pending:
+            depth, power = depth + 1, power * f
+            pending = [g for g in pending if not self.contains_poly(power * g)]
+        return (Ideal(self.algebra, sat), depth) if depth else (self, 0)
 
     def radical_contains(self, f):
-        """Rabinowitsch: f in rad(I) iff 1 in (I, 1 - t*f) in an extended ring."""
+        """f in rad(I) iff the saturation of I by f is the unit ideal."""
         if self.algebra.reduce(f).is_zero():
             return True
-        ring = self.algebra.ring
-        ering = PolyRing(("_t",) + ring.names, ring.field, Block(1))
-        pos = [ering.var_index(n) for n in ring.names]
-        gens = [g.map_exponents(ering, pos) for g in self.ambient_gens()]
-        gens.append(ering.one - ering.gen("_t") * f.map_exponents(ering, pos))
-        gb = groebner.buchberger(gens)
-        return groebner.contains(gb, [ering.one])
+        return self._saturation_gens(f) == (self.algebra.ring.one,)
 
 
 def _intersect_ambient(ring, gens1, gens2):
     """Ambient-ring intersection of two generator lists via the t-trick."""
-    ering = PolyRing(("_t",) + ring.names, ring.field, Block(1))
-    t = ering.gen("_t")
-    pos = [ering.var_index(n) for n in ring.names]
-    gens = [t * g.map_exponents(ering, pos) for g in gens1]
-    one_minus_t = ering.one - t
-    gens += [one_minus_t * g.map_exponents(ering, pos) for g in gens2]
-    gens = [g for g in gens if not g.is_zero()]
-    if not gens:
-        return ()
-    gb = groebner.buchberger(gens)
-    out = []
-    kpos = [0] * ering.nvars
-    for n in ring.names:
-        kpos[ering.var_index(n)] = ring.var_index(n)
-    for g in gb:
-        if g.uses_var(0):
-            continue
-        out.append(g.map_exponents(ring, kpos))
-    return tuple(out)
+    tring, embed = _with_t(ring)
+    t = tring.gen("_t")
+    gens = [t * embed(g) for g in gens1]
+    gens += [(tring.one - t) * embed(g) for g in gens2]
+    return eliminate(tring, gens, ("_t",), ring)
 
 
 def _exact_divide(g, f):
@@ -223,7 +215,8 @@ def kernel_of_map(source_names, target_algebra, images, field=None, order=None):
     """Kernel of k[source] -> target_algebra, source var i -> images[i].
 
     Computed from the graph ideal (y_i - image_i) + modulus by eliminating
-    the target variables. Returns an Ideal over k[source].
+    the target variables. Returns an Ideal over k[source] in the given order
+    (grevlex by default).
     """
     if len(source_names) != len(images):
         raise PreconditionError("one image per source variable")
@@ -231,17 +224,10 @@ def kernel_of_map(source_names, target_algebra, images, field=None, order=None):
     field = field or tring.field
     if set(source_names) & set(tring.names):
         raise PreconditionError("source names must be disjoint from target names")
-    ering = PolyRing(
-        tring.names + tuple(source_names), field, Block(tring.nvars)
-    )
-    tpos = [ering.var_index(n) for n in tring.names]
-    gens = [m.map_exponents(ering, tpos) for m in target_algebra.modulus]
+    ring = PolyRing(tring.names + tuple(source_names), field)
+    tpos = list(range(tring.nvars))
+    gens = [m.map_exponents(ring, tpos) for m in target_algebra.modulus]
     for name, img in zip(source_names, images):
-        gens.append(ering.gen(name) - img.map_exponents(ering, tpos))
-    big = Ideal(AffineAlgebra(ering), tuple(gens))
-    result = big.eliminate(set(tring.names))
-    if order is not None:
-        newring = result.algebra.ring.with_order(order)
-        alg = AffineAlgebra(newring)
-        return Ideal(alg, tuple(newring.convert(g) for g in result.gens))
-    return result
+        gens.append(ring.gen(name) - img.map_exponents(ring, tpos))
+    source = PolyRing(source_names, field, order or GrevLex())
+    return Ideal(AffineAlgebra(source), eliminate(ring, gens, tring.names, source))

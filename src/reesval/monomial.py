@@ -16,6 +16,7 @@ from itertools import combinations, product
 from math import gcd
 
 from .errors import PreconditionError
+from .groebner import _divides
 from .ideals import Ideal
 
 MAX_VARS = 4
@@ -150,7 +151,7 @@ def _minimalize(exps):
     exps = sorted(set(exps), key=lambda e: (sum(e), e))
     out = []
     for e in exps:
-        if not any(all(x <= y for x, y in zip(m, e)) for m in out):
+        if not any(_divides(m, e) for m in out):
             out.append(e)
     return out
 

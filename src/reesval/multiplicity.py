@@ -9,26 +9,13 @@ cross-checkable against finite differences of a length table.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 from . import groebner
 from .errors import NotHomogeneousError, PreconditionError
 from .ideals import Ideal
+from .monomial import _minimalize
 from .poly import GrevLex
 from .rings import AffineAlgebra, associated_graded, extended_rees_presentation
-
-
-def _divides(a, b):
-    return all(x <= y for x, y in zip(a, b))
-
-
-def _minimalize(exps):
-    exps = sorted(set(exps), key=lambda e: (sum(e), e))
-    out = []
-    for e in exps:
-        if not any(_divides(m, e) for m in out):
-            out.append(e)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -218,26 +205,12 @@ def local_multiplicity_via_gr(R, f=None):
 # length sampler
 
 
-def _standard_monomial_count(lead_exps, nvars):
-    """Number of monomials outside the staircase; requires finiteness."""
-    bounds = []
-    for i in range(nvars):
-        pures = [e[i] for e in lead_exps if all(p == 0 for j, p in enumerate(e) if j != i)]
-        if not pures:
-            raise PreconditionError("quotient is not zero-dimensional")
-        bounds.append(min(pures))
-    count = 0
-    for exp in product(*(range(b) for b in bounds)):
-        if not any(_divides(le, exp) for le in lead_exps):
-            count += 1
-    return count
-
-
 def length_sampler(R, I, f=None, N=5):
     """Lengths of R/(I^n + (f) + modulus) for n = 1..N.
 
     Every sampled quotient must be zero-dimensional; lengths are counts
-    of standard monomials of the reduced Groebner basis.
+    of standard monomials of the reduced Groebner basis, read off the
+    Hilbert series of its leading-term ideal.
     """
     extra = (f,) if f is not None else ()
     table = []
@@ -247,8 +220,10 @@ def length_sampler(R, I, f=None, N=5):
         if groebner.contains(gb, [R.ring.one]):
             table.append((n, 0))
             continue
-        exps = [g.lead_exp for g in gb]
-        table.append((n, _standard_monomial_count(exps, R.ring.nvars)))
+        hs = hilbert_series_monomial(R.ring.nvars, [g.lead_exp for g in gb])
+        if hs.dim != 0:
+            raise PreconditionError("quotient is not zero-dimensional")
+        table.append((n, hs.multiplicity))
     return table
 
 

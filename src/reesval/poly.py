@@ -118,12 +118,6 @@ class MonomialOrder:
     def key(self, exp):
         raise NotImplementedError
 
-    def compare(self, a, b):
-        if len(a) != len(b):
-            raise PreconditionError("exponent length mismatch")
-        ka, kb = self.key(a), self.key(b)
-        return (ka > kb) - (ka < kb)
-
     @property
     def all_weights_positive(self):
         """True iff every monomial exceeds 1; required by the Groebner engine."""
@@ -311,9 +305,6 @@ class Polynomial:
 
     def is_zero(self):
         return not self.terms
-
-    def is_constant(self):
-        return not self.terms or (len(self.terms) == 1 and sum(self.terms[0][0]) == 0)
 
     @property
     def lead_exp(self):

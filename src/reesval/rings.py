@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 from . import groebner
 from .errors import NotHomogeneousError, PreconditionError
-from .poly import Block, GrevLex, PolyRing
+from .poly import GrevLex, PolyRing
 
 
 class AffineAlgebra:
@@ -187,7 +187,7 @@ def extended_rees_presentation(R, I, y_prefix="y", u_name="u"):
     the base variables are eliminated too, realizing the algebra on (y, u);
     otherwise they are retained with grading weight 0.
     """
-    from .ideals import Ideal
+    from .ideals import eliminate
 
     raw = tuple(I.gens)
     gens = [R.reduce(g) for g in raw]
@@ -198,32 +198,20 @@ def extended_rees_presentation(R, I, y_prefix="y", u_name="u"):
     y_names = tuple(f"{y_prefix}{i+1}" for i in range(t))
     variable_case = set(raw) == set(ring.gens()) and t == ring.nvars
 
-    # elimination ring: [T, (x if dropped)] | [(x if kept), y, u]
+    # eliminate T, and the base variables too in the variable case
+    names = ("_T",) + ring.names + y_names + (u_name,)
     drop = ("_T",) + (ring.names if variable_case else ())
-    keep = (() if variable_case else ring.names) + y_names + (u_name,)
-    ering = PolyRing(drop + keep, ring.field, Block(len(drop)))
+    ering = PolyRing(names, ring.field)
     xpos = [ering.var_index(n) for n in ring.names]
     T = ering.gen("_T")
-    u = ering.gen(u_name)
     rel = [m.map_exponents(ering, xpos) for m in R.modulus]
     for name, g in zip(y_names, gens):
         rel.append(ering.gen(name) - g.map_exponents(ering, xpos) * T)
-    rel.append(u * T - ering.one)
-    gb = groebner.buchberger(rel)
-
-    pres_ring = PolyRing(keep, ring.field, GrevLex())
-    kept_pos = {ering.var_index(n): pres_ring.var_index(n) for n in keep}
-    kernel = []
-    for g in gb:
-        if any(g.uses_var(ering.var_index(n)) for n in drop):
-            continue
-        kernel.append(
-            g.map_exponents(
-                pres_ring, [kept_pos.get(i, 0) for i in range(ering.nvars)]
-            )
-        )
+    rel.append(ering.gen(u_name) * T - ering.one)
+    pres_ring = PolyRing([n for n in names if n not in drop], ring.field)
+    kernel = eliminate(ering, rel, drop, pres_ring)
     algebra = AffineAlgebra(
-        pres_ring, tuple(kernel), asserted=R.asserted - {"standard_graded"}
+        pres_ring, kernel, asserted=R.asserted - {"standard_graded"}
     )
     weights = tuple(
         1 if n in y_names else (-1 if n == u_name else 0) for n in pres_ring.names
@@ -248,7 +236,6 @@ def associated_graded(pres):
     ring = alg.ring
     u = ring.gen(pres.u_name)
     mod_plus_u = Ideal(alg, alg.modulus + (u,))
-    keep = tuple(n for n in ring.names if n != pres.u_name)
     elim = mod_plus_u.eliminate({pres.u_name})
     gr_ring = elim.algebra.ring
     gens = tuple(g for g in elim.gens if not g.is_zero())
@@ -326,28 +313,24 @@ def check_projective_closure_iso(P, H, x0_name="X0"):
     """Verify k[X0, x] -> S[X1/X0, ...] has kernel exactly P extended.
 
     P is the affine modulus ideal (in k[x]), H its homogenization (in
-    k[X0, X]). The kernel is computed by saturating the graph ideal by X0
-    and eliminating the projective variables.
+    k[X0, X]). The kernel is one elimination of t and the projective
+    variables from the graph ideal plus 1 - t*X0, which saturates by X0.
     """
-    from .ideals import Ideal
+    from .ideals import Ideal, eliminate
 
     affine_ring = P.algebra.ring
-    hring = H.algebra.ring
-    n = affine_ring.nvars
-    # big ring: [X1..Xn (to eliminate)] | [X0, x1..xn]
-    big_names = tuple(f"_{v}" for v in affine_ring.names) + (x0_name,) + affine_ring.names
-    bring = PolyRing(big_names, affine_ring.field, Block(n))
+    # big ring: t, X0, X1..Xn (as _x1.._xn), x1..xn
+    hidden = tuple(f"_{v}" for v in affine_ring.names)
+    bring = PolyRing(("_t", x0_name) + hidden + affine_ring.names, affine_ring.field)
     X0 = bring.gen(x0_name)
-    # positions of hring vars (X0, X1..Xn) inside bring
-    hpos = [bring.var_index(x0_name)] + [bring.var_index(f"_{v}") for v in affine_ring.names]
+    hpos = list(range(1, affine_ring.nvars + 2))
     gens = [g.map_exponents(bring, hpos) for g in H.gens]
-    for v in affine_ring.names:
-        gens.append(bring.gen(v) * X0 - bring.gen(f"_{v}"))
-    big = Ideal(AffineAlgebra(bring), tuple(gens))
-    sat, _ = big.saturate(X0)
-    elim = sat.eliminate({f"_{v}" for v in affine_ring.names})
+    for v, h in zip(affine_ring.names, hidden):
+        gens.append(bring.gen(v) * X0 - bring.gen(h))
+    gens.append(bring.one - bring.gen("_t") * X0)
+    chart = AffineAlgebra(PolyRing((x0_name,) + affine_ring.names, affine_ring.field))
+    kernel = Ideal(chart, eliminate(bring, gens, ("_t",) + hidden, chart.ring))
     # expected: P extended to k[X0, x]
-    ering = elim.algebra.ring
-    xpos = [ering.var_index(v) for v in affine_ring.names]
-    expected = Ideal(elim.algebra, tuple(g.map_exponents(ering, xpos) for g in P.gens))
-    return elim.equals(expected)
+    xpos = list(range(1, affine_ring.nvars + 1))
+    expected = Ideal(chart, tuple(g.map_exponents(chart.ring, xpos) for g in P.gens))
+    return kernel.equals(expected)

@@ -4,6 +4,7 @@ import pytest
 
 from reesval.cli import main, parse_session, run
 from reesval.errors import PreconditionError
+from reesval.symbolic import clear_cache
 
 PAPER_SESSION = """
 # worked example
@@ -95,6 +96,27 @@ def test_errors_recorded_and_exit_flag():
     assert "result" in report["commands"][1]
     report, ok = run(s, fail_fast=True)
     assert len(report["commands"]) == 1
+
+
+def test_budget_does_not_leak_into_later_runs():
+    paper = PAPER_SESSION.split("ideal m")[0] + "ideal p = x1, x3\ncmd: symbolic-power p 2\n"
+    clear_cache()  # a cached symbolic power would need no Groebner work
+    report, ok = run(parse_session(paper), budget=1)
+    assert not ok and "budget" in report["commands"][0]["error"]
+    report, ok = run(parse_session(paper))
+    assert ok and "result" in report["commands"][0]
+
+
+@pytest.mark.parametrize(
+    "command",
+    ["power m", "saturate m", "check zariski-nagata --q m", "power m abc"],
+)
+def test_malformed_command_recorded(command):
+    s = parse_session(f"ring {{ vars: x y }}\nideal m = x, y\ncmd: {command}\ncmd: gb m")
+    report, ok = run(s)
+    assert not ok
+    assert "error" in report["commands"][0]
+    assert "result" in report["commands"][1]
 
 
 def test_translate_origin():

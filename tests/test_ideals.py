@@ -1,6 +1,6 @@
 import pytest
 
-from reesval import AffineAlgebra, GrevLex, PolyRing, QQ
+from reesval import AffineAlgebra, GrevLex, PolyRing, QQ, groebner
 from reesval.errors import PreconditionError
 from reesval.ideals import Ideal, kernel_of_map
 
@@ -55,11 +55,57 @@ def test_saturation(poly_xy):
     I = Ideal(poly_xy, (x**2 * y, x * y**2))
     sat, steps = I.saturate(x)
     assert sat.equals(Ideal(poly_xy, (y,)))
-    assert steps >= 1
+    assert steps == 2
     # saturating by a unit-free element already outside all components
     J = Ideal(poly_xy, (x,))
     sat2, steps2 = J.saturate(y)
     assert sat2.equals(J) and steps2 == 0
+
+
+def test_saturation_in_quotient_ring(paper_ring):
+    # in R = k[x]/(x1x2+x3^3): (x3^3, x1x3) = x1*(x2, x3), so x1 saturates it away
+    x1, x2, x3 = paper_ring.ring.gens()
+    sat, steps = Ideal(paper_ring, (x3**3, x1 * x3)).saturate(x1)
+    assert sat.equals(Ideal(paper_ring, (x2, x3)))
+    assert steps == 1
+
+
+def _saturate_by_colons(I, f):
+    """Independent route: colon by f until the chain I, I:f, I:f^2, ... stops."""
+    current, depth = I, 0
+    while True:
+        nxt = current.quotient(f)
+        if current.contains_ideal(nxt):
+            return current, depth
+        current, depth = nxt, depth + 1
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_saturation_matches_iterated_colons(poly_xyz, n):
+    # P is the prime of the monomial curve (t^3, t^4, t^5)
+    x, y, z = poly_xyz.ring.gens()
+    P = Ideal(poly_xyz, (y**2 - x * z, x**2 * y - z**2, x**3 - y * z))
+    Pn = P.power(n)
+    sat, steps = Pn.saturate(x)
+    ref, ref_steps = _saturate_by_colons(Pn, x)
+    assert sat.equals(ref)
+    assert steps == ref_steps
+
+
+def test_saturation_is_one_groebner_computation(poly_xy, monkeypatch):
+    x, y = poly_xy.ring.gens()
+    I = Ideal(poly_xy, (x**2 * y, x * y**2))
+    I.gb()
+    calls = []
+    real = groebner.buchberger
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(groebner, "buchberger", counting)
+    I.saturate(x)
+    assert len(calls) == 1
 
 
 def test_elimination(poly_xyz):

@@ -101,10 +101,13 @@ def test_length_sampler_monomial_ideal(poly_xy):
     assert e == 6 and stabilized
 
 
-def test_length_sampler_rejects_positive_dimension(poly_xy):
+def test_length_sampler_rejects_positive_dimension(poly_xy, paper_ring):
     x, _ = poly_xy.ring.gens()
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="not zero-dimensional"):
         length_sampler(poly_xy, Ideal(poly_xy, (x,)), N=2)
+    x1 = paper_ring.ring.gen("x1")
+    with pytest.raises(PreconditionError, match="not zero-dimensional"):
+        length_sampler(paper_ring, Ideal(paper_ring, (x1,)), N=2)
 
 
 def test_table_paper_ring_f_x1(paper_ring, paper_m):
