@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from reesval import GrevLex, Lex, PolyRing, QQ, buchberger, normal_form
+from reesval import GrevLex, Lex, PolyRing, QQ, buchberger, groebner, normal_form
 from reesval.errors import BudgetExceededError, OrderError
 from reesval.groebner import is_groebner, s_polynomial
 
@@ -88,3 +88,67 @@ def test_zgraded_order_rejected():
     y, u = R.gens()
     with pytest.raises(OrderError):
         buchberger([y * u - 1])
+
+
+def _cyclic4():
+    R = PolyRing(("a", "b", "c", "d"), QQ, GrevLex())
+    v = R.gens()
+    eqs = []
+    for k in range(1, 4):
+        s = R.zero
+        for i in range(4):
+            t = R.one
+            for j in range(k):
+                t = t * v[(i + j) % 4]
+            s = s + t
+        eqs.append(s)
+    return eqs + [v[0] * v[1] * v[2] * v[3] - 1]
+
+
+def _katsura3():
+    R = PolyRing(("u0", "u1", "u2", "u3"), QQ, GrevLex())
+    u = R.gens()
+
+    def U(i):
+        return u[abs(i)] if abs(i) <= 3 else R.zero
+
+    eqs = [u[0] + 2 * (u[1] + u[2] + u[3]) - 1]
+    for m in range(3):
+        s = R.zero
+        for l in range(-3, 4):
+            s = s + U(l) * U(m - l)
+        eqs.append(s - u[m])
+    return eqs
+
+
+def _monomial_cube():
+    # the 64 products generating (x^2, y^2, z^2, xyz)^3, repeats included
+    R = PolyRing(("x", "y", "z"), QQ, GrevLex())
+    x, y, z = R.gens()
+    base = [x**2, y**2, z**2, x * y * z]
+    return [f * g * h for f in base for g in base for h in base]
+
+
+@pytest.mark.parametrize(
+    "system, basis_len, s_polys, normal_forms",
+    [(_cyclic4, 7, 8, 19), (_katsura3, 7, 8, 19), (_monomial_cube, 16, 33, 113)],
+    ids=["cyclic4", "katsura3", "monomial_cube"],
+)
+def test_pair_order_work_counts(system, basis_len, s_polys, normal_forms, monkeypatch):
+    # the chain criterion skips a pair only against pairs already done, so
+    # these counts move if buchberger takes its pairs in another order
+    counts = {"s": 0, "nf": 0}
+    real_s, real_nf = groebner.s_polynomial, groebner.normal_form
+
+    def counting_s(*args, **kwargs):
+        counts["s"] += 1
+        return real_s(*args, **kwargs)
+
+    def counting_nf(*args, **kwargs):
+        counts["nf"] += 1
+        return real_nf(*args, **kwargs)
+
+    monkeypatch.setattr(groebner, "s_polynomial", counting_s)
+    monkeypatch.setattr(groebner, "normal_form", counting_nf)
+    G = buchberger(system())
+    assert (len(G), counts["s"], counts["nf"]) == (basis_len, s_polys, normal_forms)
