@@ -140,10 +140,6 @@ def parse_session(text):
 
 
 def _build_algebra(ring_spec):
-    if ring_spec["field"] == "QQ":
-        fld = QQ
-    else:
-        fld = PrimeField(int(ring_spec["field"].split()[1]))
     order_spec = ring_spec.get("order", "grevlex")
     if order_spec == "lex":
         order = Lex()
@@ -151,7 +147,14 @@ def _build_algebra(ring_spec):
         order = Block(int(order_spec.split()[1]))
     else:
         order = GrevLex()
-    ring = PolyRing(ring_spec["vars"], fld, order)
+    try:  # PrimeField rejects a non-prime p, PolyRing a repeated variable name
+        if ring_spec["field"] == "QQ":
+            fld = QQ
+        else:
+            fld = PrimeField(int(ring_spec["field"].split()[1]))
+        ring = PolyRing(ring_spec["vars"], fld, order)
+    except ValueError as exc:
+        raise PreconditionError(f"bad ring: {exc}") from None
     modulus = tuple(ring.parse(p) for p in ring_spec.get("mod", []))
     return AffineAlgebra(ring, modulus, asserted=tuple(ring_spec.get("assert", [])))
 
@@ -202,9 +205,11 @@ class _Session:
         self.ideals = {}
         for name, polys in session.ideals:
             ring = self.algebra.ring
-            self.ideals[name] = Ideal(
-                self.algebra, tuple(ring.parse(p) for p in polys)
-            )
+            try:
+                gens = tuple(ring.parse(p) for p in polys)
+            except PreconditionError as exc:
+                raise PreconditionError(f"ideal {name}: {exc}") from None
+            self.ideals[name] = Ideal(self.algebra, gens)
 
     def ideal(self, name):
         if name not in self.ideals:
@@ -373,7 +378,9 @@ def run(session, seed=0, budget=None, fail_fast=False, timings=False):
     """Execute a parsed session; returns (report dict, ok flag).
 
     budget caps the reduction steps of each Groebner computation during
-    this run only; the previous default is restored afterwards.
+    this run only; the previous default is restored afterwards. A ring or
+    ideal that does not build raises PreconditionError before any command
+    runs; the error of a single command is recorded in its report entry.
     """
     previous = groebner.set_default_budget(budget) if budget is not None else None
     try:
@@ -442,17 +449,16 @@ def main(argv=None):
                         help="include timing fields (breaks byte-reproducibility)")
     args = parser.parse_args(argv)
 
-    with open(args.session, encoding="utf-8") as fh:
-        text = fh.read()
     try:
-        session = parse_session(text)
-    except ReesvalError as exc:
+        with open(args.session, encoding="utf-8") as fh:
+            text = fh.read()
+        report, ok = run(
+            parse_session(text), seed=args.seed, budget=args.budget,
+            fail_fast=args.fail_fast, timings=args.timings,
+        )
+    except (OSError, UnicodeDecodeError, ReesvalError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    report, ok = run(
-        session, seed=args.seed, budget=args.budget,
-        fail_fast=args.fail_fast, timings=args.timings,
-    )
     blob = json.dumps(report, indent=2, sort_keys=True)
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:

@@ -2,12 +2,16 @@
 
 Pair selection is fixed (normal strategy: minimal lcm degree first,
 lexicographic tie-break on pair indices) so output is deterministic.
+Pairs come off a heap keyed that way, and division takes the terms of
+the working polynomial off a heap of negated order keys, largest first;
+neither rescans what it has already ranked.
 A global reduction-step budget converts runaway inputs into a clean
 BudgetExceededError rather than a wrong answer.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 from .errors import BudgetExceededError, OrderError, RingMismatchError
@@ -35,6 +39,12 @@ def _sub_exp(a, b):
     return tuple(x - y for x, y in zip(a, b))
 
 
+def _neg_key(k):
+    # order keys are ints or nested tuples of them; negating every entry
+    # reverses the comparison, which turns heapq's min-heap into a max-heap
+    return tuple(map(_neg_key, k)) if isinstance(k, tuple) else -k
+
+
 @dataclass(frozen=True)
 class GroebnerBasis:
     ring: object
@@ -46,9 +56,6 @@ class GroebnerBasis:
 
     def __len__(self):
         return len(self.polys)
-
-    def lead_exps(self):
-        return [g.lead_exp for g in self.polys]
 
 
 class _Counter:
@@ -85,11 +92,15 @@ def normal_form(f, G, budget=None, selector=None, _counter=None):
     field = ring.field
     counter = _counter or _Counter(budget)
     leads = [(g.lead_exp, g.lead_coeff, g) for g in polys if not g.is_zero()]
-    work = dict(f.terms)
-    remainder = {}
     order_key = ring.order.key
-    while work:
-        e = max(work, key=order_key)
+    work = dict(f.terms)
+    heap = [(_neg_key(order_key(e)), e) for e in work]
+    heapq.heapify(heap)
+    remainder = {}
+    while heap:
+        e = heapq.heappop(heap)[1]
+        if e not in work:  # cancelled after it was pushed
+            continue
         c = work.pop(e)
         candidates = [i for i, (le, _, _) in enumerate(leads) if _divides(le, e)]
         if not candidates:
@@ -102,6 +113,8 @@ def normal_form(f, G, budget=None, selector=None, _counter=None):
         shift = _sub_exp(e, le)
         for ge, gc in g.terms[1:]:
             ne = tuple(a + b for a, b in zip(ge, shift))
+            if ne not in work:
+                heapq.heappush(heap, (_neg_key(order_key(ne)), ne))
             s = field.add(work.get(ne, field.zero), field.neg(field.mul(gc, factor)))
             if s == field.zero:
                 work.pop(ne, None)
@@ -131,22 +144,23 @@ def buchberger(gens, budget=None):
     _check_ring(ring, gens)
     counter = _Counter(budget)
 
-    basis = []
+    basis, pairs, done = [], [], set()
+
+    def append(r):
+        # (lcm degree, i, j) keys are unique, so popping the least pair is
+        # the same choice as a min over every pending pair
+        t, lt = len(basis), r.lead_exp
+        for k, b in enumerate(basis):
+            heapq.heappush(pairs, (sum(_lcm(b.lead_exp, lt)), k, t))
+        basis.append(r.monic())
+
     for g in sorted(gens, key=lambda p: ring.order.key(p.lead_exp)):
         r = normal_form(g, basis, _counter=counter)
         if not r.is_zero():
-            basis.append(r.monic())
-
-    pairs = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
-    done = set()
-
-    def pair_key(p):
-        i, j = p
-        return (sum(_lcm(basis[i].lead_exp, basis[j].lead_exp)), i, j)
+            append(r)
 
     while pairs:
-        i, j = min(pairs, key=pair_key)
-        pairs.discard((i, j))
+        _, i, j = heapq.heappop(pairs)
         done.add((i, j))
         fi, fj = basis[i], basis[j]
         lcm = _lcm(fi.lead_exp, fj.lead_exp)
@@ -168,10 +182,7 @@ def buchberger(gens, budget=None):
             continue
         r = normal_form(s_polynomial(fi, fj), basis, _counter=counter)
         if not r.is_zero():
-            basis.append(r.monic())
-            t = len(basis) - 1
-            for k in range(t):
-                pairs.add((k, t))
+            append(r)
 
     return _reduce_basis(ring, basis, counter)
 

@@ -175,3 +175,24 @@ def test_monomial_commands():
     assert res[2] == {"e": 6}
     assert res[3] == {"B": 1}
     assert res[4]["e"] == 6 and res[4]["stabilized"]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "ring { vars: x y }\nideal m = x, y$\ncmd: gb m\n",
+        "ring { vars: x y }\nideal m = x, z\ncmd: gb m\n",
+        "ring { vars: x y; field: Fp 4 }\nideal m = x, y\ncmd: gb m\n",
+        None,
+    ],
+    ids=["bad-polynomial", "unknown-variable", "non-prime-field", "missing-file"],
+)
+def test_session_build_error_exits_2(text, tmp_path, capsys):
+    path = tmp_path / "s.session"
+    if text is not None:
+        path.write_text(text)
+    assert main([str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("parse error: ")

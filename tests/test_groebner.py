@@ -3,7 +3,17 @@ from fractions import Fraction
 
 import pytest
 
-from reesval import GrevLex, Lex, PolyRing, QQ, buchberger, groebner, normal_form
+from reesval import (
+    Block,
+    GrevLex,
+    Lex,
+    PolyRing,
+    QQ,
+    Weighted,
+    buchberger,
+    groebner,
+    normal_form,
+)
 from reesval.errors import BudgetExceededError, OrderError
 from reesval.groebner import is_groebner, s_polynomial
 
@@ -34,13 +44,21 @@ def _random_poly(rng, ring, nterms=4, maxdeg=3):
     return ring.poly_from_dict(d)
 
 
-def test_normal_form_path_independence_randomized():
+@pytest.mark.parametrize(
+    "order, maxdeg",
+    # the orders cover flat, nested and weighted keys; under lex and block,
+    # taking pairs by lcm degree lets the coefficients of random degree-2
+    # inputs grow to thousands of digits, so those generators are multilinear
+    [(GrevLex(), 3), (Lex(), 1), (Block(1), 1), (Weighted((1, 2, 3)), 3)],
+    ids=["grevlex", "lex", "block", "weighted"],
+)
+def test_normal_form_path_independence_randomized(order, maxdeg):
     # against a reduced basis the remainder must not depend on which
     # divisor is picked at each step
     rng = random.Random(2024)
-    R = PolyRing(("x", "y", "z"), QQ, GrevLex())
+    R = PolyRing(("x", "y", "z"), QQ, order)
     for trial in range(50):
-        gens = [_random_poly(rng, R) for _ in range(2)]
+        gens = [_random_poly(rng, R, maxdeg=maxdeg) for _ in range(2)]
         gens = [g for g in gens if not g.is_zero()]
         if not gens:
             continue
@@ -82,8 +100,6 @@ def test_budget_exhaustion_raises():
 
 
 def test_zgraded_order_rejected():
-    from reesval import Weighted
-
     R = PolyRing(("y", "u"), QQ, Weighted((1, -1), zgraded=True))
     y, u = R.gens()
     with pytest.raises(OrderError):
@@ -152,3 +168,27 @@ def test_pair_order_work_counts(system, basis_len, s_polys, normal_forms, monkey
     monkeypatch.setattr(groebner, "normal_form", counting_nf)
     G = buchberger(system())
     assert (len(G), counts["s"], counts["nf"]) == (basis_len, s_polys, normal_forms)
+
+
+def test_pair_order_tie_breaks(monkeypatch):
+    # counts miss a change in how pairs of equal lcm degree are ordered;
+    # the S-pairs of cyclic-4 in the order taken catch it
+    taken = []
+    real = groebner.s_polynomial
+
+    def recording(f, g):
+        taken.append((f.lead_exp, g.lead_exp))
+        return real(f, g)
+
+    monkeypatch.setattr(groebner, "s_polynomial", recording)
+    buchberger(_cyclic4())
+    assert taken == [
+        ((0, 2, 0, 0), (0, 1, 2, 0)),
+        ((0, 2, 0, 0), (0, 1, 1, 2)),
+        ((0, 1, 2, 0), (0, 1, 1, 2)),
+        ((0, 2, 0, 0), (0, 1, 0, 4)),
+        ((0, 1, 2, 0), (0, 0, 3, 2)),
+        ((0, 1, 1, 2), (0, 1, 0, 4)),
+        ((0, 1, 2, 0), (0, 0, 2, 4)),
+        ((0, 0, 3, 2), (0, 0, 2, 4)),
+    ]
