@@ -146,13 +146,24 @@ def _monomial_cube():
 
 
 @pytest.mark.parametrize(
-    "system, basis_len, s_polys, normal_forms",
-    [(_cyclic4, 7, 8, 19), (_katsura3, 7, 8, 19), (_monomial_cube, 16, 33, 113)],
+    "system, basis_len, s_polys, normal_forms, least_budget",
+    [
+        (_cyclic4, 7, 8, 19, 30),
+        (_katsura3, 7, 8, 19, 95),
+        (_monomial_cube, 16, 33, 113, 48),
+    ],
     ids=["cyclic4", "katsura3", "monomial_cube"],
 )
-def test_pair_order_work_counts(system, basis_len, s_polys, normal_forms, monkeypatch):
+def test_pair_order_work_counts(
+    system, basis_len, s_polys, normal_forms, least_budget, monkeypatch
+):
     # the chain criterion skips a pair only against pairs already done, so
-    # these counts move if buchberger takes its pairs in another order
+    # these counts move if buchberger takes its pairs in another order;
+    # the budget is one tick per reduction step, so the least budget that
+    # completes pins the number of steps
+    with pytest.raises(BudgetExceededError):
+        buchberger(system(), budget=least_budget - 1)
+    buchberger(system(), budget=least_budget)
     counts = {"s": 0, "nf": 0}
     real_s, real_nf = groebner.s_polynomial, groebner.normal_form
 
