@@ -182,6 +182,13 @@ def _int(text):
         raise PreconditionError(f"expected an integer, got {text!r}") from None
 
 
+def _coordinate(field, text):
+    try:
+        return field.coerce(text)
+    except (ValueError, ZeroDivisionError):
+        raise PreconditionError(f"not an element of {field}: {text!r}") from None
+
+
 def _flags(tokens):
     """Split positional arguments from --flag value pairs."""
     pos, flags = _Positional(), _Flags()
@@ -302,7 +309,7 @@ class _Session:
         if len(coords) != ring.nvars:
             raise PreconditionError("one coordinate per variable")
         images = [
-            ring.gen(n) + ring.field.coerce(c) for n, c in zip(ring.names, coords)
+            ring.gen(n) + _coordinate(ring.field, c) for n, c in zip(ring.names, coords)
         ]
         new_mod = tuple(
             m.substitute(ring, images) for m in self.algebra.modulus

@@ -4,7 +4,8 @@ Pair selection is fixed (normal strategy: minimal lcm degree first,
 lexicographic tie-break on pair indices) so output is deterministic.
 Pairs come off a heap keyed that way, and division takes the terms of
 the working polynomial off a heap of negated order keys, largest first;
-neither rescans what it has already ranked.
+neither rescans what it has already ranked. Order keys are flat int
+tuples, so negating one entry by entry reverses its comparison.
 A global reduction-step budget converts runaway inputs into a clean
 BudgetExceededError rather than a wrong answer.
 """
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from operator import add, le, neg, sub
 
 from .errors import BudgetExceededError, OrderError, RingMismatchError
 
@@ -28,21 +30,15 @@ def set_default_budget(n):
 
 
 def _divides(a, b):
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def _lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def _sub_exp(a, b):
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def _neg_key(k):
-    # order keys are ints or nested tuples of them; negating every entry
-    # reverses the comparison, which turns heapq's min-heap into a max-heap
-    return tuple(map(_neg_key, k)) if isinstance(k, tuple) else -k
+    return tuple(map(sub, a, b))
 
 
 @dataclass(frozen=True)
@@ -90,11 +86,12 @@ def normal_form(f, G, budget=None, selector=None, _counter=None):
         _check_ring(polys[0].ring, (f,) + tuple(polys))
     ring = f.ring
     field = ring.field
+    fadd, fmul, zero = field.add, field.mul, field.zero
     counter = _counter or _Counter(budget)
     leads = [(g.lead_exp, g.lead_coeff, g) for g in polys if not g.is_zero()]
     order_key = ring.order.key
     work = dict(f.terms)
-    heap = [(_neg_key(order_key(e)), e) for e in work]
+    heap = [(tuple(map(neg, order_key(e))), e) for e in work]
     heapq.heapify(heap)
     remainder = {}
     while heap:
@@ -102,24 +99,26 @@ def normal_form(f, G, budget=None, selector=None, _counter=None):
         if e not in work:  # cancelled after it was pushed
             continue
         c = work.pop(e)
-        candidates = [i for i, (le, _, _) in enumerate(leads) if _divides(le, e)]
+        candidates = [i for i, (lt, _, _) in enumerate(leads) if _divides(lt, e)]
         if not candidates:
             remainder[e] = c
             continue
         i = candidates[0] if selector is None else selector(candidates)
-        le, lc, g = leads[i]
+        lt, lc, g = leads[i]
         counter.tick()
-        factor = field.mul(c, field.inv(lc))
-        shift = _sub_exp(e, le)
+        factor = field.neg(fmul(c, field.inv(lc)))
+        shift = _sub_exp(e, lt)
         for ge, gc in g.terms[1:]:
-            ne = tuple(a + b for a, b in zip(ge, shift))
+            ne = tuple(map(add, ge, shift))
             if ne not in work:
-                heapq.heappush(heap, (_neg_key(order_key(ne)), ne))
-            s = field.add(work.get(ne, field.zero), field.neg(field.mul(gc, factor)))
-            if s == field.zero:
-                work.pop(ne, None)
+                heapq.heappush(heap, (tuple(map(neg, order_key(ne))), ne))
+                work[ne] = fmul(gc, factor)
             else:
-                work[ne] = s
+                s = fadd(work[ne], fmul(gc, factor))
+                if s == zero:
+                    del work[ne]
+                else:
+                    work[ne] = s
     return ring.poly_from_dict(remainder)
 
 
@@ -165,7 +164,7 @@ def buchberger(gens, budget=None):
         fi, fj = basis[i], basis[j]
         lcm = _lcm(fi.lead_exp, fj.lead_exp)
         # criterion: coprime lead terms reduce to zero
-        if lcm == tuple(a + b for a, b in zip(fi.lead_exp, fj.lead_exp)):
+        if lcm == tuple(map(add, fi.lead_exp, fj.lead_exp)):
             continue
         # chain criterion: some k with lt_k | lcm and both pairs already done
         skip = False
@@ -191,9 +190,9 @@ def _reduce_basis(ring, basis, counter):
     # minimalize: drop members whose lead term another member's divides
     minimal = []
     for i, g in enumerate(basis):
-        le = g.lead_exp
+        lead = g.lead_exp
         if any(
-            _divides(h.lead_exp, le) and (h.lead_exp != le or j < i)
+            _divides(h.lead_exp, lead) and (h.lead_exp != lead or j < i)
             for j, h in enumerate(basis)
             if j != i
         ):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from itertools import product
+from operator import add, mul, neg
 
 from .errors import OrderError, PreconditionError, RingMismatchError
 
@@ -58,11 +59,41 @@ class RationalField:
         return "QQ"
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# the least strong pseudoprime to every base above; below it the test is exact
+_MR_BOUND = 3317044064679887385961981
+
+
+def _is_prime(p):
+    """Deterministic Miller-Rabin, exact for p < _MR_BOUND."""
+    if p < 2:
+        return False
+    for q in _MR_BASES:
+        if p % q == 0:
+            return p == q
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    return True
+
+
 class PrimeField:
-    """Integers modulo a prime p, residues reduced to [0, p)."""
+    """Integers modulo a prime p < _MR_BOUND, residues reduced to [0, p)."""
 
     def __init__(self, p):
-        if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
+        if p >= _MR_BOUND:
+            raise ValueError(f"{p} is too large: primality is exact below {_MR_BOUND}")
+        if not _is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p
         self.name = f"Fp({p})"
@@ -109,7 +140,8 @@ QQ = RationalField()
 # monomial orders
 #
 # Each order maps an exponent tuple to a sort key; exponents compare by key.
-# Bigger key = bigger monomial.
+# Bigger key = bigger monomial. Keys are flat int tuples of one length per
+# ring, so negating every entry reverses the order (the division heap does).
 
 
 class MonomialOrder:
@@ -144,7 +176,7 @@ class GrevLex(MonomialOrder):
     kind = "grevlex"
 
     def key(self, exp):
-        return (sum(exp), tuple(-e for e in reversed(exp)))
+        return (sum(exp),) + tuple(map(neg, reversed(exp)))
 
     def __repr__(self):
         return "grevlex"
@@ -164,7 +196,7 @@ class Block(MonomialOrder):
         self.back = back or GrevLex()
 
     def key(self, exp):
-        return (self.front.key(exp[: self.k]), self.back.key(exp[self.k :]))
+        return self.front.key(exp[: self.k]) + self.back.key(exp[self.k :])
 
     @property
     def all_weights_positive(self):
@@ -193,8 +225,7 @@ class Weighted(MonomialOrder):
         self.zgraded = zgraded
 
     def key(self, exp):
-        w = sum(a * e for a, e in zip(self.weights, exp))
-        return (w, self.tiebreak.key(exp))
+        return (sum(map(mul, self.weights, exp)),) + self.tiebreak.key(exp)
 
     @property
     def all_weights_positive(self):
@@ -222,7 +253,7 @@ class PolyRing:
         self._index = {n: i for i, n in enumerate(names)}
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, PolyRing)
             and self.names == other.names
             and self.field == other.field
@@ -385,7 +416,7 @@ class Polynomial:
         d = {}
         for e1, c1 in self.terms:
             for e2, c2 in other.terms:
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = tuple(map(add, e1, e2))
                 s = f.add(d.get(e, f.zero), f.mul(c1, c2))
                 if s == f.zero:
                     d.pop(e, None)
@@ -418,10 +449,7 @@ class Polynomial:
         f = self.ring.field
         return Polynomial(
             self.ring,
-            tuple(
-                (tuple(a + b for a, b in zip(e, exp)), f.mul(c, coeff))
-                for e, c in self.terms
-            ),
+            tuple((tuple(map(add, e, exp)), f.mul(c, coeff)) for e, c in self.terms),
         )
 
     # -- structure ---------------------------------------------------------

@@ -109,7 +109,14 @@ def test_budget_does_not_leak_into_later_runs():
 
 @pytest.mark.parametrize(
     "command",
-    ["power m", "saturate m", "check zariski-nagata --q m", "power m abc"],
+    [
+        "power m",
+        "saturate m",
+        "check zariski-nagata --q m",
+        "power m abc",
+        "translate-origin 1/0,0",
+        "translate-origin a,0",
+    ],
 )
 def test_malformed_command_recorded(command):
     s = parse_session(f"ring {{ vars: x y }}\nideal m = x, y\ncmd: {command}\ncmd: gb m")
@@ -183,9 +190,16 @@ def test_monomial_commands():
         "ring { vars: x y }\nideal m = x, y$\ncmd: gb m\n",
         "ring { vars: x y }\nideal m = x, z\ncmd: gb m\n",
         "ring { vars: x y; field: Fp 4 }\nideal m = x, y\ncmd: gb m\n",
+        "ring { vars: x y; field: Fp 1000000000000000001 }\nideal m = x, y\ncmd: gb m\n",
         None,
     ],
-    ids=["bad-polynomial", "unknown-variable", "non-prime-field", "missing-file"],
+    ids=[
+        "bad-polynomial",
+        "unknown-variable",
+        "non-prime-field",
+        "large-composite-field",
+        "missing-file",
+    ],
 )
 def test_session_build_error_exits_2(text, tmp_path, capsys):
     path = tmp_path / "s.session"

@@ -1,8 +1,10 @@
 """Differential check of the Groebner engine against sympy, a dev-only oracle.
 
 On seeded random small ideals over QQ and Fp(32003), in lex and grevlex,
-the reduced basis must equal sympy's (made monic) and normal forms must
-equal sympy's remainders.
+the reduced basis must equal sympy's (made monic), normal forms must
+equal sympy's remainders and membership must agree with sympy's. The
+elimination ideal must equal the part of sympy's lex basis free of the
+dropped variables.
 """
 
 import random
@@ -13,6 +15,8 @@ import pytest
 sympy = pytest.importorskip("sympy")
 
 from reesval import GrevLex, Lex, PolyRing, PrimeField, QQ, buchberger, normal_form
+from reesval.groebner import contains
+from reesval.ideals import eliminate
 
 P = 32003
 NAMES = ("x", "y", "z")
@@ -57,6 +61,7 @@ def test_agrees_with_sympy(field, order):
     ring = PolyRing(NAMES, field, order)
     # degree-3 generators can take buchberger minutes under lex over QQ,
     # where sympy needs milliseconds (pairs are taken by lcm degree here)
+    answers = set()
     for trial in range(40):
         gens = [_random_poly(rng, ring, 3, 2) for _ in range(rng.choice((2, 3)))]
         gens = [g for g in gens if not g.is_zero()]
@@ -78,3 +83,49 @@ def test_agrees_with_sympy(field, order):
             order=repr(order), domain=_domain(ring),
         )
         assert normal_form(f, G) == _from_sympy(ring, remainder), trial
+        # membership: a combination of the generators, then a perturbed one;
+        # drawn from their own generator so the inputs above stay the same
+        extra = random.Random(trial)
+        inside = sum((_random_poly(extra, ring, 2, 1) * g for g in gens), ring.zero)
+        for h in (inside, inside + _random_poly(extra, ring, 2, 2)):
+            answer = contains(G, [h])
+            assert answer == oracle.contains(_to_sympy(h).as_expr()), trial
+            answers.add(answer)
+    assert answers == {True, False}
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(P)], ids=repr)
+def test_elimination_agrees_with_sympy(field):
+    rng = random.Random(20241)
+    ring = PolyRing(NAMES, field, GrevLex())
+    sizes = set()
+    for trial in range(40):
+        gens = [_random_poly(rng, ring, 3, 2) for _ in range(rng.choice((2, 3)))]
+        gens = [g for g in gens if not g.is_zero()]
+        if not gens:
+            continue
+        k = rng.choice((1, 2))
+        target = PolyRing(NAMES[k:], field, GrevLex())
+        ours = eliminate(ring, gens, NAMES[:k], target)
+        # by the elimination theorem, the lex basis elements free of the
+        # first k variables generate the ideal intersected with k[rest]
+        oracle = sympy.groebner(
+            [_to_sympy(g).as_expr() for g in gens], *SYMBOLS,
+            order="lex", domain=_domain(ring),
+        )
+        pos = [0] * k + list(range(len(NAMES) - k))
+        theirs = [
+            _from_sympy(ring, g).map_exponents(target, pos)
+            for g in oracle.exprs
+            if not g.free_symbols & set(SYMBOLS[:k])
+        ]
+        sizes.add(len(theirs))
+        assert bool(ours) == bool(theirs), trial
+        if not ours:
+            continue
+        # ours in theirs by sympy's basis, theirs in ours by reesval's
+        back = list(range(k, len(NAMES)))
+        for g in ours:
+            assert oracle.contains(_to_sympy(g.map_exponents(ring, back)).as_expr()), trial
+        assert contains(buchberger(ours), theirs), trial
+    assert 0 in sizes and len(sizes) > 1

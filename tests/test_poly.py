@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
+from functools import cmp_to_key
 
 import pytest
 
 from reesval import Block, GrevLex, Lex, PolyRing, PrimeField, QQ, Weighted
 from reesval.errors import OrderError, PreconditionError, RingMismatchError
+from reesval.poly import _is_prime
 
 
 def test_basic_arithmetic():
@@ -51,6 +53,18 @@ def test_prime_field_arithmetic():
     x = R.gen("x")
     assert (x * 7).is_zero()
     assert (3 * x + 4 * x) == 0
+
+
+def test_prime_field_primality_exact_and_bounded():
+    assert PrimeField(10**18 + 3).p == 10**18 + 3  # trial division took minutes
+    sieve = [p for p in range(2, 2000) if all(p % d for d in range(2, p))]
+    assert [p for p in range(2000) if _is_prime(p)] == sieve
+    # 10**18 + 1 = 101 * 9901 * 999999000001; the next is a strong
+    # pseudoprime to the bases 2..37 that base 41 exposes; the last is the
+    # bound itself, a strong pseudoprime to every base used
+    for p in (10**18 + 1, 318665857834031151167461, 3317044064679887385961981):
+        with pytest.raises(ValueError):
+            PrimeField(p)
 
 
 def test_parse_round_trip():
@@ -100,17 +114,55 @@ def test_substitute_and_map_exponents():
     assert g == a**2 + a * c
 
 
-def test_canonical_terms_sorted_descending():
+# comparators written from each order's definition, independent of order.key
+
+
+def _cmp(a, b):
+    return (a > b) - (a < b)
+
+
+def _lex(a, b):
+    return next((_cmp(x, y) for x, y in zip(a, b) if x != y), 0)
+
+
+def _grevlex(a, b):
+    # higher total degree wins; then the smaller last differing exponent
+    return _cmp(sum(a), sum(b)) or _lex(b[::-1], a[::-1])
+
+
+def _block(k, front, back):
+    return lambda a, b: front(a[:k], b[:k]) or back(a[k:], b[k:])
+
+
+def _weighted(weights, tiebreak):
+    def weight(e):
+        return sum(w * x for w, x in zip(weights, e))
+
+    return lambda a, b: _cmp(weight(a), weight(b)) or tiebreak(a, b)
+
+
+@pytest.mark.parametrize(
+    "order, compare",
+    [
+        (Lex(), _lex),
+        (GrevLex(), _grevlex),
+        (Block(1), _block(1, _grevlex, _grevlex)),
+        (Block(2, Lex(), GrevLex()), _block(2, _lex, _grevlex)),
+        (Weighted((1, 2, 3)), _weighted((1, 2, 3), _grevlex)),
+    ],
+    ids=["lex", "grevlex", "block1", "block2-lex-grevlex", "weighted123"],
+)
+def test_canonical_terms_sorted_descending(order, compare):
     rng = random.Random(11)
-    R = PolyRing(("x", "y", "z"), QQ, GrevLex())
+    R = PolyRing(("x", "y", "z"), QQ, order)
     for _ in range(20):
         d = {
             tuple(rng.randrange(4) for _ in range(3)): Fraction(rng.randint(-5, 5))
             for _ in range(6)
         }
         f = R.poly_from_dict(d)
-        keys = [R.order.key(e) for e, _ in f.terms]
-        assert keys == sorted(keys, reverse=True)
+        exps = [e for e, _ in f.terms]
+        assert exps == sorted(exps, key=cmp_to_key(compare), reverse=True)
         assert all(c != 0 for _, c in f.terms)
 
 
