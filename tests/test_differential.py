@@ -1,6 +1,7 @@
 """Differential check of the Groebner engine against sympy, a dev-only oracle.
 
-On seeded random small ideals over QQ and Fp(32003), in lex and grevlex,
+On seeded random small ideals over QQ (integer and fractional
+coefficients) and Fp(32003), in lex and grevlex,
 the reduced basis must equal sympy's (made monic), normal forms must
 equal sympy's remainders and membership must agree with sympy's. The
 elimination ideal must equal the part of sympy's lex basis free of the
@@ -23,13 +24,17 @@ NAMES = ("x", "y", "z")
 SYMBOLS = sympy.symbols(NAMES)
 
 
-def _random_poly(rng, ring, nterms, degree):
+def _random_poly(rng, ring, nterms, degree, dens=None):
+    # dens, a generator of its own, draws denominators 1..9 over QQ
     monomials = ring.monomials_up_to_degree(degree)
     d = {}
     for _ in range(nterms):
         e = rng.choice(monomials)
         c = rng.randint(-9, 9)
-        d[e] = Fraction(c) if ring.field == QQ else c % P
+        if ring.field != QQ:
+            d[e] = c % P
+        else:
+            d[e] = Fraction(c, dens.randint(1, 9) if dens else 1)
     return ring.poly_from_dict(d)
 
 
@@ -54,6 +59,31 @@ def _from_sympy(ring, g):
     return ring.poly_from_dict(d)
 
 
+def _check_basis_and_remainder(ring, gens, f, trial):
+    """Check the reduced basis of gens and the remainder of f against sympy's.
+
+    Returns (basis, sympy's basis, remainder).
+    """
+    order = ring.order
+    G = buchberger(gens)
+    oracle = sympy.groebner(
+        [_to_sympy(g).as_expr() for g in gens], *SYMBOLS,
+        order=repr(order), domain=_domain(ring),
+    )
+    want = sorted(
+        (_from_sympy(ring, g).monic() for g in oracle.exprs),
+        key=lambda p: order.key(p.lead_exp),
+    )
+    assert list(G.polys) == want, trial
+    _, remainder = sympy.reduced(
+        _to_sympy(f).as_expr(), list(oracle.exprs), *SYMBOLS,
+        order=repr(order), domain=_domain(ring),
+    )
+    r = normal_form(f, G)
+    assert r == _from_sympy(ring, remainder), trial
+    return G, oracle, r
+
+
 @pytest.mark.parametrize("order", [Lex(), GrevLex()], ids=repr)
 @pytest.mark.parametrize("field", [QQ, PrimeField(P)], ids=repr)
 def test_agrees_with_sympy(field, order):
@@ -67,22 +97,8 @@ def test_agrees_with_sympy(field, order):
         gens = [g for g in gens if not g.is_zero()]
         if not gens:
             continue
-        G = buchberger(gens)
-        oracle = sympy.groebner(
-            [_to_sympy(g).as_expr() for g in gens], *SYMBOLS,
-            order=repr(order), domain=_domain(ring),
-        )
-        want = sorted(
-            (_from_sympy(ring, g).monic() for g in oracle.exprs),
-            key=lambda p: order.key(p.lead_exp),
-        )
-        assert list(G.polys) == want, trial
         f = _random_poly(rng, ring, 6, 4)
-        _, remainder = sympy.reduced(
-            _to_sympy(f).as_expr(), list(oracle.exprs), *SYMBOLS,
-            order=repr(order), domain=_domain(ring),
-        )
-        assert normal_form(f, G) == _from_sympy(ring, remainder), trial
+        G, oracle, _ = _check_basis_and_remainder(ring, gens, f, trial)
         # membership: a combination of the generators, then a perturbed one;
         # drawn from their own generator so the inputs above stay the same
         extra = random.Random(trial)
@@ -92,6 +108,27 @@ def test_agrees_with_sympy(field, order):
             assert answer == oracle.contains(_to_sympy(h).as_expr()), trial
             answers.add(answer)
     assert answers == {True, False}
+
+
+@pytest.mark.parametrize("order", [Lex(), GrevLex()], ids=repr)
+def test_rational_inputs_agree_with_sympy(order):
+    # coefficients c/d with d in 1..9: division starts with a common
+    # denominator above 1 and has to rescale its integer work
+    rng, dens = random.Random(20242), random.Random(20243)
+    ring = PolyRing(NAMES, QQ, order)
+    fractional = 0
+    for trial in range(40):
+        gens = [_random_poly(rng, ring, 3, 2, dens) for _ in range(rng.choice((2, 3)))]
+        gens = [g for g in gens if not g.is_zero()]
+        if not gens:
+            continue
+        f = _random_poly(rng, ring, 6, 4, dens)
+        fractional += any(c.denominator > 1 for _, c in f.terms)
+        G, _, r = _check_basis_and_remainder(ring, gens, f, trial)
+        # integer numerators must not leak out of the division loop
+        for g in (r, *G):
+            assert all(type(c) is Fraction for _, c in g.terms), trial
+    assert fractional > 30
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(P)], ids=repr)

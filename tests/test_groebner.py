@@ -8,6 +8,7 @@ from reesval import (
     GrevLex,
     Lex,
     PolyRing,
+    PrimeField,
     QQ,
     Weighted,
     buchberger,
@@ -121,8 +122,8 @@ def _cyclic4():
     return eqs + [v[0] * v[1] * v[2] * v[3] - 1]
 
 
-def _katsura3():
-    R = PolyRing(("u0", "u1", "u2", "u3"), QQ, GrevLex())
+def _katsura3(field=QQ):
+    R = PolyRing(("u0", "u1", "u2", "u3"), field, GrevLex())
     u = R.gens()
 
     def U(i):
@@ -151,8 +152,9 @@ def _monomial_cube():
         (_cyclic4, 7, 8, 19, 30),
         (_katsura3, 7, 8, 19, 95),
         (_monomial_cube, 16, 33, 113, 48),
+        (lambda: _katsura3(PrimeField(32003)), 7, 8, 19, 95),
     ],
-    ids=["cyclic4", "katsura3", "monomial_cube"],
+    ids=["cyclic4", "katsura3", "monomial_cube", "katsura3_fp"],
 )
 def test_pair_order_work_counts(
     system, basis_len, s_polys, normal_forms, least_budget, monkeypatch
