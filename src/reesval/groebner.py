@@ -6,6 +6,8 @@ Pairs come off a heap keyed that way, and division takes the terms of
 the working polynomial off a heap of negated order keys, largest first;
 neither rescans what it has already ranked. Order keys are flat int
 tuples, so negating one entry by entry reverses its comparison.
+Over QQ, division runs on integer numerators over one common denominator,
+with each reducer cleared of denominators once (Fp: residues over 1).
 A global reduction-step budget converts runaway inputs into a clean
 BudgetExceededError rather than a wrong answer.
 """
@@ -14,6 +16,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from math import gcd
 from operator import add, le, neg, sub
 
 from .errors import BudgetExceededError, OrderError, RingMismatchError
@@ -86,11 +89,12 @@ def normal_form(f, G, budget=None, selector=None, _counter=None):
         _check_ring(polys[0].ring, (f,) + tuple(polys))
     ring = f.ring
     field = ring.field
-    fadd, fmul, zero = field.add, field.mul, field.zero
+    fadd, fmul = field.add, field.mul
     counter = _counter or _Counter(budget)
-    leads = [(g.lead_exp, g.lead_coeff, g) for g in polys if not g.is_zero()]
+    # monic g is (L*lead + tail) / L; the work is numerators over den
+    reducers = [(g.lead_exp,) + g.cleared() for g in polys if not g.is_zero()]
     order_key = ring.order.key
-    work = dict(f.terms)
+    den, work = field.clear(f.terms)
     heap = [(tuple(map(neg, order_key(e))), e) for e in work]
     heapq.heapify(heap)
     remainder = {}
@@ -99,26 +103,37 @@ def normal_form(f, G, budget=None, selector=None, _counter=None):
         if e not in work:  # cancelled after it was pushed
             continue
         c = work.pop(e)
-        candidates = [i for i, (lt, _, _) in enumerate(leads) if _divides(lt, e)]
-        if not candidates:
-            remainder[e] = c
+        if selector is None:
+            r = next((r for r in reducers if _divides(r[0], e)), None)
+        else:
+            candidates = [i for i, r in enumerate(reducers) if _divides(r[0], e)]
+            r = reducers[selector(candidates)] if candidates else None
+        if r is None:
+            # terms leave largest first, so this one is final
+            remainder[e] = field.fraction(c, den)
             continue
-        i = candidates[0] if selector is None else selector(candidates)
-        lt, lc, g = leads[i]
+        lt, L, tail = r
         counter.tick()
-        factor = field.neg(fmul(c, field.inv(lc)))
+        # scale the work by s = L/h so that (c/h)*(L*lead + tail) cancels c;
+        # L = 1 over Fp, so s = 1 there
+        h = gcd(c, L)
+        s, q = L // h, -(c // h)
+        if s != 1:
+            den *= s
+            for k in work:
+                work[k] = fmul(work[k], s)
         shift = _sub_exp(e, lt)
-        for ge, gc in g.terms[1:]:
+        for ge, gc in tail:
             ne = tuple(map(add, ge, shift))
             if ne not in work:
                 heapq.heappush(heap, (tuple(map(neg, order_key(ne))), ne))
-                work[ne] = fmul(gc, factor)
+                work[ne] = fmul(gc, q)
             else:
-                s = fadd(work[ne], fmul(gc, factor))
-                if s == zero:
-                    del work[ne]
+                t = fadd(work[ne], fmul(gc, q))
+                if t:
+                    work[ne] = t
                 else:
-                    work[ne] = s
+                    del work[ne]
     return ring.poly_from_dict(remainder)
 
 

@@ -8,9 +8,11 @@ leading term is always terms[0].
 
 from __future__ import annotations
 
+import operator
 import re
 from fractions import Fraction
 from itertools import product
+from math import lcm
 from operator import add, mul, neg
 
 from .errors import OrderError, PreconditionError, RingMismatchError
@@ -18,6 +20,8 @@ from .errors import OrderError, PreconditionError, RingMismatchError
 
 # ---------------------------------------------------------------------------
 # coefficient fields
+# Division works on numerators over one denominator: clear(terms) gives them,
+# add/mul combine them (integers over QQ), fraction(n, den) maps one back.
 
 
 class RationalField:
@@ -36,18 +40,15 @@ class RationalField:
 
     zero = Fraction(0)
     one = Fraction(1)
-
-    def add(self, a, b):
-        return a + b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
+    add, mul, neg = operator.add, operator.mul, operator.neg
+    fraction = Fraction
 
     def inv(self, a):
         return 1 / a
+
+    def clear(self, terms):
+        den = lcm(*(c.denominator for _, c in terms))
+        return den, {e: c.numerator * (den // c.denominator) for e, c in terms}
 
     def __eq__(self, other):
         return isinstance(other, RationalField)
@@ -122,6 +123,12 @@ class PrimeField:
         if a % self.p == 0:
             raise ZeroDivisionError("inverse of 0")
         return pow(a, -1, self.p)
+
+    def clear(self, terms):
+        return 1, dict(terms)
+
+    def fraction(self, n, den):
+        return self.mul(n, self.inv(den))
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
@@ -326,7 +333,7 @@ class PolyRing:
 class Polynomial:
     """Immutable canonical polynomial: terms sorted strictly descending."""
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ("ring", "terms", "_cleared")
 
     def __init__(self, ring, terms):
         self.ring = ring
@@ -444,6 +451,13 @@ class Polynomial:
         f = self.ring.field
         inv = f.inv(self.lead_coeff)
         return Polynomial(self.ring, tuple((e, f.mul(c, inv)) for e, c in self.terms))
+
+    def cleared(self):
+        """(L, tail), monic() = (L*lead + tail) / L on numerators; computed once."""
+        if not hasattr(self, "_cleared"):
+            den, terms = self.ring.field.clear(self.monic().terms)
+            self._cleared = den, tuple(terms.items())[1:]
+        return self._cleared
 
     def mul_term(self, exp, coeff):
         f = self.ring.field
