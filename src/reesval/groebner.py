@@ -92,7 +92,7 @@ def normal_form(f, G, budget=None, selector=None, _counter=None):
     fadd, fmul = field.add, field.mul
     counter = _counter or _Counter(budget)
     # monic g is (L*lead + tail) / L; the work is numerators over den
-    reducers = [(g.lead_exp,) + g.cleared() for g in polys if not g.is_zero()]
+    reducers = [g.cleared() for g in polys if not g.is_zero()]
     order_key = ring.order.key
     den, work = field.clear(f.terms)
     heap = [(tuple(map(neg, order_key(e))), e) for e in work]

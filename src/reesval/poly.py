@@ -446,17 +446,17 @@ class Polynomial:
         return out
 
     def monic(self):
-        if self.is_zero():
-            return self
         f = self.ring.field
+        if self.is_zero() or self.lead_coeff == f.one:
+            return self
         inv = f.inv(self.lead_coeff)
         return Polynomial(self.ring, tuple((e, f.mul(c, inv)) for e, c in self.terms))
 
     def cleared(self):
-        """(L, tail), monic() = (L*lead + tail) / L on numerators; computed once."""
+        """(lead exp, L, tail), monic() = (L*lead + tail) / L on numerators; cached."""
         if not hasattr(self, "_cleared"):
             den, terms = self.ring.field.clear(self.monic().terms)
-            self._cleared = den, tuple(terms.items())[1:]
+            self._cleared = self.lead_exp, den, tuple(terms.items())[1:]
         return self._cleared
 
     def mul_term(self, exp, coeff):
