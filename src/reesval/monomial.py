@@ -1,8 +1,10 @@
 """Monomial-ideal fast path: Newton polyhedra, facet valuations, closures.
 
-All geometry is exact over Fraction. Facets are enumerated from subset
-candidates (desk scale: at most 4 variables, 12 generators), integral
-closures by lattice scanning against the facet inequalities, and a
+All geometry is exact. Its linear algebra is one fraction-free integer
+elimination (Bareiss): solutions come out as integer numerators over one
+denominator, nullspace vectors as integer vectors. Facets are enumerated
+from subset candidates (desk scale: at most 4 variables, 12 generators),
+integral closures by lattice scanning against the facet inequalities, and a
 Caratheodory-style oracle decides membership with no facets at all so
 the two can be played against each other.
 """
@@ -10,10 +12,9 @@ the two can be played against each other.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cmp_to_key
 from itertools import combinations, product
-from math import gcd
+from math import gcd, lcm
 
 from .errors import PreconditionError
 from .groebner import _divides
@@ -27,69 +28,58 @@ MAX_GENS = 12
 # small exact linear algebra
 
 
-def _solve_square(rows, rhs):
-    """Solve A x = b exactly; None if singular. rows of Fractions."""
-    n = len(rows)
-    a = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            return None
-        a[col], a[piv] = a[piv], a[col]
-        inv = a[col][col]
-        a[col] = [x / inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [a[r][n] for r in range(n)]
+def _reduce(rows):
+    """Fraction-free Gauss-Jordan elimination (Bareiss) of an integer matrix.
 
-
-def _nullspace(rows, n):
-    """Basis of the nullspace of the given rows, vectors of length n."""
-    a = [[Fraction(x) for x in row] for row in rows]
+    Returns (a, pivots, d): pivot row i of a holds d in column pivots[i]
+    and 0 in every other pivot column, and the rows past the pivots are
+    zero. Every entry is up to sign a minor of the input, so each division
+    is exact, and at full rank a square input has determinant +-d. Rows
+    are replaced, never mutated, so the input rows may be tuples.
+    """
+    a = list(rows)
     pivots = []
-    r = 0
-    for col in range(n):
-        piv = next((i for i in range(r, len(a)) if a[i][col] != 0), None)
+    d = 1
+    for col in range(len(a[0]) if a else 0):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(a)) if a[i][col]), None)
         if piv is None:
             continue
         a[r], a[piv] = a[piv], a[r]
-        inv = a[r][col]
-        a[r] = [x / inv for x in a[r]]
+        p, prow = a[r][col], a[r]
         for i in range(len(a)):
-            if i != r and a[i][col] != 0:
+            if i != r:
                 f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+                a[i] = [(p * x - f * y) // d for x, y in zip(a[i], prow)]
         pivots.append(col)
-        r += 1
-    free = [c for c in range(n) if c not in pivots]
+        d = p
+    return a, pivots, d
+
+
+def _solve(rows, rhs):
+    """Solve the square system A x = b as x = nums / den with den > 0;
+    None if A is singular."""
+    k = len(rows)
+    a, pivots, d = _reduce([[*row, b] for row, b in zip(rows, rhs)])
+    if pivots != list(range(k)):
+        return None
+    s = 1 if d > 0 else -1
+    return [s * row[k] for row in a], s * d
+
+
+def _nullspace(rows, n):
+    """Integer basis of the nullspace of the given rows, vectors of length n."""
+    a, pivots, d = _reduce(rows)
     basis = []
-    for fc in free:
-        v = [Fraction(0)] * n
-        v[fc] = Fraction(1)
+    for fc in range(n):
+        if fc in pivots:
+            continue
+        v = [0] * n
+        v[fc] = d
         for i, pc in enumerate(pivots):
             v[pc] = -a[i][fc]
         basis.append(v)
     return basis
-
-
-def _rank(rows):
-    if not rows:
-        return 0
-    return len(rows[0]) - len(_nullspace(rows, len(rows[0])))
-
-
-def _primitive(v):
-    """Scale a rational vector to coprime integers, keeping orientation."""
-    denoms = 1
-    for x in v:
-        denoms = denoms * x.denominator // gcd(denoms, x.denominator)
-    ints = [int(x * denoms) for x in v]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    return tuple(x // g for x in ints) if g else tuple(ints)
 
 
 # ---------------------------------------------------------------------------
@@ -176,12 +166,9 @@ def newton_polyhedron(I_or_exps, nvars=None):
     for k in range(1, n + 1):
         for subset in combinations(exps, k):
             for zeros in combinations(range(n), n - k):
-                rows = [
-                    [Fraction(a - b) for a, b in zip(g, subset[0])]
-                    for g in subset[1:]
-                ]
-                rows += [[Fraction(unit[j][c]) for c in range(n)] for j in zeros]
-                basis = _nullspace(rows, n) if rows else _nullspace([[Fraction(0)] * n], n)
+                rows = [[a - b for a, b in zip(g, subset[0])] for g in subset[1:]]
+                rows += [unit[j] for j in zeros]
+                basis = _nullspace(rows, n)
                 if len(basis) != 1:
                     continue
                 v = basis[0]
@@ -189,22 +176,17 @@ def newton_polyhedron(I_or_exps, nvars=None):
                     v = [-x for x in v]
                 if any(x < 0 for x in v):
                     continue
-                a = _primitive(v)
-                if all(x == 0 for x in a):
-                    continue
+                h = gcd(*v)
+                a = tuple(x // h for x in v)
                 b = min(sum(ai * gi for ai, gi in zip(a, g)) for g in exps)
                 # facet test: equality generators plus free coordinate rays
                 # must affinely span dimension n-1
                 eq = [g for g in exps if sum(ai * gi for ai, gi in zip(a, g)) == b]
                 if not eq:
                     continue
-                dirs = [
-                    [Fraction(x - y) for x, y in zip(g, eq[0])] for g in eq[1:]
-                ]
-                dirs += [
-                    [Fraction(x) for x in unit[j]] for j in range(n) if a[j] == 0
-                ]
-                if _rank(dirs) != n - 1:
+                dirs = [[x - y for x, y in zip(g, eq[0])] for g in eq[1:]]
+                dirs += [unit[j] for j in range(n) if a[j] == 0]
+                if len(_reduce(dirs)[1]) != n - 1:
                     continue
                 facets[a] = Facet(normal=a, offset=b)
     out = tuple(sorted(facets.values(), key=lambda f: f.normal))
@@ -264,19 +246,15 @@ def membership_oracle_caratheodory(exps, nvars, e, n=1):
     for k in range(1, min(len(exps), nvars + 1) + 1):
         for subset in combinations(exps, k):
             for tight in combinations(range(nvars), k - 1):
-                rows = [[Fraction(1)] * k]
-                rhs = [Fraction(n)]
-                for j in tight:
-                    rows.append([Fraction(g[j]) for g in subset])
-                    rhs.append(Fraction(e[j]))
-                lam = _solve_square(rows, rhs)
-                if lam is None or any(x < 0 for x in lam):
+                rows = [[1] * k] + [[g[j] for g in subset] for j in tight]
+                sol = _solve(rows, [n] + [e[j] for j in tight])
+                if sol is None or any(x < 0 for x in sol[0]):
                     continue
-                combo = [
-                    sum(l * Fraction(g[j]) for l, g in zip(lam, subset))
+                lam, den = sol
+                if all(
+                    den * e[j] >= sum(l * g[j] for l, g in zip(lam, subset))
                     for j in range(nvars)
-                ]
-                if all(Fraction(e[j]) >= combo[j] for j in range(nvars)):
+                ):
                     return True
     return False
 
@@ -287,44 +265,30 @@ def membership_oracle_caratheodory(exps, nvars, e, n=1):
 
 def _vertices(np_):
     """Vertices of NP: feasible points with n linearly independent tight
-    constraints among the facets and the coordinate hyperplanes."""
+    constraints among the facets and the coordinate hyperplanes.
+
+    Returns (points, den): the vertices are points / den, integer points
+    over one common denominator den > 0 (1 when all are lattice points).
+    """
     n = np_.nvars
     cons = [(f.normal, f.offset) for f in np_.facets]
     cons += [
         (tuple(1 if j == i else 0 for j in range(n)), 0) for i in range(n)
     ]
-    verts = set()
+    found = set()
     for subset in combinations(cons, n):
-        rows = [[Fraction(a) for a in c[0]] for c in subset]
-        rhs = [Fraction(c[1]) for c in subset]
-        v = _solve_square(rows, rhs)
-        if v is None or any(x < 0 for x in v):
+        sol = _solve([c[0] for c in subset], [c[1] for c in subset])
+        if sol is None or any(x < 0 for x in sol[0]):
             continue
+        v, den = sol
         if all(
-            sum(a * x for a, x in zip(f.normal, v)) >= f.offset for f in np_.facets
+            sum(a * x for a, x in zip(f.normal, v)) >= f.offset * den
+            for f in np_.facets
         ):
-            verts.add(tuple(v))
-    return sorted(verts)
-
-
-def _det(rows):
-    a = [list(r) for r in rows]
-    n = len(a)
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col] != 0:
-                f = a[r][col] / inv
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return det
+            g = gcd(den, *v)
+            found.add((tuple(x // g for x in v), den // g))
+    den = lcm(*(d for _, d in found))
+    return sorted(tuple(x * (den // d) for x in v) for v, d in found), den
 
 
 def monomial_multiplicity(I_or_exps, nvars=None):
@@ -348,25 +312,27 @@ def monomial_multiplicity(I_or_exps, nvars=None):
     np_ = newton_polyhedron(exps, n)
     if n == 1:
         return np_.facets[0].offset
-    verts = _vertices(np_)
-    total = Fraction(0)
+    verts, den = _vertices(np_)
+    total = 0
     for f in np_.facets:
         if not f.bounded:
             continue
         on_facet = [
             v
             for v in verts
-            if sum(a * x for a, x in zip(f.normal, v)) == f.offset
+            if sum(a * x for a, x in zip(f.normal, v)) == f.offset * den
         ]
         if n == 2:
             if len(on_facet) != 2:
                 raise PreconditionError("degenerate facet")
-            total += abs(_det(on_facet))
+            _, pivots, d = _reduce(on_facet)
+            total += abs(d) if len(pivots) == 2 else 0
         else:
             total += _fan_volume(on_facet, f.normal)
-    if total.denominator != 1:
+    # the vertices are scaled by den, so each cone volume by den^n
+    if total % den**n:
         raise PreconditionError("non-integral volume; degenerate input")
-    return int(total)
+    return total // den**n
 
 
 def _fan_volume(points, normal):
@@ -375,9 +341,12 @@ def _fan_volume(points, normal):
         raise PreconditionError("degenerate facet")
     drop = max(range(3), key=lambda i: abs(normal[i]))
     keep = [i for i in range(3) if i != drop]
-    flat = [(p[keep[0]], p[keep[1]]) for p in points]
-    cx = sum(q[0] for q in flat) / len(flat)
-    cy = sum(q[1] for q in flat) / len(flat)
+    # scaled by m = len(points), the centroid (cx, cy) is an integer
+    # point, so the angular sort stays exact
+    m = len(points)
+    flat = [(m * p[keep[0]], m * p[keep[1]]) for p in points]
+    cx = sum(p[keep[0]] for p in points)
+    cy = sum(p[keep[1]] for p in points)
 
     def compare(i, j):
         ax, ay = flat[i][0] - cx, flat[i][1] - cy
@@ -391,9 +360,10 @@ def _fan_volume(points, normal):
 
     order = sorted(range(len(points)), key=cmp_to_key(compare))
     pts = [points[i] for i in order]
-    total = Fraction(0)
+    total = 0
     for i in range(1, len(pts) - 1):
-        total += abs(_det([pts[0], pts[i], pts[i + 1]]))
+        _, pivots, d = _reduce([pts[0], pts[i], pts[i + 1]])
+        total += abs(d) if len(pivots) == 3 else 0
     return total
 
 

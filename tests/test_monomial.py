@@ -1,5 +1,5 @@
 import random
-from itertools import product
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -19,11 +19,108 @@ from reesval import (
 )
 from reesval.errors import PreconditionError
 from reesval.ideals import Ideal
+from reesval.monomial import _nullspace, _reduce, _solve
 from reesval.multiplicity import length_sampler, multiplicity_from_table
 
 
 def _ideal(alg, *exps):
     return Ideal(alg, tuple(alg.ring.monomial(e) for e in exps))
+
+
+def _leibniz(m):
+    """Determinant as the signed sum over permutations."""
+    total = 0
+    for perm in permutations(range(len(m))):
+        inversions = sum(perm[i] > perm[j] for i, j in combinations(range(len(m)), 2))
+        term = -1 if inversions % 2 else 1
+        for i, j in enumerate(perm):
+            term *= m[i][j]
+        total += term
+    return total
+
+
+def _minor_rank(m):
+    """Largest k with a non-zero k x k minor."""
+    if not m:
+        return 0
+    for k in range(min(len(m), len(m[0])), 0, -1):
+        for rs in combinations(range(len(m)), k):
+            for cs in combinations(range(len(m[0])), k):
+                if _leibniz([[m[r][c] for c in cs] for r in rs]):
+                    return k
+    return 0
+
+
+def _kernel_matrices():
+    rng = random.Random(4242)
+    fixed = [
+        [[0, 1, 2], [0, 2, 5]],  # zero first column, rank 2 from later columns
+        [[1, 2, 3], [2, 4, 7], [3, 6, 10]],  # column 1 skipped, later non-zero
+        [[1, 2, 3], [2, 4, 6], [0, 0, 1]],  # singular square
+        [[2, 3], [3, 2]],  # second pivot negative
+        [[0, 0], [0, 0]],
+        [[-2, 1, 0], [1, -2, 1], [0, 1, -2]],
+    ]
+    rand = []
+    for _ in range(150):
+        rows, cols = rng.randint(1, 4), rng.randint(1, 4)
+        m = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)]
+        if rows > 1 and rng.random() < 0.3:
+            # a dependent row: a combination of two others
+            i, j = rng.randrange(rows), rng.randrange(rows)
+            m[rng.randrange(rows)] = [2 * x - y for x, y in zip(m[i], m[j])]
+        rand.append(m)
+    return fixed + rand
+
+
+def test_reduce_shape_and_determinant():
+    negative = singular = 0
+    for m in _kernel_matrices():
+        a, pivots, d = _reduce(m)
+        assert len(pivots) == _minor_rank(m), m
+        for i, pc in enumerate(pivots):
+            assert [a[i][c] for c in pivots] == [d if c == pc else 0 for c in pivots]
+        assert all(x == 0 for row in a[len(pivots):] for x in row), m
+        negative += d < 0
+        if len(m) == len(m[0]):
+            det = _leibniz(m)
+            assert (abs(d) if len(pivots) == len(m) else 0) == abs(det), m
+            singular += det == 0
+    assert negative >= 10 and singular >= 10
+
+
+def test_solve_by_substitution():
+    rng = random.Random(4243)
+    solved = singular = 0
+    for m in _kernel_matrices():
+        if len(m) != len(m[0]):
+            continue
+        b = [rng.randint(-5, 5) for _ in m]
+        sol = _solve(m, b)
+        if _leibniz(m) == 0:
+            assert sol is None, m
+            singular += 1
+            continue
+        nums, den = sol
+        assert den > 0, (m, den)
+        for row, rhs in zip(m, b):
+            assert sum(x * y for x, y in zip(row, nums)) == den * rhs, (m, b)
+        solved += 1
+    assert solved >= 10 and singular >= 10
+
+
+def test_nullspace_by_substitution():
+    for m in _kernel_matrices():
+        n = len(m[0])
+        basis = _nullspace(m, n)
+        assert len(basis) == n - _minor_rank(m), m
+        for v in basis:
+            assert any(v), m
+            for row in m:
+                assert sum(x * y for x, y in zip(row, v)) == 0, (m, v)
+        # independent: the basis matrix has full rank
+        assert _minor_rank(basis) == len(basis), m
+    assert _nullspace([], 3) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
 
 def test_newton_polyhedron_x2_y3(poly_xy):
@@ -125,6 +222,11 @@ def test_monomial_multiplicity_three_vars(poly_xyz):
     assert monomial_multiplicity(_ideal(poly_xyz, (2, 0, 0), (0, 3, 0), (0, 0, 5))) == 30
     mixed = _ideal(poly_xyz, (2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 1))
     assert monomial_multiplicity(mixed) == monomial_sampler_multiplicity(mixed)
+    # a hexagonal facet on x + y + z = 3, so the fan's angular sort matters;
+    # length_sampler(N=7) gives 30 as well (too slow to run here)
+    hexagon = [(2, 1, 0), (1, 2, 0), (0, 2, 1), (0, 1, 2), (1, 0, 2), (2, 0, 1)]
+    pure = [(4, 0, 0), (0, 4, 0), (0, 0, 4)]
+    assert monomial_multiplicity(_ideal(poly_xyz, *hexagon, *pure)) == 30
 
 
 def monomial_sampler_multiplicity(I):
