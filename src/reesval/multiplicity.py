@@ -132,24 +132,16 @@ def hilbert_series_monomial(ring_or_ideal, exps=None):
 # graded and local multiplicity
 
 
-def _lead_exps(algebra):
-    """Leading exponents of a degree-compatible GB of the modulus."""
-    if not algebra.modulus:
-        return []
-    ring = algebra.ring.with_order(GrevLex())
-    gens = [ring.convert(m) for m in algebra.modulus]
-    gb = groebner.buchberger(gens)
-    return [g.lead_exp for g in gb], gb
-
-
 def graded_invariants(S):
     """(multiplicity, Krull dimension) of a standard graded algebra."""
     if not S.modulus:
         return 1, S.ring.nvars
-    exps, gb = _lead_exps(S)
+    # leading exponents of a degree-compatible GB of the modulus
+    ring = S.ring.with_order(GrevLex())
+    gb = groebner.buchberger([ring.convert(m) for m in S.modulus])
     if any(not g.is_homogeneous() for g in gb):
         raise NotHomogeneousError("defining ideal is not homogeneous")
-    hs = hilbert_series_monomial(S.ring.nvars, exps)
+    hs = hilbert_series_monomial(S.ring.nvars, [g.lead_exp for g in gb])
     e = hs.multiplicity
     if e <= 0:
         raise PreconditionError("algebra is the zero ring")
