@@ -13,6 +13,8 @@ from reesval import (
     symbolic_order_along,
     symbolic_power,
 )
+from reesval import symbolic, verify
+from reesval.cli import parse_session, run
 from reesval.errors import PreconditionError
 from reesval.ideals import Ideal, kernel_of_map
 
@@ -48,6 +50,38 @@ def test_curve_prime_strict_containment():
     sq = P.power(2)
     assert p2.contains_ideal(sq)
     assert not sq.contains_ideal(p2)  # strictly bigger
+
+
+CURVE_UNIT_SEPARATOR = """\
+ring { vars: x y z; field: QQ; order: grevlex; assert: normal domain }
+ideal P = y^2 - x*z, x^2*y - z^2, x^3 - y*z
+cmd: symbolic-power P 2 --separator x+1
+"""
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_screen_catches_separator_unit_at_embedded_point(seed):
+    # x+1 is a unit at the origin, so saturating by it leaves the embedded
+    # (x, y, z)-primary component of P^2 in place: the screen must fail
+    symbolic.clear_cache()
+    report, ok = run(parse_session(CURVE_UNIT_SEPARATOR), seed=seed)
+    assert ok
+    assert report["commands"][0]["result"]["certificate"] == {
+        "separator": "x + 1",
+        "saturation_steps": 0,
+        "radical_ok": True,
+        "screen_probes": 1,
+        "screen_ok": False,
+        "status": "upper bound candidate",
+    }
+
+
+def test_checks_refuse_a_downgraded_symbolic_power():
+    alg, P = curve_345()
+    x = alg.ring.gen("x")
+    symbolic.clear_cache()
+    with pytest.raises(PreconditionError, match="downgraded"):
+        verify._sym(alg, P, 2, separator=x + 1)
 
 
 def test_containment_chain(paper_ring):
