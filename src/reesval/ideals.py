@@ -179,8 +179,8 @@ class Ideal:
         return (Ideal(self.algebra, sat), depth) if depth else (self, 0)
 
     def radical_contains(self, f):
-        """f in rad(I) iff the saturation of I by f is the unit ideal."""
-        if self.algebra.reduce(f).is_zero():
+        """f in rad(I): at once when f in I, else iff I : f^infinity = (1)."""
+        if self.contains_poly(f):
             return True
         return self._saturation_gens(f) == (self.algebra.ring.one,)
 

@@ -2,8 +2,8 @@
 
 The separator stands in for the multiplicative set complementary to the
 associated primes: P^(n) = (P^n : separator^infinity). An "auto" separator
-is only derived in the cases where it is provably valid; everything else
-demands an explicit element and gets a randomized primariness screen.
+is derived only where provably valid; an explicit one gets a randomized
+screen: each probe outside P must be a nonzerodivisor on R/result.
 """
 
 from __future__ import annotations
@@ -67,9 +67,9 @@ def symbolic_power(algebra, P, n, separator="auto", screen_level=3, seed=0):
     """n-th symbolic power of the (asserted) prime P, with a certificate.
 
     Returns (ideal, certificate). The certificate records the separator,
-    the saturation exponent, a radical-membership check on the result, and
-    the outcome of the primariness screen; any failure downgrades the
-    status to an upper-bound candidate instead of raising.
+    the saturation exponent, a radical-membership check on the result and
+    the primariness screen (a probe passes when the result saturated by it
+    has depth 0); a failure gives "upper bound candidate", never an error.
     """
     if n < 0:
         raise PreconditionError("negative symbolic power")
@@ -108,7 +108,7 @@ def symbolic_power(algebra, P, n, separator="auto", screen_level=3, seed=0):
     if separator is not None and screen_level > 0:
         for g in _random_elements(algebra, P, screen_level, seed):
             screened += 1
-            if not result.quotient(g).equals(result):
+            if result.saturate(g)[1]:
                 screen_ok = False
                 break
     status = "exact" if (radical_ok and screen_ok) else "upper bound candidate"
