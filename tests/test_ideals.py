@@ -1,6 +1,7 @@
 import pytest
 
-from reesval import AffineAlgebra, GrevLex, PolyRing, QQ, groebner
+from reesval import AffineAlgebra, GrevLex, PolyRing, QQ, groebner, symbolic
+from reesval.cli import parse_session, run
 from reesval.errors import PreconditionError
 from reesval.ideals import Ideal, kernel_of_map
 
@@ -108,6 +109,29 @@ def test_saturation_is_one_groebner_computation(poly_xy, monkeypatch):
     assert len(calls) == 1
 
 
+def test_symbolic_power_work_count(monkeypatch):
+    # tripwire: Groebner computations behind two symbolic powers of the
+    # t^3,t^4,t^5 curve prime, certificates (radical check, screen) included
+    session = parse_session(
+        "ring { vars: x y z; field: QQ; order: grevlex; assert: normal domain }\n"
+        "ideal P = y^2 - x*z, x^2*y - z^2, x^3 - y*z\n"
+        "cmd: symbolic-power P 2 --separator x\n"
+        "cmd: symbolic-power P 3 --separator x\n"
+    )
+    calls = []
+    real = groebner.buchberger
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(groebner, "buchberger", counting)
+    symbolic.clear_cache()
+    report, ok = run(session, seed=7)
+    assert ok
+    assert len(calls) == 13
+
+
 def test_elimination(poly_xyz):
     x, y, z = poly_xyz.ring.gens()
     I = Ideal(poly_xyz, (x - y**2, z - y**3))
@@ -117,12 +141,28 @@ def test_elimination(poly_xyz):
     assert E.equals(Ideal(E.algebra, (a**3 - c**2,)))
 
 
-def test_radical_membership(poly_xy):
+def test_radical_membership(poly_xy, paper_ring, monkeypatch):
     x, y = poly_xy.ring.gens()
     I = Ideal(poly_xy, (x**2,))
     assert I.radical_contains(x)
     assert not I.radical_contains(y)
     assert I.radical_contains(x**5 * y)
+    # in R = k[x]/(x1x2+x3^3): rad(x1, x3^2) = (x1, x3)
+    x1, x2, x3 = paper_ring.ring.gens()
+    J = Ideal(paper_ring, (x1, x3**2))
+    eliminations = []
+    real = Ideal._saturation_gens
+
+    def counting(self, f):
+        eliminations.append(f)
+        return real(self, f)
+
+    monkeypatch.setattr(Ideal, "_saturation_gens", counting)
+    assert J.radical_contains(x1 * x2)
+    assert not eliminations  # a member of J is answered by its normal form
+    assert J.radical_contains(x3) and not J.contains_poly(x3)
+    assert not J.radical_contains(x2)
+    assert len(eliminations) == 2
 
 
 def test_kernel_of_map_twisted_cubic():

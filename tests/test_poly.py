@@ -80,6 +80,26 @@ def test_parse_round_trip():
         assert R.parse(str(f)) == f
 
 
+@pytest.mark.parametrize("field", [QQ, PrimeField(7), PrimeField(32003)], ids=str)
+def test_parse_round_trip_property(field):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    R = PolyRing(("x1", "x2", "x3"), field, GrevLex())
+    if field == QQ:
+        coeffs = st.fractions(min_value=-100, max_value=100, max_denominator=50)
+    else:
+        coeffs = st.integers(min_value=0, max_value=field.p - 1)
+    exps = st.tuples(*[st.integers(min_value=0, max_value=4)] * 3)
+
+    @hypothesis.settings(derandomize=True, database=None)
+    @hypothesis.given(st.dictionaries(exps, coeffs, max_size=6))
+    def round_trip(terms):
+        f = R.poly_from_dict({e: field.coerce(c) for e, c in terms.items()})
+        assert R.parse(str(f)) == f
+
+    round_trip()
+
+
 def test_parse_rejects_garbage():
     R = PolyRing(("x",), QQ, GrevLex())
     for bad in ["", "x +", "x ^", "y", "x**2", "1..2"]:

@@ -76,6 +76,28 @@ def test_screen_catches_separator_unit_at_embedded_point(seed):
     }
 
 
+def test_screen_saturation_depth_matches_colon(paper_ring):
+    # independent route for the screen: g is a nonzerodivisor modulo I
+    # exactly when I : g = I, and exactly when I : g^infinity has depth 0
+    alg, P = curve_345()
+    x = alg.ring.gen("x")
+    x1, x3 = paper_ring.ring.gen("x1"), paper_ring.ring.gen("x3")
+    p = Ideal(paper_ring, (x1, x3))
+    cases = [
+        (alg, P, P.power(2).saturate(x)[0]),
+        (alg, P, P.power(3).saturate(x)[0]),
+        (alg, P, P.power(2)),
+        (paper_ring, p, p.power(2)),
+    ]
+    verdicts = set()
+    for algebra, prime, I in cases:
+        for g in symbolic._random_elements(algebra, prime, 3, seed=0):
+            passes = I.saturate(g)[1] == 0
+            assert passes == I.quotient(g).equals(I)
+            verdicts.add(passes)
+    assert verdicts == {True, False}
+
+
 def test_checks_refuse_a_downgraded_symbolic_power():
     alg, P = curve_345()
     x = alg.ring.gen("x")
