@@ -2,8 +2,8 @@
 
 The separator stands in for the multiplicative set complementary to the
 associated primes: P^(n) = (P^n : separator^infinity). An "auto" separator
-is derived only where provably valid; an explicit one gets a randomized
-screen: each probe outside P must be a nonzerodivisor on R/result.
+is derived only where provably valid; every saturated result is screened:
+each random probe outside P must be a nonzerodivisor on R/result.
 """
 
 from __future__ import annotations

@@ -93,18 +93,24 @@ def test_saturation_matches_iterated_colons(poly_xyz, n):
     assert steps == ref_steps
 
 
-def test_saturation_is_one_groebner_computation(poly_xy, monkeypatch):
-    x, y = poly_xy.ring.gens()
-    I = Ideal(poly_xy, (x**2 * y, x * y**2))
-    I.gb()
+def _record_calls(monkeypatch, owner, name):
+    """Wrap owner.name so that each call's arguments land in the list returned."""
     calls = []
-    real = groebner.buchberger
+    real = getattr(owner, name)
 
     def counting(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(groebner, "buchberger", counting)
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+def test_saturation_is_one_groebner_computation(poly_xy, monkeypatch):
+    x, y = poly_xy.ring.gens()
+    I = Ideal(poly_xy, (x**2 * y, x * y**2))
+    I.gb()
+    calls = _record_calls(monkeypatch, groebner, "buchberger")
     I.saturate(x)
     assert len(calls) == 1
 
@@ -118,14 +124,7 @@ def test_symbolic_power_work_count(monkeypatch):
         "cmd: symbolic-power P 2 --separator x\n"
         "cmd: symbolic-power P 3 --separator x\n"
     )
-    calls = []
-    real = groebner.buchberger
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(groebner, "buchberger", counting)
+    calls = _record_calls(monkeypatch, groebner, "buchberger")
     symbolic.clear_cache()
     report, ok = run(session, seed=7)
     assert ok
@@ -150,14 +149,7 @@ def test_radical_membership(poly_xy, paper_ring, monkeypatch):
     # in R = k[x]/(x1x2+x3^3): rad(x1, x3^2) = (x1, x3)
     x1, x2, x3 = paper_ring.ring.gens()
     J = Ideal(paper_ring, (x1, x3**2))
-    eliminations = []
-    real = Ideal._saturation_gens
-
-    def counting(self, f):
-        eliminations.append(f)
-        return real(self, f)
-
-    monkeypatch.setattr(Ideal, "_saturation_gens", counting)
+    eliminations = _record_calls(monkeypatch, Ideal, "_saturation_gens")
     assert J.radical_contains(x1 * x2)
     assert not eliminations  # a member of J is answered by its normal form
     assert J.radical_contains(x3) and not J.contains_poly(x3)
