@@ -19,6 +19,7 @@ import json
 import re
 import sys
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 from . import groebner
@@ -384,20 +385,12 @@ _COMMANDS = {
 def run(session, seed=0, budget=None, fail_fast=False, timings=False):
     """Execute a parsed session; returns (report dict, ok flag).
 
-    budget caps the reduction steps of each Groebner computation during
-    this run only; the previous default is restored afterwards. A ring or
-    ideal that does not build raises PreconditionError before any command
-    runs; the error of a single command is recorded in its report entry.
+    budget is the number of reduction steps each command may spend, over
+    all its Groebner computations together; without one, each top-level
+    Groebner computation gets groebner.DEFAULT_BUDGET. A ring or ideal that
+    does not build raises PreconditionError before any command runs; the
+    error of a single command is recorded in its report entry.
     """
-    previous = groebner.set_default_budget(budget) if budget is not None else None
-    try:
-        return _run(session, seed, fail_fast, timings)
-    finally:
-        if previous is not None:
-            groebner.set_default_budget(previous)
-
-
-def _run(session, seed, fail_fast, timings):
     state = _Session(session, seed)
     results = []
     ok = True
@@ -409,7 +402,8 @@ def _run(session, seed, fail_fast, timings):
             if name not in _COMMANDS:
                 raise PreconditionError(f"unknown command {name!r}")
             pos, flags = _flags(args)
-            result = getattr(state, _COMMANDS[name])(pos, flags)
+            with groebner.budget(budget) if budget is not None else nullcontext():
+                result = getattr(state, _COMMANDS[name])(pos, flags)
             entry["result"] = result
             if name == "check":
                 entry["verdict"] = "pass" if result["passed"] else "fail"
@@ -448,7 +442,7 @@ def main(argv=None):
     parser.add_argument("session", help="path to a session file")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--budget", type=int, default=None,
-                        help="Groebner reduction-step cap")
+                        help="reduction steps each command may spend")
     parser.add_argument("--json", metavar="PATH", default=None,
                         help="write the JSON report here")
     parser.add_argument("--fail-fast", action="store_true")
@@ -457,6 +451,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     try:
+        if args.budget is not None and args.budget < 1:
+            raise PreconditionError(f"--budget must be at least 1, got {args.budget}")
         with open(args.session, encoding="utf-8") as fh:
             text = fh.read()
         report, ok = run(

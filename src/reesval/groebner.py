@@ -8,14 +8,19 @@ neither rescans what it has already ranked. Order keys are flat int
 tuples, so negating one entry by entry reverses its comparison.
 Over QQ, division runs on integer numerators over one common denominator,
 with each reducer cleared of denominators once (Fp: residues over 1).
-A global reduction-step budget converts runaway inputs into a clean
-BudgetExceededError rather than a wrong answer.
+A reduction-step budget converts runaway inputs into a clean
+BudgetExceededError rather than a wrong answer. It is scoped, not global:
+inside `with budget(n):` every computation draws on the same n steps, and
+a call made outside any scope gets DEFAULT_BUDGET steps of its own.
 """
 
 from __future__ import annotations
 
 import heapq
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
+from functools import wraps
 from math import gcd
 from operator import add, le, neg, sub
 
@@ -23,13 +28,31 @@ from .errors import BudgetExceededError, OrderError, RingMismatchError
 
 DEFAULT_BUDGET = 10**6
 
-_budget = [DEFAULT_BUDGET]
+# one-element list holding the steps left in the innermost scope
+_steps_left = ContextVar("reduction_steps_left", default=None)
 
 
-def set_default_budget(n):
-    """Set the reduction-step budget of later calls; returns the previous one."""
-    previous, _budget[0] = _budget[0], n
-    return previous
+@contextmanager
+def budget(n):
+    """Scope in which all Groebner computations together may take n reduction steps."""
+    token = _steps_left.set([n])
+    try:
+        yield
+    finally:
+        _steps_left.reset(token)
+
+
+def _budgeted(fn):
+    """Run fn in the caller's budget scope, or in a DEFAULT_BUDGET one of its own."""
+
+    @wraps(fn)
+    def wrapper(*args, **kwargs):
+        if _steps_left.get() is not None:
+            return fn(*args, **kwargs)
+        with budget(DEFAULT_BUDGET):
+            return fn(*args, **kwargs)
+
+    return wrapper
 
 
 def _divides(a, b):
@@ -57,18 +80,6 @@ class GroebnerBasis:
         return len(self.polys)
 
 
-class _Counter:
-    __slots__ = ("left",)
-
-    def __init__(self, budget):
-        self.left = budget if budget is not None else _budget[0]
-
-    def tick(self, n=1):
-        self.left -= n
-        if self.left < 0:
-            raise BudgetExceededError("reduction-step budget exhausted")
-
-
 def _check_ring(ring, polys):
     for p in polys:
         if p.ring != ring:
@@ -77,7 +88,8 @@ def _check_ring(ring, polys):
         raise OrderError("Groebner computations need an order with 1 <= m for all monomials")
 
 
-def normal_form(f, G, budget=None, selector=None, _counter=None):
+@_budgeted
+def normal_form(f, G, selector=None):
     """Remainder of f on division by G; no term divisible by any lead term of G.
 
     selector(candidates) picks the reducer among applicable divisor indices;
@@ -90,7 +102,7 @@ def normal_form(f, G, budget=None, selector=None, _counter=None):
     ring = f.ring
     field = ring.field
     fadd, fmul = field.add, field.mul
-    counter = _counter or _Counter(budget)
+    left = _steps_left.get()
     # monic g is (L*lead + tail) / L; the work is numerators over den
     reducers = [g.cleared() for g in polys if not g.is_zero()]
     order_key = ring.order.key
@@ -113,7 +125,9 @@ def normal_form(f, G, budget=None, selector=None, _counter=None):
             remainder[e] = field.fraction(c, den)
             continue
         lt, L, tail = r
-        counter.tick()
+        left[0] -= 1
+        if left[0] < 0:
+            raise BudgetExceededError("reduction-step budget exhausted")
         # scale the work by s = L/h so that (c/h)*(L*lead + tail) cancels c;
         # L = 1 over Fp, so s = 1 there
         h = gcd(c, L)
@@ -145,7 +159,8 @@ def s_polynomial(f, g):
     return mf - mg
 
 
-def buchberger(gens, budget=None):
+@_budgeted
+def buchberger(gens):
     """Reduced Groebner basis of the ideal generated by gens.
 
     Both standard criteria are applied: coprime lead terms, and the chain
@@ -156,7 +171,6 @@ def buchberger(gens, budget=None):
         raise ValueError("no nonzero generators")
     ring = gens[0].ring
     _check_ring(ring, gens)
-    counter = _Counter(budget)
 
     basis, pairs, done = [], [], set()
 
@@ -169,7 +183,7 @@ def buchberger(gens, budget=None):
         basis.append(r.monic())
 
     for g in sorted(gens, key=lambda p: ring.order.key(p.lead_exp)):
-        r = normal_form(g, basis, _counter=counter)
+        r = normal_form(g, basis)
         if not r.is_zero():
             append(r)
 
@@ -194,14 +208,14 @@ def buchberger(gens, budget=None):
                     break
         if skip:
             continue
-        r = normal_form(s_polynomial(fi, fj), basis, _counter=counter)
+        r = normal_form(s_polynomial(fi, fj), basis)
         if not r.is_zero():
             append(r)
 
-    return _reduce_basis(ring, basis, counter)
+    return _reduce_basis(ring, basis)
 
 
-def _reduce_basis(ring, basis, counter):
+def _reduce_basis(ring, basis):
     # minimalize: drop members whose lead term another member's divides
     minimal = []
     for i, g in enumerate(basis):
@@ -217,24 +231,24 @@ def _reduce_basis(ring, basis, counter):
     reduced = []
     for i, g in enumerate(minimal):
         others = minimal[:i] + minimal[i + 1 :]
-        reduced.append(normal_form(g, others, _counter=counter).monic())
+        reduced.append(normal_form(g, others).monic())
     reduced.sort(key=lambda p: ring.order.key(p.lead_exp))
     return GroebnerBasis(ring=ring, polys=tuple(reduced), reduced=True)
 
 
-def contains(G, polys, budget=None):
+@_budgeted
+def contains(G, polys):
     """True iff every element of polys reduces to zero against G."""
-    counter = _Counter(budget)
-    return all(normal_form(p, G, _counter=counter).is_zero() for p in polys)
+    return all(normal_form(p, G).is_zero() for p in polys)
 
 
-def is_groebner(G, budget=None):
+@_budgeted
+def is_groebner(G):
     """Directly verify that every S-polynomial of G reduces to zero."""
-    counter = _Counter(budget)
     polys = list(G)
     for i in range(len(polys)):
         for j in range(i + 1, len(polys)):
             s = s_polynomial(polys[i], polys[j])
-            if not normal_form(s, polys, _counter=counter).is_zero():
+            if not normal_form(s, polys).is_zero():
                 return False
     return True

@@ -52,6 +52,7 @@ class Ideal:
         self.algebra = algebra
         self.gens = tuple(gens)
         self._gb = None
+        self._symbolic_powers = {}  # filled by symbolic.symbolic_power
 
     def __repr__(self):
         return f"Ideal({', '.join(str(g) for g in self.gens) or '0'})"

@@ -104,11 +104,6 @@ class MonomialValuation:
     def value(self, exp):
         return sum(a * e for a, e in zip(self.weights, exp))
 
-    def value_poly(self, f):
-        if f.is_zero():
-            raise PreconditionError("valuation of zero")
-        return min(self.value(e) for e, _ in f.terms)
-
 
 @dataclass(frozen=True)
 class NewtonPolyhedron:

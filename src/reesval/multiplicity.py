@@ -109,19 +109,8 @@ def _numerator(exps, nvars):
     return {d: c for d, c in out.items() if c}
 
 
-def hilbert_series_monomial(ring_or_ideal, exps=None):
-    """Hilbert series of k[x]/(monomial ideal)."""
-    if exps is None:
-        ideal = ring_or_ideal
-        ring = ideal.algebra.ring
-        exps = []
-        for g in ideal.ambient_gens():
-            if len(g.terms) != 1:
-                raise PreconditionError("generators must be monomials")
-            exps.append(g.lead_exp)
-        nvars = ring.nvars
-    else:
-        nvars = ring_or_ideal
+def hilbert_series_monomial(nvars, exps):
+    """Hilbert series of k[x1..x_nvars]/(x^e for e in exps)."""
     num = _numerator(list(exps), nvars)
     top = max(num) if num else 0
     coeffs = tuple(num.get(i, 0) for i in range(top + 1))

@@ -322,7 +322,7 @@ class PolyRing:
         return _parse_poly(self, text)
 
     def monomials_up_to_degree(self, d):
-        """All exponent tuples of total degree <= d (test helper)."""
+        """All exponent tuples of total degree <= d."""
         out = []
         for exp in product(range(d + 1), repeat=self.nvars):
             if sum(exp) <= d:
@@ -576,8 +576,6 @@ def _parse_poly(ring, text):
                 raise PreconditionError("leading '+'")
             sign = -1 if toks[i] == "-" else 1
             i += 1
-            if first and toks[i - 1] == "-":
-                pass
         elif not first:
             raise PreconditionError(f"expected '+' or '-' before {toks[i]!r}")
         first = False

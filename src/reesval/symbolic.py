@@ -4,6 +4,10 @@ The separator stands in for the multiplicative set complementary to the
 associated primes: P^(n) = (P^n : separator^infinity). An "auto" separator
 is derived only where provably valid; every saturated result is screened:
 each random probe outside P must be a nonzerodivisor on R/result.
+
+Results are cached on the prime's own Ideal handle, as its Groebner basis
+is, so they live as long as that handle: repeated calls with the same
+handle reuse them, and a re-parsed session starts with none.
 """
 
 from __future__ import annotations
@@ -15,12 +19,11 @@ from .ideals import Ideal
 from .multiplicity import krull_dim
 
 DEFAULT_NMAX = 12
-
-_CACHE = {}
+SCREEN_PROBES = 3
 
 
 def clear_cache():
-    _CACHE.clear()
+    """No-op kept for existing callers: the cache lives on each prime's handle."""
 
 
 def auto_separator(P):
@@ -63,7 +66,7 @@ def _random_elements(algebra, P, count, seed):
     return out
 
 
-def symbolic_power(algebra, P, n, separator="auto", screen_level=3, seed=0):
+def symbolic_power(algebra, P, n, separator="auto", seed=0):
     """n-th symbolic power of the (asserted) prime P, with a certificate.
 
     Returns (ideal, certificate). The certificate records the separator,
@@ -73,24 +76,12 @@ def symbolic_power(algebra, P, n, separator="auto", screen_level=3, seed=0):
     """
     if n < 0:
         raise PreconditionError("negative symbolic power")
-    if n == 0:
-        one = Ideal(algebra, (algebra.ring.one,))
-        return one, {"separator": None, "saturation_steps": 0, "status": "exact"}
-    key = (
-        algebra.ring,
-        algebra.modulus,
-        P.gens,
-        n,
-        str(separator),
-        screen_level,
-        seed,
-    )
-    if key in _CACHE:
-        return _CACHE[key]
-    if n == 1:
-        cert = {"separator": None, "saturation_steps": 0, "status": "exact"}
-        _CACHE[key] = (P, cert)
-        return P, cert
+    if n <= 1:
+        power = P if n else Ideal(algebra, (algebra.ring.one,))
+        return power, {"separator": None, "saturation_steps": 0, "status": "exact"}
+    key = (algebra, n, str(separator), seed)
+    if key in P._symbolic_powers:
+        return P._symbolic_powers[key]
     Pn = P.power(n)
     if separator == "auto":
         separator = auto_separator(P)
@@ -105,8 +96,8 @@ def symbolic_power(algebra, P, n, separator="auto", screen_level=3, seed=0):
     radical_ok = all(P.radical_contains(g) for g in result.gens)
     screened = 0
     screen_ok = True
-    if separator is not None and screen_level > 0:
-        for g in _random_elements(algebra, P, screen_level, seed):
+    if separator is not None:
+        for g in _random_elements(algebra, P, SCREEN_PROBES, seed):
             screened += 1
             if result.saturate(g)[1]:
                 screen_ok = False
@@ -120,7 +111,7 @@ def symbolic_power(algebra, P, n, separator="auto", screen_level=3, seed=0):
         "screen_ok": screen_ok,
         "status": status,
     }
-    _CACHE[key] = (result, cert)
+    P._symbolic_powers[key] = (result, cert)
     return result, cert
 
 

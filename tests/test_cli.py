@@ -4,7 +4,6 @@ import pytest
 
 from reesval.cli import main, parse_session, run
 from reesval.errors import PreconditionError
-from reesval.symbolic import clear_cache
 
 PAPER_SESSION = """
 # worked example
@@ -100,11 +99,35 @@ def test_errors_recorded_and_exit_flag():
 
 def test_budget_does_not_leak_into_later_runs():
     paper = PAPER_SESSION.split("ideal m")[0] + "ideal p = x1, x3\ncmd: symbolic-power p 2\n"
-    clear_cache()  # a cached symbolic power would need no Groebner work
     report, ok = run(parse_session(paper), budget=1)
     assert not ok and "budget" in report["commands"][0]["error"]
     report, ok = run(parse_session(paper))
     assert ok and "result" in report["commands"][0]
+
+
+CURVE_SQUARE = parse_session(
+    "ring { vars: x y z; field: QQ; order: grevlex }\n"
+    "ideal P = y^2 - x*z, x^2*y - z^2, x^3 - y*z\n"
+    "cmd: symbolic-power P 2 --separator x\n"
+)
+
+
+def test_budget_bounds_the_whole_command():
+    # the command's Groebner computations together take 509 reduction
+    # steps; the largest single one takes 184
+    report, ok = run(CURVE_SQUARE, seed=7, budget=508)
+    assert not ok
+    assert report["commands"][0]["error"] == "reduction-step budget exhausted"
+    report, ok = run(CURVE_SQUARE, seed=7, budget=509)
+    assert ok and "result" in report["commands"][0]
+
+
+def test_no_answer_carries_into_a_later_run():
+    report, ok = run(CURVE_SQUARE)
+    assert ok
+    report, ok = run(CURVE_SQUARE, budget=1)
+    assert not ok
+    assert report["commands"][0]["error"] == "reduction-step budget exhausted"
 
 
 @pytest.mark.parametrize(
@@ -156,6 +179,13 @@ def test_main_exit_codes(tmp_path, capsys):
     bad.write_text("no ring here\n")
     assert main([str(bad)]) == 2
     capsys.readouterr()
+
+    for budget in ("0", "-3"):
+        assert main([str(good), "--budget", budget]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("parse error: ")
+        assert captured.err.count("\n") == 1
 
     failing = tmp_path / "failing.session"
     failing.write_text("ring { vars: x y }\nideal m = x, y\ncmd: gb nope\n")

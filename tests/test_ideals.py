@@ -1,6 +1,6 @@
 import pytest
 
-from reesval import AffineAlgebra, GrevLex, PolyRing, QQ, groebner, symbolic
+from reesval import AffineAlgebra, GrevLex, PolyRing, QQ, groebner
 from reesval.cli import parse_session, run
 from reesval.errors import PreconditionError
 from reesval.ideals import Ideal, kernel_of_map
@@ -125,7 +125,6 @@ def test_symbolic_power_work_count(monkeypatch):
         "cmd: symbolic-power P 3 --separator x\n"
     )
     calls = _record_calls(monkeypatch, groebner, "buchberger")
-    symbolic.clear_cache()
     report, ok = run(session, seed=7)
     assert ok
     assert len(calls) == 13

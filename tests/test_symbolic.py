@@ -63,7 +63,6 @@ cmd: symbolic-power P 2 --separator x+1
 def test_screen_catches_separator_unit_at_embedded_point(seed):
     # x+1 is a unit at the origin, so saturating by it leaves the embedded
     # (x, y, z)-primary component of P^2 in place: the screen must fail
-    symbolic.clear_cache()
     report, ok = run(parse_session(CURVE_UNIT_SEPARATOR), seed=seed)
     assert ok
     assert report["commands"][0]["result"]["certificate"] == {
@@ -101,9 +100,16 @@ def test_screen_saturation_depth_matches_colon(paper_ring):
 def test_checks_refuse_a_downgraded_symbolic_power():
     alg, P = curve_345()
     x = alg.ring.gen("x")
-    symbolic.clear_cache()
     with pytest.raises(PreconditionError, match="downgraded"):
         verify._sym(alg, P, 2, separator=x + 1)
+
+
+def test_symbolic_powers_are_cached_on_the_prime_handle(paper_ring):
+    x1, x3 = paper_ring.ring.gen("x1"), paper_ring.ring.gen("x3")
+    P = Ideal(paper_ring, (x1, x3))
+    first, _ = symbolic_power(paper_ring, P, 2)
+    assert symbolic_power(paper_ring, P, 2)[0] is first
+    assert symbolic_power(paper_ring, Ideal(paper_ring, P.gens), 2)[0] is not first
 
 
 def test_containment_chain(paper_ring):
