@@ -348,7 +348,6 @@ class _Session:
                 A=_int(flags.get("A", 0)), B=_int(flags.get("B", 0)),
                 C=_int(flags.get("C", 1)), E=_int(flags.get("E", 1)),
                 e=_int(flags.get("e", 1)),
-                provenance={"all": "user"},
             )
             report = check_improved_chevalley(
                 self.algebra, self.ideal(flags["p"]), self.ideal(flags["q"]),

@@ -59,6 +59,16 @@ def _divides(a, b):
     return all(map(le, a, b))
 
 
+def _minimalize(exps):
+    """The exponents no other one divides, each once, by degree then exponent."""
+    exps = sorted(set(exps), key=lambda e: (sum(e), e))
+    out = []
+    for e in exps:
+        if not any(_divides(m, e) for m in out):
+            out.append(e)
+    return out
+
+
 def _lcm(a, b):
     return tuple(map(max, a, b))
 
@@ -216,17 +226,10 @@ def buchberger(gens):
 
 
 def _reduce_basis(ring, basis):
-    # minimalize: drop members whose lead term another member's divides
-    minimal = []
-    for i, g in enumerate(basis):
-        lead = g.lead_exp
-        if any(
-            _divides(h.lead_exp, lead) and (h.lead_exp != lead or j < i)
-            for j, h in enumerate(basis)
-            if j != i
-        ):
-            continue
-        minimal.append(g)
+    # minimalize: drop members whose lead term another member's divides;
+    # no two leads are equal, since each new member is a remainder
+    leads = set(_minimalize(g.lead_exp for g in basis))
+    minimal = [g for g in basis if g.lead_exp in leads]
     # inter-reduce tails
     reduced = []
     for i, g in enumerate(minimal):

@@ -6,18 +6,20 @@ denominator, nullspace vectors as integer vectors. Facets are enumerated
 from subset candidates (desk scale: at most 4 variables, 12 generators),
 integral closures by lattice scanning against the facet inequalities, and a
 Caratheodory-style oracle decides membership with no facets at all so
-the two can be played against each other.
+the two can be played against each other. Multiplicities need no vertex
+solving: every vertex of NP is a lattice generator, and the covolume is
+summed over integer simplices by pulling each bounded facet from one
+vertex.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cmp_to_key
 from itertools import combinations, product
-from math import gcd, lcm
+from math import gcd
 
 from .errors import PreconditionError
-from .groebner import _divides
+from .groebner import _minimalize
 from .ideals import Ideal
 
 MAX_VARS = 4
@@ -130,15 +132,6 @@ def _exponents_of(I):
             raise PreconditionError("generators must be monomials")
         exps.append(g.lead_exp)
     return exps
-
-
-def _minimalize(exps):
-    exps = sorted(set(exps), key=lambda e: (sum(e), e))
-    out = []
-    for e in exps:
-        if not any(_divides(m, e) for m in out):
-            out.append(e)
-    return out
 
 
 def newton_polyhedron(I_or_exps, nvars=None):
@@ -258,46 +251,22 @@ def membership_oracle_caratheodory(exps, nvars, e, n=1):
 # volume multiplicity of m-primary monomial ideals
 
 
-def _vertices(np_):
-    """Vertices of NP: feasible points with n linearly independent tight
-    constraints among the facets and the coordinate hyperplanes.
-
-    Returns (points, den): the vertices are points / den, integer points
-    over one common denominator den > 0 (1 when all are lattice points).
-    """
-    n = np_.nvars
-    cons = [(f.normal, f.offset) for f in np_.facets]
-    cons += [
-        (tuple(1 if j == i else 0 for j in range(n)), 0) for i in range(n)
-    ]
-    found = set()
-    for subset in combinations(cons, n):
-        sol = _solve([c[0] for c in subset], [c[1] for c in subset])
-        if sol is None or any(x < 0 for x in sol[0]):
-            continue
-        v, den = sol
-        if all(
-            sum(a * x for a, x in zip(f.normal, v)) >= f.offset * den
-            for f in np_.facets
-        ):
-            g = gcd(den, *v)
-            found.add((tuple(x // g for x in v), den // g))
-    den = lcm(*(d for _, d in found))
-    return sorted(tuple(x * (den // d) for x in v) for v, d in found), den
-
-
 def monomial_multiplicity(I_or_exps, nvars=None):
     """Hilbert-Samuel multiplicity of an m-primary monomial ideal, <= 3 vars.
 
-    n! times the volume between the origin and the bounded facets, summed
-    facet by facet as cones over the origin (exact determinants).
+    n! times the covolume of NP. Every vertex of NP is a generator, so the
+    vertices are the generators whose tight facet normals have rank n.
+    Each bounded facet F is pulled from its first vertex v0: the cone over
+    the origin splits into simplices (0, v0, R), one per face R = F cap G
+    of another facet G that misses v0 and has n - 1 vertices (a point for
+    n = 2, a segment for n = 3), and n! times the volume of each simplex
+    is |det(v0, R)|.
     """
     if nvars is None:
         exps = _exponents_of(I_or_exps)
         nvars = I_or_exps.algebra.ring.nvars
     else:
         exps = list(I_or_exps)
-    exps = _minimalize(exps)
     n = nvars
     if n > 3:
         raise PreconditionError("volume multiplicity supported up to 3 variables")
@@ -307,58 +276,31 @@ def monomial_multiplicity(I_or_exps, nvars=None):
     np_ = newton_polyhedron(exps, n)
     if n == 1:
         return np_.facets[0].offset
-    verts, den = _vertices(np_)
+    tight = {
+        f: [
+            g
+            for g in np_.generators
+            if sum(a * x for a, x in zip(f.normal, g)) == f.offset
+        ]
+        for f in np_.facets
+    }
+    vertices = {
+        g
+        for g in np_.generators
+        if len(_reduce([f.normal for f in np_.facets if g in tight[f]])[1]) == n
+    }
+    faces = {f: [g for g in gs if g in vertices] for f, gs in tight.items()}
     total = 0
     for f in np_.facets:
         if not f.bounded:
             continue
-        on_facet = [
-            v
-            for v in verts
-            if sum(a * x for a, x in zip(f.normal, v)) == f.offset * den
-        ]
-        if n == 2:
-            if len(on_facet) != 2:
-                raise PreconditionError("degenerate facet")
-            _, pivots, d = _reduce(on_facet)
-            total += abs(d) if len(pivots) == 2 else 0
-        else:
-            total += _fan_volume(on_facet, f.normal)
-    # the vertices are scaled by den, so each cone volume by den^n
-    if total % den**n:
-        raise PreconditionError("non-integral volume; degenerate input")
-    return total // den**n
-
-
-def _fan_volume(points, normal):
-    """Sum of |det| over a fan triangulation of a planar polygon in 3-space."""
-    if len(points) < 3:
-        raise PreconditionError("degenerate facet")
-    drop = max(range(3), key=lambda i: abs(normal[i]))
-    keep = [i for i in range(3) if i != drop]
-    # scaled by m = len(points), the centroid (cx, cy) is an integer
-    # point, so the angular sort stays exact
-    m = len(points)
-    flat = [(m * p[keep[0]], m * p[keep[1]]) for p in points]
-    cx = sum(p[keep[0]] for p in points)
-    cy = sum(p[keep[1]] for p in points)
-
-    def compare(i, j):
-        ax, ay = flat[i][0] - cx, flat[i][1] - cy
-        bx, by = flat[j][0] - cx, flat[j][1] - cy
-        ha = 0 if (ay > 0 or (ay == 0 and ax > 0)) else 1
-        hb = 0 if (by > 0 or (by == 0 and bx > 0)) else 1
-        if ha != hb:
-            return ha - hb
-        cross = ax * by - ay * bx
-        return (cross < 0) - (cross > 0)
-
-    order = sorted(range(len(points)), key=cmp_to_key(compare))
-    pts = [points[i] for i in order]
-    total = 0
-    for i in range(1, len(pts) - 1):
-        _, pivots, d = _reduce([pts[0], pts[i], pts[i + 1]])
-        total += abs(d) if len(pivots) == 3 else 0
+        v0 = faces[f][0]
+        # F itself has at least n vertices, so it is never a face R
+        for face in faces.values():
+            ridge = [v for v in faces[f] if v in face]
+            if len(ridge) == n - 1 and v0 not in ridge:
+                _, pivots, d = _reduce([v0, *ridge])
+                total += abs(d) if len(pivots) == n else 0
     return total
 
 

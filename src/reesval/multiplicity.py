@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 from . import groebner
 from .errors import NotHomogeneousError, PreconditionError
+from .groebner import _minimalize
 from .ideals import Ideal
-from .monomial import _minimalize
 from .poly import GrevLex
 from .rings import AffineAlgebra, associated_graded, extended_rees_presentation
 
@@ -197,12 +197,8 @@ def length_sampler(R, I, f=None, N=5):
     table = []
     for n in range(1, N + 1):
         J = Ideal(R, I.power(n).gens + extra)
-        gb = J.gb()
-        if groebner.contains(gb, [R.ring.one]):
-            table.append((n, 0))
-            continue
-        hs = hilbert_series_monomial(R.ring.nvars, [g.lead_exp for g in gb])
-        if hs.dim != 0:
+        hs = hilbert_series_monomial(R.ring.nvars, [g.lead_exp for g in J.gb()])
+        if hs.dim > 0:
             raise PreconditionError("quotient is not zero-dimensional")
         table.append((n, hs.multiplicity))
     return table

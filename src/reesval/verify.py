@@ -27,11 +27,10 @@ from .symbolic import ord_at, symbolic_order_along, symbolic_power
 
 @dataclass
 class UniformConstants:
-    """Named constants of the uniformity statements, with provenance.
+    """Named constants of the uniformity statements.
 
     A: Artin-Rees, B: Briancon-Skoda, C: multiplicity/order ratio,
-    E: Izumi bound, e: max local multiplicity, t: initial vanishing order.
-    Provenance values: "user" | "computed" | "formula".
+    E: Izumi bound, e: max local multiplicity.
     """
 
     A: int = 0
@@ -39,8 +38,6 @@ class UniformConstants:
     C: int = 0
     E: int = 0
     e: int = 1
-    t: int = 1
-    provenance: dict = field(default_factory=dict)
 
 
 @dataclass

@@ -222,11 +222,16 @@ def test_monomial_multiplicity_three_vars(poly_xyz):
     assert monomial_multiplicity(_ideal(poly_xyz, (2, 0, 0), (0, 3, 0), (0, 0, 5))) == 30
     mixed = _ideal(poly_xyz, (2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 1))
     assert monomial_multiplicity(mixed) == monomial_sampler_multiplicity(mixed)
-    # a hexagonal facet on x + y + z = 3, so the fan's angular sort matters;
-    # length_sampler(N=7) gives 30 as well (too slow to run here)
+    # a hexagonal facet on x + y + z = 3, pulled from one vertex into four
+    # simplices; length_sampler(N=7) gives 30 as well (too slow to run here)
     hexagon = [(2, 1, 0), (1, 2, 0), (0, 2, 1), (0, 1, 2), (1, 0, 2), (2, 0, 1)]
     pure = [(4, 0, 0), (0, 4, 0), (0, 0, 4)]
     assert monomial_multiplicity(_ideal(poly_xyz, *hexagon, *pure)) == 30
+    # generators on a bounded facet that are not vertices of it
+    on_facet = _ideal(poly_xyz, (2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0))
+    assert monomial_multiplicity(on_facet) == 8
+    on_facet = _ideal(poly_xyz, (3, 0, 0), (0, 3, 0), (0, 0, 3), (1, 1, 1))
+    assert monomial_multiplicity(on_facet) == 27
 
 
 def monomial_sampler_multiplicity(I):

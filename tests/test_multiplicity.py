@@ -84,13 +84,17 @@ def test_local_multiplicity_requires_origin(paper_ring):
         local_multiplicity_via_gr(paper_ring, x1 + 1)
 
 
-def test_length_sampler_regular(poly_xy):
+def test_length_sampler_regular(poly_xy, poly_xyz):
     x, y = poly_xy.ring.gens()
     m = Ideal(poly_xy, (x, y))
     table = length_sampler(poly_xy, m, N=5)
     assert table == [(n, n * (n + 1) // 2) for n in range(1, 6)]
     e, stabilized = multiplicity_from_table(table, 2)
     assert (e, stabilized) == (1, True)
+    # x + 1 is a unit modulo every power of (x, y, z): every quotient is zero
+    x, y, z = poly_xyz.ring.gens()
+    m = Ideal(poly_xyz, (x, y, z))
+    assert length_sampler(poly_xyz, m, f=x + 1, N=3) == [(1, 0), (2, 0), (3, 0)]
 
 
 def test_length_sampler_monomial_ideal(poly_xy):

@@ -162,9 +162,7 @@ def test_fixed_power_lemma(poly_xyz, paper_ring, paper_m, paper_setup):
 
 def test_improved_chevalley(paper_ring, paper_m, paper_setup):
     _, _, p = paper_setup
-    constants = UniformConstants(
-        A=1, B=1, C=3, E=2, e=2, provenance={"C": "computed", "E": "computed"}
-    )
+    constants = UniformConstants(A=1, B=1, C=3, E=2, e=2)
     report = check_improved_chevalley(paper_ring, p, paper_m, constants, 3)
     assert report.passed
     assert report.details["t"] == 1
