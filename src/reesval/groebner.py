@@ -8,6 +8,8 @@ neither rescans what it has already ranked. Order keys are flat int
 tuples, so negating one entry by entry reverses its comparison.
 Over QQ, division runs on integer numerators over one common denominator,
 with each reducer cleared of denominators once (Fp: residues over 1).
+A monomial ideal skips the loop: its reduced basis is its minimal
+generators (Cox-Little-O'Shea, ch. 2 section 4), so it spends no steps.
 A reduction-step budget converts runaway inputs into a clean
 BudgetExceededError rather than a wrong answer. It is scoped, not global:
 inside `with budget(n):` every computation draws on the same n steps, and
@@ -174,13 +176,18 @@ def buchberger(gens):
     """Reduced Groebner basis of the ideal generated by gens.
 
     Both standard criteria are applied: coprime lead terms, and the chain
-    criterion against already-processed pairs.
+    criterion against already-processed pairs. When every generator is one
+    term, the basis is the monic minimal generators, found with no
+    reduction steps.
     """
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         raise ValueError("no nonzero generators")
     ring = gens[0].ring
     _check_ring(ring, gens)
+    if all(len(g.terms) == 1 for g in gens):
+        leads = sorted(_minimalize(g.lead_exp for g in gens), key=ring.order.key)
+        return GroebnerBasis(ring, tuple(map(ring.monomial, leads)), reduced=True)
 
     basis, pairs, done = [], [], set()
 

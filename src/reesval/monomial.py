@@ -201,6 +201,8 @@ def rees_valuations_monomial(I_or_np, nvars=None):
 
 def integral_closure_exponents(exps, nvars, n=1):
     """Minimal lattice generators of the closure of I^n."""
+    if n < 0:
+        raise PreconditionError("negative power")
     np_ = newton_polyhedron(exps, nvars)
     bounds = [n * max(g[i] for g in np_.generators) for i in range(nvars)]
     hits = [

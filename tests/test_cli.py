@@ -149,6 +149,18 @@ def test_malformed_command_recorded(command):
     assert "result" in report["commands"][1]
 
 
+@pytest.mark.parametrize("command", ["power m -1", "closure m -2"])
+def test_negative_power_is_a_command_error(command, tmp_path, capsys):
+    text = f"ring {{ vars: x y }}\nideal m = x, y\ncmd: {command}\n"
+    report, ok = run(parse_session(text))
+    assert not ok
+    assert report["commands"][0]["error"] == "negative power"
+    path = tmp_path / "negative.session"
+    path.write_text(text)
+    assert main([str(path)]) == 1
+    capsys.readouterr()
+
+
 def test_translate_origin():
     s = parse_session(
         "ring { vars: x y; mod: x*y - y }\n"

@@ -146,27 +146,8 @@ def _monomial_cube():
     return [f * g * h for f in base for g in base for h in base]
 
 
-@pytest.mark.parametrize(
-    "system, basis_len, s_polys, normal_forms, least_budget",
-    [
-        (_cyclic4, 7, 8, 19, 30),
-        (_katsura3, 7, 8, 19, 95),
-        (_monomial_cube, 16, 33, 113, 48),
-        (lambda: _katsura3(PrimeField(32003)), 7, 8, 19, 95),
-    ],
-    ids=["cyclic4", "katsura3", "monomial_cube", "katsura3_fp"],
-)
-def test_pair_order_work_counts(
-    system, basis_len, s_polys, normal_forms, least_budget, monkeypatch
-):
-    # the chain criterion skips a pair only against pairs already done, so
-    # these counts move if buchberger takes its pairs in another order;
-    # the budget is one tick per reduction step, so the least budget that
-    # completes pins the number of steps
-    with pytest.raises(BudgetExceededError), groebner.budget(least_budget - 1):
-        buchberger(system())
-    with groebner.budget(least_budget):
-        buchberger(system())
+def _count_work(monkeypatch):
+    """Count the S-polynomials and normal forms buchberger computes."""
     counts = {"s": 0, "nf": 0}
     real_s, real_nf = groebner.s_polynomial, groebner.normal_form
 
@@ -180,8 +161,99 @@ def test_pair_order_work_counts(
 
     monkeypatch.setattr(groebner, "s_polynomial", counting_s)
     monkeypatch.setattr(groebner, "normal_form", counting_nf)
+    return counts
+
+
+@pytest.mark.parametrize(
+    "system, basis_len, s_polys, normal_forms, least_budget",
+    [
+        (_cyclic4, 7, 8, 19, 30),
+        (_katsura3, 7, 8, 19, 95),
+        (lambda: _katsura3(PrimeField(32003)), 7, 8, 19, 95),
+    ],
+    ids=["cyclic4", "katsura3", "katsura3_fp"],
+)
+def test_pair_order_work_counts(
+    system, basis_len, s_polys, normal_forms, least_budget, monkeypatch
+):
+    # the chain criterion skips a pair only against pairs already done, so
+    # these counts move if buchberger takes its pairs in another order;
+    # the budget is one tick per reduction step, so the least budget that
+    # completes pins the number of steps
+    with pytest.raises(BudgetExceededError), groebner.budget(least_budget - 1):
+        buchberger(system())
+    with groebner.budget(least_budget):
+        buchberger(system())
+    counts = _count_work(monkeypatch)
     G = buchberger(system())
     assert (len(G), counts["s"], counts["nf"]) == (basis_len, s_polys, normal_forms)
+
+
+def test_monomial_basis_work_counts(monkeypatch):
+    # a monomial ideal's reduced basis is its minimal generators: no pair
+    # is formed, nothing is divided and no reduction step is drawn
+    counts = _count_work(monkeypatch)
+    with groebner.budget(0):
+        G = buchberger(_monomial_cube())
+    assert (len(G), counts["s"], counts["nf"]) == (16, 0, 0)
+
+
+_MONOMIAL_ORDERS = [GrevLex(), Lex(), Block(1)]
+
+
+@pytest.mark.parametrize("order", _MONOMIAL_ORDERS, ids=["grevlex", "lex", "block"])
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=str)
+def test_monomial_fast_path_matches_general_loop(field, order):
+    # g0 + y*g_last lies in the ideal and has two terms, so adding it gives
+    # the same ideal through the general loop; selectors must agree against
+    # the fast-path basis, since it is reduced
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    R = PolyRing(("x", "y", "z"), field, order)
+    y = R.gen("y")
+    exps = st.tuples(*[st.integers(min_value=0, max_value=4)] * 3)
+    coeffs = st.integers(min_value=-3, max_value=3)
+    monomials = st.lists(st.tuples(exps, coeffs), min_size=1, max_size=8)
+
+    @hypothesis.settings(derandomize=True, database=None, deadline=None)
+    @hypothesis.given(
+        monomials, st.dictionaries(exps, coeffs, max_size=6), st.randoms(use_true_random=False)
+    )
+    def same_basis(terms, f_terms, rnd):
+        gens = [R.monomial(e, c) for e, c in terms]
+        nonzero = [g for g in gens if not g.is_zero()]
+        hypothesis.assume(nonzero)
+        extra = nonzero[0] + y * nonzero[-1]
+        hypothesis.assume(len(extra.terms) == 2)
+        with groebner.budget(0):
+            fast = buchberger(gens)
+        general = buchberger(gens + [extra])
+        assert fast.reduced and fast.polys == general.polys
+        f = R.poly_from_dict(f_terms)
+        r_first = normal_form(f, fast, selector=lambda c: c[0])
+        r_last = normal_form(f, fast, selector=lambda c: c[-1])
+        r_rand = normal_form(f, fast, selector=rnd.choice)
+        assert r_first == r_last == r_rand == normal_form(f, general)
+
+    same_basis()
+
+
+@pytest.mark.parametrize("order", _MONOMIAL_ORDERS, ids=["grevlex", "lex", "block"])
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=str)
+def test_monomial_fast_path_edge_cases(field, order):
+    R = PolyRing(("x", "y", "z"), field, order)
+    x, y, z = R.gens()
+    # repeated, non-monic and zero generators, and one the others divide
+    gens = [3 * x**2 * y, R.zero, x**2 * y, -2 * y**3, x**3 * y**2, R.zero]
+    fast = buchberger(gens)
+    general = buchberger(gens + [x**2 * y - 2 * y**4])
+    assert fast.polys == general.polys
+    assert set(fast.polys) == {x**2 * y, y**3}
+    # a constant generator gives the unit ideal
+    for extra in ([], [x - 1]):
+        assert buchberger([x * z, R.monomial((0, 0, 0), 5)] + extra).polys == (R.one,)
+    with pytest.raises(ValueError):
+        buchberger([R.zero, R.zero])
 
 
 def test_pair_order_tie_breaks(monkeypatch):

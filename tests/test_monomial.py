@@ -223,10 +223,12 @@ def test_monomial_multiplicity_three_vars(poly_xyz):
     mixed = _ideal(poly_xyz, (2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 1))
     assert monomial_multiplicity(mixed) == monomial_sampler_multiplicity(mixed)
     # a hexagonal facet on x + y + z = 3, pulled from one vertex into four
-    # simplices; length_sampler(N=7) gives 30 as well (too slow to run here)
+    # simplices; length_sampler(N=7) gives 30 as well
     hexagon = [(2, 1, 0), (1, 2, 0), (0, 2, 1), (0, 1, 2), (1, 0, 2), (2, 0, 1)]
     pure = [(4, 0, 0), (0, 4, 0), (0, 0, 4)]
-    assert monomial_multiplicity(_ideal(poly_xyz, *hexagon, *pure)) == 30
+    hexagonal = _ideal(poly_xyz, *hexagon, *pure)
+    assert monomial_multiplicity(hexagonal) == 30
+    assert monomial_sampler_multiplicity(hexagonal) == 30
     # generators on a bounded facet that are not vertices of it
     on_facet = _ideal(poly_xyz, (2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0))
     assert monomial_multiplicity(on_facet) == 8
