@@ -7,9 +7,8 @@ from subset candidates (desk scale: at most 4 variables, 12 generators),
 integral closures by lattice scanning against the facet inequalities, and a
 Caratheodory-style oracle decides membership with no facets at all so
 the two can be played against each other. Multiplicities need no vertex
-solving: every vertex of NP is a lattice generator, and the covolume is
-summed over integer simplices by pulling each bounded facet from one
-vertex.
+solving: the covolume is summed over integer simplices by pulling every
+bounded face, in any dimension, from its first generator.
 """
 
 from __future__ import annotations
@@ -82,6 +81,12 @@ def _nullspace(rows, n):
             v[pc] = -a[i][fc]
         basis.append(v)
     return basis
+
+
+def _affine_rank(points, rays=()):
+    """Dimension of the affine hull of the points, widened by the rays."""
+    rows = [[x - y for x, y in zip(p, points[0])] for p in points[1:]]
+    return len(_reduce([*rows, *rays])[1])
 
 
 # ---------------------------------------------------------------------------
@@ -170,11 +175,8 @@ def newton_polyhedron(I_or_exps, nvars=None):
                 # facet test: equality generators plus free coordinate rays
                 # must affinely span dimension n-1
                 eq = [g for g in exps if sum(ai * gi for ai, gi in zip(a, g)) == b]
-                if not eq:
-                    continue
-                dirs = [[x - y for x, y in zip(g, eq[0])] for g in eq[1:]]
-                dirs += [unit[j] for j in range(n) if a[j] == 0]
-                if len(_reduce(dirs)[1]) != n - 1:
+                rays = [unit[j] for j in range(n) if a[j] == 0]
+                if _affine_rank(eq, rays) != n - 1:
                     continue
                 facets[a] = Facet(normal=a, offset=b)
     out = tuple(sorted(facets.values(), key=lambda f: f.normal))
@@ -254,15 +256,16 @@ def membership_oracle_caratheodory(exps, nvars, e, n=1):
 
 
 def monomial_multiplicity(I_or_exps, nvars=None):
-    """Hilbert-Samuel multiplicity of an m-primary monomial ideal, <= 3 vars.
+    """Hilbert-Samuel multiplicity of an m-primary monomial ideal.
 
-    n! times the covolume of NP. Every vertex of NP is a generator, so the
-    vertices are the generators whose tight facet normals have rank n.
-    Each bounded facet F is pulled from its first vertex v0: the cone over
-    the origin splits into simplices (0, v0, R), one per face R = F cap G
-    of another facet G that misses v0 and has n - 1 vertices (a point for
-    n = 2, a segment for n = 3), and n! times the volume of each simplex
-    is |det(v0, R)|.
+    n! times the covolume of NP, the union of the cones from the origin
+    over the bounded facets. A face, held as the tuple of generators tight
+    on it, is pulled from its first generator v: it is tiled by the
+    pyramids from v over its subfaces that miss v, which are those of its
+    intersections with facets that have one dimension less. Pulling from any
+    point of a face tiles it, so generators that are not vertices need no
+    filtering. Down at the points, each chain (v_1, ..., v_n) is an integer
+    simplex with the origin, and n! times its volume is |det(v_1, ..., v_n)|.
     """
     if nvars is None:
         exps = _exponents_of(I_or_exps)
@@ -270,40 +273,34 @@ def monomial_multiplicity(I_or_exps, nvars=None):
     else:
         exps = list(I_or_exps)
     n = nvars
-    if n > 3:
-        raise PreconditionError("volume multiplicity supported up to 3 variables")
     for i in range(n):
         if not any(all(p == 0 for j, p in enumerate(g) if j != i) for g in exps):
             raise PreconditionError("ideal is not primary to the maximal ideal")
     np_ = newton_polyhedron(exps, n)
-    if n == 1:
-        return np_.facets[0].offset
-    tight = {
-        f: [
+    tight = [
+        tuple(
             g
             for g in np_.generators
             if sum(a * x for a, x in zip(f.normal, g)) == f.offset
-        ]
+        )
         for f in np_.facets
-    }
-    vertices = {
-        g
-        for g in np_.generators
-        if len(_reduce([f.normal for f in np_.facets if g in tight[f]])[1]) == n
-    }
-    faces = {f: [g for g in gs if g in vertices] for f, gs in tight.items()}
-    total = 0
-    for f in np_.facets:
-        if not f.bounded:
-            continue
-        v0 = faces[f][0]
-        # F itself has at least n vertices, so it is never a face R
-        for face in faces.values():
-            ridge = [v for v in faces[f] if v in face]
-            if len(ridge) == n - 1 and v0 not in ridge:
-                _, pivots, d = _reduce([v0, *ridge])
-                total += abs(d) if len(pivots) == n else 0
-    return total
+    ]
+
+    def pulled(face, dim, chain):
+        if dim == 0:
+            _, pivots, d = _reduce([*chain, face[0]])
+            return abs(d) if len(pivots) == n else 0
+        v = face[0]
+        subfaces = {tuple(g for g in face if g in t) for t in tight}
+        return sum(
+            pulled(sub, dim - 1, (*chain, v))
+            for sub in subfaces
+            if sub and v not in sub and _affine_rank(sub) == dim - 1
+        )
+
+    return sum(
+        pulled(t, n - 1, ()) for f, t in zip(np_.facets, tight) if f.bounded
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -326,6 +323,8 @@ def gaussian_extension(v, f, new_var):
 def find_min_briancon_skoda(I, nmax):
     """Least B with closure(I^(n+B)) inside I^n for all n <= nmax; None if
     no B <= nmax works."""
+    if nmax < 1:
+        raise PreconditionError("search bound must be at least 1")
     for B in range(nmax + 1):
         if all(
             I.power(n).contains_ideal(integral_closure_power(I, n + B))
@@ -338,16 +337,16 @@ def find_min_briancon_skoda(I, nmax):
 def find_min_artin_rees(c, I, nmax):
     """Least A with (c) cap I^(n+A) inside c*I^n for all n <= nmax; None if
     no A <= nmax works. Works in any affine algebra, not just monomially."""
+    if nmax < 1:
+        raise PreconditionError("search bound must be at least 1")
     alg = I.algebra
     c_ideal = Ideal(alg, (c,))
     for A in range(nmax + 1):
-        ok = True
         for n in range(1, nmax + 1):
             lhs = c_ideal.intersect(I.power(n + A))
             rhs = Ideal(alg, tuple(c * g for g in I.power(n).gens))
             if not rhs.contains_ideal(lhs):
-                ok = False
                 break
-        if ok:
+        else:
             return A
     return None

@@ -139,6 +139,8 @@ def test_no_answer_carries_into_a_later_run():
         "power m abc",
         "translate-origin 1/0,0",
         "translate-origin a,0",
+        "briancon-skoda m 0",
+        "briancon-skoda m -1",
     ],
 )
 def test_malformed_command_recorded(command):
@@ -224,6 +226,13 @@ def test_monomial_commands():
     assert res[2] == {"e": 6}
     assert res[3] == {"B": 1}
     assert res[4]["e"] == 6 and res[4]["stabilized"]
+    s = parse_session(
+        "ring { vars: x y z w }\n"
+        "ideal J = x^2, y^2, z^2, w^2, x*y*z*w\n"
+        "cmd: monomial-multiplicity J"
+    )
+    report, ok = run(s)
+    assert ok and report["commands"][0]["result"] == {"e": 16}
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,7 @@ from itertools import combinations, permutations, product
 import pytest
 
 from reesval import (
+    AffineAlgebra,
     MonomialValuation,
     PolyRing,
     QQ,
@@ -215,6 +216,8 @@ def test_monomial_multiplicity_examples(poly_xy):
     assert monomial_multiplicity(_ideal(poly_xy, (1, 0), (0, 1))) == 1
     with pytest.raises(PreconditionError):
         monomial_multiplicity(_ideal(poly_xy, (1, 1)))
+    poly_x = AffineAlgebra(PolyRing(("x",), QQ, GrevLex()))
+    assert monomial_multiplicity(_ideal(poly_x, (3,))) == 3
 
 
 def test_monomial_multiplicity_three_vars(poly_xyz):
@@ -234,6 +237,53 @@ def test_monomial_multiplicity_three_vars(poly_xyz):
     assert monomial_multiplicity(on_facet) == 8
     on_facet = _ideal(poly_xyz, (3, 0, 0), (0, 3, 0), (0, 0, 3), (1, 1, 1))
     assert monomial_multiplicity(on_facet) == 27
+
+
+def test_monomial_multiplicity_four_vars():
+    poly_xyzw = AffineAlgebra(PolyRing(tuple("xyzw"), QQ, GrevLex()))
+    squares = [(2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2)]
+    cubes = [(3, 0, 0, 0), (0, 3, 0, 0), (0, 0, 3, 0), (0, 0, 0, 3)]
+    for exps, e in [
+        (squares, 16),
+        (squares + [(1, 1, 1, 1)], 16),
+        (cubes + [(1, 1, 0, 0), (0, 0, 1, 1)], 36),
+    ]:
+        I = _ideal(poly_xyzw, *exps)
+        assert monomial_multiplicity(I) == e, exps
+        assert monomial_sampler_multiplicity(I) == e, exps
+
+
+def test_monomial_multiplicity_symmetry_and_scaling_property():
+    # the pulling order follows the generator order and the coordinates, so
+    # a tiling mistake shows up as a value that moves under a permutation
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=70)
+    @hypothesis.given(
+        st.integers(min_value=2, max_value=4),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.sampled_from([2, 3]),
+    )
+    def symmetric_and_homogeneous(n, seed, k):
+        rng = random.Random(seed)
+        gens = [
+            tuple(rng.randrange(5) for _ in range(n))
+            for _ in range(rng.randint(2, 8))
+        ]
+        gens = [g for g in gens if any(g)]
+        gens += [
+            tuple(rng.randint(1, 6) if j == i else 0 for j in range(n))
+            for i in range(n)
+        ]
+        e = monomial_multiplicity(gens, n)
+        perm = rng.sample(range(n), n)
+        permuted = [tuple(g[p] for p in perm) for g in gens]
+        assert monomial_multiplicity(permuted, n) == e, (gens, perm)
+        scaled = [tuple(k * x for x in g) for g in gens]
+        assert monomial_multiplicity(scaled, n) == k**n * e, (gens, k)
+
+    symmetric_and_homogeneous()
 
 
 def monomial_sampler_multiplicity(I):
@@ -296,6 +346,8 @@ def test_gaussian_extension():
 def test_briancon_skoda_bounds(poly_xy):
     assert find_min_briancon_skoda(_ideal(poly_xy, (2, 0), (0, 3)), 6) == 1
     assert find_min_briancon_skoda(_ideal(poly_xy, (1, 0), (0, 1)), 4) == 0
+    with pytest.raises(PreconditionError):
+        find_min_briancon_skoda(_ideal(poly_xy, (2, 0), (0, 3)), 0)
 
 
 def test_artin_rees_bounds(poly_xy, paper_ring):
@@ -308,9 +360,15 @@ def test_artin_rees_bounds(poly_xy, paper_ring):
     for c, I, alg in fixtures:
         A = find_min_artin_rees(c, I, 4)
         assert A is not None and A <= 4
+    # no n in 1..0 to check, so any A would pass vacuously
+    with pytest.raises(PreconditionError):
+        find_min_artin_rees(x, Ideal(poly_xy, (x**2, y)), 0)
 
 
 def test_variable_limit():
     ring = PolyRing(tuple("abcde"), QQ, GrevLex())
     with pytest.raises(PreconditionError):
         newton_polyhedron([(1, 0, 0, 0, 0)], 5)
+    m = Ideal(AffineAlgebra(ring), tuple(ring.gens()))
+    with pytest.raises(PreconditionError, match="at most 4 variables supported"):
+        monomial_multiplicity(m)

@@ -2,9 +2,9 @@
 
 For a seeded family of generator sets in 2, 3 and 4 variables the file
 records the `(normal, offset)` facets of `newton_polyhedron`, the volume
-multiplicity after adding pure powers (<= 3 variables; a power is now and
-then left out, so some cases record the error message) and the
-Caratheodory oracle's verdicts on a small grid.
+multiplicity after adding pure powers (the fixture records it in 2 and 3
+variables only; a power is now and then left out, so some cases record the
+error message) and the Caratheodory oracle's verdicts on a small grid.
 Regenerate with `PYTHONPATH=src python tests/test_newton_golden.py` only
 when a change to the geometry is intended, and say why in the change
 description.
