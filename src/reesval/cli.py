@@ -145,7 +145,10 @@ def _build_algebra(ring_spec):
     if order_spec == "lex":
         order = Lex()
     elif order_spec.startswith("block"):
-        order = Block(int(order_spec.split()[1]))
+        k, n = int(order_spec.split()[1]), len(ring_spec["vars"])
+        if not 0 < k < n:
+            raise PreconditionError(f"order block {k} needs 1 <= k < {n} variables")
+        order = Block(k)
     else:
         order = GrevLex()
     try:  # PrimeField rejects a non-prime p, PolyRing a repeated variable name
@@ -362,25 +365,6 @@ class _Session:
         return report.to_dict()
 
 
-_COMMANDS = {
-    "gb": "cmd_gb",
-    "power": "cmd_power",
-    "saturate": "cmd_saturate",
-    "symbolic-power": "cmd_symbolic_power",
-    "ord": "cmd_ord",
-    "multiplicity": "cmd_multiplicity",
-    "graded-multiplicity": "cmd_graded_multiplicity",
-    "length-table": "cmd_length_table",
-    "newton": "cmd_newton",
-    "closure": "cmd_closure",
-    "monomial-multiplicity": "cmd_monomial_multiplicity",
-    "briancon-skoda": "cmd_briancon_skoda",
-    "rees": "cmd_rees",
-    "translate-origin": "cmd_translate_origin",
-    "check": "cmd_check",
-}
-
-
 def run(session, seed=0, budget=None, fail_fast=False, timings=False):
     """Execute a parsed session; returns (report dict, ok flag).
 
@@ -398,11 +382,15 @@ def run(session, seed=0, budget=None, fail_fast=False, timings=False):
         entry = {"name": name, "args": args}
         start = time.monotonic()
         try:
-            if name not in _COMMANDS:
+            # command "a-b" runs method cmd_a_b; a name with "_" is no command
+            method = "_" not in name and getattr(
+                state, "cmd_" + name.replace("-", "_"), None
+            )
+            if not method:
                 raise PreconditionError(f"unknown command {name!r}")
             pos, flags = _flags(args)
             with groebner.budget(budget) if budget is not None else nullcontext():
-                result = getattr(state, _COMMANDS[name])(pos, flags)
+                result = method(pos, flags)
             entry["result"] = result
             if name == "check":
                 entry["verdict"] = "pass" if result["passed"] else "fail"

@@ -26,7 +26,7 @@ from functools import wraps
 from math import gcd
 from operator import add, le, neg, sub
 
-from .errors import BudgetExceededError, OrderError, RingMismatchError
+from .errors import BudgetExceededError, RingMismatchError
 
 DEFAULT_BUDGET = 10**6
 
@@ -96,8 +96,6 @@ def _check_ring(ring, polys):
     for p in polys:
         if p.ring != ring:
             raise RingMismatchError("polynomial from a different ring")
-    if not ring.order.all_weights_positive:
-        raise OrderError("Groebner computations need an order with 1 <= m for all monomials")
 
 
 @_budgeted

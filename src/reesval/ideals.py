@@ -41,8 +41,9 @@ def eliminate(ring, gens, drop, target):
 
 
 def _with_t(ring):
-    """k[_t, ring vars] and the embedding of ring's polynomials into it."""
-    tring = PolyRing(("_t",) + ring.names, ring.field)
+    """k[t, ring vars] for a fresh name t, and the embedding of ring's
+    polynomials into it."""
+    tring = PolyRing(ring.fresh_names("_t") + ring.names, ring.field)
     pos = list(range(1, ring.nvars + 1))
     return tring, lambda g: g.map_exponents(tring, pos)
 
@@ -71,11 +72,6 @@ class Ideal:
             else:
                 self._gb = groebner.buchberger(gens)
         return self._gb
-
-    def is_zero(self):
-        return len(self.gb()) == 0 or all(
-            groebner.contains(self.algebra.modulus_gb(), [g]) for g in self.gens
-        )
 
     def is_unit(self):
         return groebner.contains(self.gb(), [self.algebra.ring.one])
@@ -158,8 +154,8 @@ class Ideal:
         ring = self.algebra.ring
         tring, embed = _with_t(ring)
         gens = [embed(g) for g in self.ambient_gens()]
-        gens.append(tring.one - tring.gen("_t") * embed(f))
-        return eliminate(tring, gens, ("_t",), ring)
+        gens.append(tring.one - tring.gen(tring.names[0]) * embed(f))
+        return eliminate(tring, gens, tring.names[:1], ring)
 
     def saturate(self, f):
         """(I : f^infinity) by one elimination; returns (ideal, depth).
@@ -189,10 +185,10 @@ class Ideal:
 def _intersect_ambient(ring, gens1, gens2):
     """Ambient-ring intersection of two generator lists via the t-trick."""
     tring, embed = _with_t(ring)
-    t = tring.gen("_t")
+    t = tring.gen(tring.names[0])
     gens = [t * embed(g) for g in gens1]
     gens += [(tring.one - t) * embed(g) for g in gens2]
-    return eliminate(tring, gens, ("_t",), ring)
+    return eliminate(tring, gens, tring.names[:1], ring)
 
 
 def _exact_divide(g, f):
@@ -212,23 +208,22 @@ def _exact_divide(g, f):
     return q
 
 
-def kernel_of_map(source_names, target_algebra, images, field=None, order=None):
+def kernel_of_map(source_names, target_algebra, images):
     """Kernel of k[source] -> target_algebra, source var i -> images[i].
 
     Computed from the graph ideal (y_i - image_i) + modulus by eliminating
-    the target variables. Returns an Ideal over k[source] in the given order
-    (grevlex by default).
+    the target variables. Returns an Ideal over k[source] under grevlex,
+    with the target's coefficient field.
     """
     if len(source_names) != len(images):
         raise PreconditionError("one image per source variable")
     tring = target_algebra.ring
-    field = field or tring.field
     if set(source_names) & set(tring.names):
         raise PreconditionError("source names must be disjoint from target names")
-    ring = PolyRing(tring.names + tuple(source_names), field)
+    ring = PolyRing(tring.names + tuple(source_names), tring.field)
     tpos = list(range(tring.nvars))
     gens = [m.map_exponents(ring, tpos) for m in target_algebra.modulus]
     for name, img in zip(source_names, images):
         gens.append(ring.gen(name) - img.map_exponents(ring, tpos))
-    source = PolyRing(source_names, field, order or GrevLex())
+    source = PolyRing(source_names, tring.field, GrevLex())
     return Ideal(AffineAlgebra(source), eliminate(ring, gens, tring.names, source))

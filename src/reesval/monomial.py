@@ -183,16 +183,11 @@ def newton_polyhedron(I_or_exps, nvars=None):
     return NewtonPolyhedron(generators=tuple(exps), nvars=n, facets=out)
 
 
-def rees_valuations_monomial(I_or_np, nvars=None):
+def rees_valuations_monomial(I):
     """One monomial valuation per bounded facet; value on I = the offset."""
-    np_ = (
-        I_or_np
-        if isinstance(I_or_np, NewtonPolyhedron)
-        else newton_polyhedron(I_or_np, nvars)
-    )
     return [
         MonomialValuation(weights=f.normal, value_on_ideal=f.offset)
-        for f in np_.facets
+        for f in newton_polyhedron(I).facets
         if f.bounded
     ]
 

@@ -205,14 +205,14 @@ def length_sampler(R, I, f=None, N=5):
 
 
 def multiplicity_from_table(table, dim):
-    """(e, stabilized) from a length table.
+    """(e, stabilized) from a length table of (n, length) pairs.
 
     e is the dim-th finite difference of the lengths (equivalently dim!
     times the leading coefficient of the Hilbert-Samuel polynomial);
     dim is the dimension of the ring the lengths are measured in.
     stabilized means the last three dim-th differences agree.
     """
-    lengths = [entry[1] if isinstance(entry, (tuple, list)) else entry for entry in table]
+    lengths = [length for _, length in table]
     if len(lengths) < dim + 2:
         raise PreconditionError("table too short for the requested dimension")
     diffs = lengths

@@ -152,15 +152,8 @@ QQ = RationalField()
 
 
 class MonomialOrder:
-    kind = "?"
-
     def key(self, exp):
         raise NotImplementedError
-
-    @property
-    def all_weights_positive(self):
-        """True iff every monomial exceeds 1; required by the Groebner engine."""
-        return True
 
     def __eq__(self, other):
         return repr(self) == repr(other)
@@ -170,8 +163,6 @@ class MonomialOrder:
 
 
 class Lex(MonomialOrder):
-    kind = "lex"
-
     def key(self, exp):
         return exp
 
@@ -179,67 +170,48 @@ class Lex(MonomialOrder):
         return "lex"
 
 
-class GrevLex(MonomialOrder):
-    kind = "grevlex"
+def _grevlex(exp):
+    return (sum(exp),) + tuple(map(neg, reversed(exp)))
 
-    def key(self, exp):
-        return (sum(exp),) + tuple(map(neg, reversed(exp)))
+
+class GrevLex(MonomialOrder):
+    key = staticmethod(_grevlex)
 
     def __repr__(self):
         return "grevlex"
 
 
 class Block(MonomialOrder):
-    """Split the variables at position k; compare the front block first.
+    """Split the variables at position k; compare the front block first,
+    grevlex inside each block.
 
     Used for elimination: variables to be dropped go in the front block.
     """
 
-    kind = "block"
-
-    def __init__(self, k, front=None, back=None):
+    def __init__(self, k):
         self.k = k
-        self.front = front or GrevLex()
-        self.back = back or GrevLex()
 
     def key(self, exp):
-        return self.front.key(exp[: self.k]) + self.back.key(exp[self.k :])
-
-    @property
-    def all_weights_positive(self):
-        return self.front.all_weights_positive and self.back.all_weights_positive
+        return _grevlex(exp[: self.k]) + _grevlex(exp[self.k :])
 
     def __repr__(self):
-        return f"block({self.k},{self.front!r},{self.back!r})"
+        return f"block({self.k},grevlex,grevlex)"
 
 
 class Weighted(MonomialOrder):
-    """Weight vector first, tiebreak order second.
+    """Positive weight vector first, grevlex second."""
 
-    A non-positive weight is only legal when flagged for Z-graded bookkeeping
-    (e.g. the degree -1 marker of an extended Rees presentation); such orders
-    are rejected by the Groebner engine.
-    """
-
-    kind = "weighted"
-
-    def __init__(self, weights, tiebreak=None, zgraded=False):
+    def __init__(self, weights):
         weights = tuple(weights)
-        if not zgraded and any(w <= 0 for w in weights):
-            raise OrderError("non-positive weight requires zgraded=True")
+        if any(w <= 0 for w in weights):
+            raise OrderError("weights must be positive")
         self.weights = weights
-        self.tiebreak = tiebreak or GrevLex()
-        self.zgraded = zgraded
 
     def key(self, exp):
-        return (sum(map(mul, self.weights, exp)),) + self.tiebreak.key(exp)
-
-    @property
-    def all_weights_positive(self):
-        return all(w > 0 for w in self.weights) and self.tiebreak.all_weights_positive
+        return (sum(map(mul, self.weights, exp)),) + _grevlex(exp)
 
     def __repr__(self):
-        return f"weighted({self.weights},{self.tiebreak!r})"
+        return f"weighted({self.weights},grevlex)"
 
 
 # ---------------------------------------------------------------------------
@@ -275,6 +247,19 @@ class PolyRing:
 
     def var_index(self, name):
         return self._index[name]
+
+    def fresh_names(self, *wanted):
+        """Auxiliary names the ring does not use: each wanted name becomes the
+        first of name, name_, name__, ... that neither the ring nor an
+        earlier one of them takes."""
+        taken = set(self.names)
+        out = []
+        for name in wanted:
+            while name in taken:
+                name += "_"
+            taken.add(name)
+            out.append(name)
+        return tuple(out)
 
     @property
     def zero(self):

@@ -69,22 +69,21 @@ class AffineAlgebra:
 # homogenization / dehomogenization
 
 
-def homogenize_poly(f, target_ring, x0_pos=0):
-    """Homogenize f by the variable at x0_pos of target_ring (one extra var)."""
+def homogenize_poly(f, target_ring):
+    """Homogenize f by the first variable of target_ring (one extra var)."""
     d = f.total_degree()
     out = {}
     for e, c in f.terms:
-        ne = list(e)
-        ne.insert(x0_pos, d - sum(e))
-        out[tuple(ne)] = target_ring.field.coerce(c)
+        out[(d - sum(e),) + e] = target_ring.field.coerce(c)
     return target_ring.poly_from_dict(out)
 
 
-def homogenize_ideal(P, x0_name="X0"):
+def homogenize_ideal(P):
     """Projective closure ideal: homogenized generators, saturated by X0.
 
-    P must live in a polynomial ring (zero modulus). Every generator of the
-    result is homogeneous.
+    P must live in a polynomial ring (zero modulus). X0 is the first
+    variable of the result's ring, named X0 unless the ring uses that name.
+    Every generator of the result is homogeneous.
     """
     from .ideals import Ideal
 
@@ -92,26 +91,25 @@ def homogenize_ideal(P, x0_name="X0"):
     if alg.modulus:
         raise PreconditionError("homogenize_ideal wants an ideal of a polynomial ring")
     ring = alg.ring
-    hring = PolyRing((x0_name,) + ring.names, ring.field, GrevLex())
+    hring = PolyRing(ring.fresh_names("X0") + ring.names, ring.field, GrevLex())
     halg = AffineAlgebra(hring)
-    hgens = [homogenize_poly(g, hring, 0) for g in P.gens if not g.is_zero()]
+    hgens = [homogenize_poly(g, hring) for g in P.gens if not g.is_zero()]
     if not hgens:
         return Ideal(halg, ())
     ideal = Ideal(halg, tuple(hgens))
-    sat, _ = ideal.saturate(hring.gen(x0_name))
+    sat, _ = ideal.saturate(hring.gens()[0])
     return sat
 
 
-def dehomogenize(F, affine_algebra, x0_pos=0):
-    """Set the homogenizing variable to 1 and read off the affine element."""
+def dehomogenize(F, affine_algebra):
+    """Set the homogenizing (first) variable to 1 and read off the affine element."""
     if not F.is_homogeneous():
         raise NotHomogeneousError("dehomogenize needs a homogeneous input")
     ring = affine_algebra.ring
     d = {}
     for e, c in F.terms:
-        ne = tuple(p for i, p in enumerate(e) if i != x0_pos)
-        prev = d.get(ne, ring.field.zero)
-        d[ne] = ring.field.add(prev, ring.field.coerce(c))
+        prev = d.get(e[1:], ring.field.zero)
+        d[e[1:]] = ring.field.add(prev, ring.field.coerce(c))
     return ring.poly_from_dict(d)
 
 
@@ -152,11 +150,10 @@ class ReesPresentation:
         vanishing in the Laurent ring is membership in (base modulus, T*Ti - 1).
         """
         base_ring = self.base.ring
-        names = base_ring.names + ("_T", "_Ti")
+        names = base_ring.names + base_ring.fresh_names("_T", "_Ti")
         ring = PolyRing(names, base_ring.field, GrevLex())
         n = base_ring.nvars
-        T = ring.gen("_T")
-        Ti = ring.gen("_Ti")
+        T, Ti = ring.gens()[n:]
         base_images = [g.map_exponents(ring, list(range(n))) for g in base_ring.gens()]
         rel = [m.map_exponents(ring, list(range(n))) for m in self.base.modulus]
         rel.append(T * Ti - ring.one)
@@ -179,10 +176,12 @@ class ReesPresentation:
         return True
 
 
-def extended_rees_presentation(R, I, y_prefix="y", u_name="u"):
+def extended_rees_presentation(R, I):
     """Present R[I*T, T^{-1}] by generators and relations.
 
     The kernel is computed by eliminating T from (P, y_i - f_i*T, u*T - 1).
+    T, the y_i and u take the first of name, name_, ... that R's ring does
+    not use.
     When I is generated by exactly the ring variables (maximal at the origin)
     the base variables are eliminated too, realizing the algebra on (y, u);
     otherwise they are retained with grading weight 0.
@@ -195,15 +194,16 @@ def extended_rees_presentation(R, I, y_prefix="y", u_name="u"):
         raise PreconditionError("extended Rees presentation needs a nonzero ideal")
     ring = R.ring
     t = len(gens)
-    y_names = tuple(f"{y_prefix}{i+1}" for i in range(t))
+    aux = ring.fresh_names("_T", *(f"y{i+1}" for i in range(t)), "u")
+    T_name, y_names, u_name = aux[0], aux[1:-1], aux[-1]
     variable_case = set(raw) == set(ring.gens()) and t == ring.nvars
 
     # eliminate T, and the base variables too in the variable case
-    names = ("_T",) + ring.names + y_names + (u_name,)
-    drop = ("_T",) + (ring.names if variable_case else ())
+    names = (T_name,) + ring.names + y_names + (u_name,)
+    drop = (T_name,) + (ring.names if variable_case else ())
     ering = PolyRing(names, ring.field)
     xpos = [ering.var_index(n) for n in ring.names]
-    T = ering.gen("_T")
+    T = ering.gen(T_name)
     rel = [m.map_exponents(ering, xpos) for m in R.modulus]
     for name, g in zip(y_names, gens):
         rel.append(ering.gen(name) - g.map_exponents(ering, xpos) * T)
@@ -309,27 +309,30 @@ def verify_exceptional_certificate(cert):
 # projective-closure chart identity
 
 
-def check_projective_closure_iso(P, H, x0_name="X0"):
+def check_projective_closure_iso(P, H):
     """Verify k[X0, x] -> S[X1/X0, ...] has kernel exactly P extended.
 
     P is the affine modulus ideal (in k[x]), H its homogenization (in
-    k[X0, X]). The kernel is one elimination of t and the projective
-    variables from the graph ideal plus 1 - t*X0, which saturates by X0.
+    k[X0, X], X0 first, as homogenize_ideal builds it). The kernel is one
+    elimination of t and the projective variables from the graph ideal
+    plus 1 - t*X0, which saturates by X0.
     """
     from .ideals import Ideal, eliminate
 
     affine_ring = P.algebra.ring
+    x0_name = H.algebra.ring.names[0]
     # big ring: t, X0, X1..Xn (as _x1.._xn), x1..xn
-    hidden = tuple(f"_{v}" for v in affine_ring.names)
-    bring = PolyRing(("_t", x0_name) + hidden + affine_ring.names, affine_ring.field)
+    aux = H.algebra.ring.fresh_names("_t", *(f"_{v}" for v in affine_ring.names))
+    t_name, hidden = aux[0], aux[1:]
+    bring = PolyRing((t_name, x0_name) + hidden + affine_ring.names, affine_ring.field)
     X0 = bring.gen(x0_name)
     hpos = list(range(1, affine_ring.nvars + 2))
     gens = [g.map_exponents(bring, hpos) for g in H.gens]
     for v, h in zip(affine_ring.names, hidden):
         gens.append(bring.gen(v) * X0 - bring.gen(h))
-    gens.append(bring.one - bring.gen("_t") * X0)
+    gens.append(bring.one - bring.gen(t_name) * X0)
     chart = AffineAlgebra(PolyRing((x0_name,) + affine_ring.names, affine_ring.field))
-    kernel = Ideal(chart, eliminate(bring, gens, ("_t",) + hidden, chart.ring))
+    kernel = Ideal(chart, eliminate(bring, gens, (t_name,) + hidden, chart.ring))
     # expected: P extended to k[X0, x]
     xpos = list(range(1, affine_ring.nvars + 1))
     expected = Ideal(chart, tuple(g.map_exponents(chart.ring, xpos) for g in P.gens))

@@ -24,6 +24,8 @@ from .multiplicity import (
 from .rings import AffineAlgebra, homogenize_ideal, lift_to_rees
 from .symbolic import ord_at, symbolic_order_along, symbolic_power
 
+CHEVALLEY_C_CAP = 8  # largest C_emp tried; past it the verdict is "budget"
+
 
 @dataclass
 class UniformConstants:
@@ -72,10 +74,10 @@ def _sym(algebra, P, n, separator="auto", seed=0):
     return power
 
 
-def graded_multiplicity_of_closure(R, x0_name="X0"):
+def graded_multiplicity_of_closure(R):
     """e(S) for S the projective closure of Spec R (homogenized modulus)."""
     P = Ideal(AffineAlgebra(R.ring), R.modulus)
-    H = homogenize_ideal(P, x0_name)
+    H = homogenize_ideal(P)
     S = AffineAlgebra(H.algebra.ring, H.gens, asserted=("standard_graded",))
     return multiplicity_graded(S), S
 
@@ -124,15 +126,16 @@ def check_main_theorem_A(R, p, q, nmax, eS=None, p_sep="auto", q_sep="auto", see
     )
 
 
-def check_uniform_izumi_multiplicity(R, q, fs, C=None, nmax_ord=12, seed=0):
-    """e(R/fR at the origin) <= C * ord_q(f) for each listed f."""
+def check_uniform_izumi_multiplicity(R, q, fs, C=None, seed=0):
+    """e(R/fR at the origin) <= C * ord_q(f) for each listed f, with ord_q
+    swept up to symbolic.DEFAULT_NMAX."""
     if C is None:
         C, _ = graded_multiplicity_of_closure(R)
     verdicts = {}
     details = {}
     for i, f in enumerate(fs):
         e_f = local_multiplicity_via_gr(R, f)
-        order, confirmed = ord_at(R, q, f, nmax=nmax_ord, seed=seed)
+        order, confirmed = ord_at(R, q, f, seed=seed)
         if not confirmed:
             verdicts[i] = "budget"
             continue
@@ -269,11 +272,11 @@ def check_fixed_power_lemma(R, p, m, E, e, tmax, exponent=None, p_sep="auto", se
 
 
 def check_improved_chevalley(
-    R, p, q, constants, nmax, c_cap=8, p_sep="auto", q_sep="auto", seed=0
+    R, p, q, constants, nmax, p_sep="auto", q_sep="auto", seed=0
 ):
-    """Find t = max t' with p inside q^(t'), sweep for the least C_emp with
-    p^(C_emp n) inside q^(t n), and assert the formula constant
-    C*E*(A+1)^2*e^2*(B+1) dominates C_emp."""
+    """Find t = max t' with p inside q^(t'), sweep C = 1..CHEVALLEY_C_CAP for
+    the least C_emp with p^(C_emp n) inside q^(t n), and assert the formula
+    constant C*E*(A+1)^2*e^2*(B+1) dominates C_emp."""
     t = 0
     for tp in range(nmax, 0, -1):
         if _sym(R, q, tp, separator=q_sep, seed=seed).contains_ideal(p):
@@ -282,7 +285,7 @@ def check_improved_chevalley(
     if t == 0:
         raise PreconditionError("p is not contained in q")
     c_emp = None
-    for C in range(1, c_cap + 1):
+    for C in range(1, CHEVALLEY_C_CAP + 1):
         if all(
             _sym(R, q, t * n, separator=q_sep, seed=seed).contains_ideal(
                 _sym(R, p, C * n, separator=p_sep, seed=seed)
@@ -314,11 +317,10 @@ def check_improved_chevalley(
     )
 
 
-def compute_normalized_ord(I, q, valuations=None):
+def compute_normalized_ord(I, q):
     """Largest t with I inside the closure of q^t: min over the Rees
     valuations of q of floor(nu(I) / nu(q))."""
-    if valuations is None:
-        valuations = rees_valuations_monomial(q)
+    valuations = rees_valuations_monomial(q)
     if not valuations:
         raise PreconditionError("no valuations available for q")
     exps = [g.lead_exp for g in I.gens]

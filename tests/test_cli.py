@@ -1,8 +1,10 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
-from reesval.cli import main, parse_session, run
+from reesval.cli import _Session, main, parse_session, run
 from reesval.errors import PreconditionError
 
 PAPER_SESSION = """
@@ -141,6 +143,7 @@ def test_no_answer_carries_into_a_later_run():
         "translate-origin a,0",
         "briancon-skoda m 0",
         "briancon-skoda m -1",
+        "symbolic_power m 2",
     ],
 )
 def test_malformed_command_recorded(command):
@@ -242,6 +245,8 @@ def test_monomial_commands():
         "ring { vars: x y }\nideal m = x, z\ncmd: gb m\n",
         "ring { vars: x y; field: Fp 4 }\nideal m = x, y\ncmd: gb m\n",
         "ring { vars: x y; field: Fp 1000000000000000001 }\nideal m = x, y\ncmd: gb m\n",
+        "ring { vars: x y; order: block 0 }\nideal m = x, y\ncmd: gb m\n",
+        "ring { vars: x y; order: block 7 }\nideal m = x, y\ncmd: gb m\n",
         None,
     ],
     ids=[
@@ -249,6 +254,8 @@ def test_monomial_commands():
         "unknown-variable",
         "non-prime-field",
         "large-composite-field",
+        "block-0",
+        "block-7",
         "missing-file",
     ],
 )
@@ -261,3 +268,40 @@ def test_session_build_error_exits_2(text, tmp_path, capsys):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("parse error: ")
+
+
+def test_readme_lists_every_command():
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    listed = readme[readme.index("Commands: ") : readme.index("Flags: ")]
+    names = set(re.findall(r"`([a-z-]+)", listed))
+    methods = {n[4:].replace("_", "-") for n in dir(_Session) if n.startswith("cmd_")}
+    assert names == methods
+
+
+def _results(text):
+    report, ok = run(parse_session(text))
+    assert ok
+    return [c["result"] for c in report["commands"]]
+
+
+def test_auxiliary_names_avoid_ring_variables():
+    # each ring uses a name an internal construction also wants; the results
+    # are those of the same sessions with the ring variables renamed
+    mult, rees = _results(
+        "ring { vars: u y1 w }\nideal m = u, y1, w\ncmd: multiplicity\ncmd: rees m"
+    )
+    assert mult == {"e": 1}
+    assert len(rees["variables"]) == 4
+    assert not set(rees["variables"]) & {"u", "y1", "w"}
+    assert rees["relations"] == [] and rees["weights"] == [1, 1, 1, -1]
+    sat, sym = _results(
+        "ring { vars: x _t }\nideal m = x, _t\nideal p = x\n"
+        "cmd: saturate m x\ncmd: symbolic-power p 2"
+    )
+    assert sat == {"generators": ["1"], "steps": 1}
+    assert sym["generators"] == ["x^2"] and sym["certificate"]["status"] == "exact"
+    (main_a,) = _results(
+        "ring { vars: X0 x; mod: X0^2 - x^3 }\nideal m = X0, x\nideal p = X0, x\n"
+        "cmd: check main-a --p p --q m --nmax 1"
+    )
+    assert main_a["passed"] and main_a["details"] == {"e(S)": 3}

@@ -38,8 +38,6 @@ def test_block_order_isolates_front_variables():
 def test_weighted_order_rejects_nonpositive_weight():
     with pytest.raises(OrderError):
         Weighted((1, 0))
-    w = Weighted((1, -1), zgraded=True)
-    assert not w.all_weights_positive
 
 
 def test_prime_field_arithmetic():
@@ -98,6 +96,40 @@ def test_parse_round_trip_property(field):
         assert R.parse(str(f)) == f
 
     round_trip()
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=str)
+def test_ring_axioms_property(field):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    R = PolyRing(("x1", "x2", "x3"), field, GrevLex())
+    if field == QQ:
+        coeffs = st.fractions(min_value=-20, max_value=20, max_denominator=9)
+    else:
+        coeffs = st.integers(min_value=0, max_value=field.p - 1)
+    exps = st.tuples(*[st.integers(min_value=0, max_value=3)] * 3)
+    polys = st.dictionaries(exps, coeffs, max_size=4).map(
+        lambda terms: R.poly_from_dict({e: field.coerce(c) for e, c in terms.items()})
+    )
+
+    @hypothesis.settings(derandomize=True, database=None)
+    @hypothesis.given(polys, polys, polys)
+    def axioms(f, g, h):
+        assert (f + g) + h == f + (g + h)
+        assert (f * g) * h == f * (g * h)
+        assert f + g == g + f
+        assert f * g == g * f
+        assert f * (g + h) == f * g + f * h
+        assert f + R.zero == f
+        assert f * R.one == f
+        assert f + (-f) == R.zero
+
+    axioms()
+
+
+def test_fresh_names_avoid_the_ring_and_each_other():
+    R = PolyRing(("x", "x_", "_x"), QQ)
+    assert R.fresh_names("t", "_x", "_x_", "x") == ("t", "_x_", "_x__", "x__")
 
 
 def test_parse_rejects_garbage():
@@ -167,10 +199,10 @@ def _weighted(weights, tiebreak):
         (Lex(), _lex),
         (GrevLex(), _grevlex),
         (Block(1), _block(1, _grevlex, _grevlex)),
-        (Block(2, Lex(), GrevLex()), _block(2, _lex, _grevlex)),
+        (Block(2), _block(2, _grevlex, _grevlex)),
         (Weighted((1, 2, 3)), _weighted((1, 2, 3), _grevlex)),
     ],
-    ids=["lex", "grevlex", "block1", "block2-lex-grevlex", "weighted123"],
+    ids=["lex", "grevlex", "block1", "block2", "weighted123"],
 )
 def test_canonical_terms_sorted_descending(order, compare):
     rng = random.Random(11)

@@ -35,9 +35,9 @@ def test_homogenize_dehomogenize_round_trip(poly_xy):
     x, y = poly_xy.ring.gens()
     f = x**2 + y**3 + 1
     hring = PolyRing(("X0", "x", "y"), QQ, GrevLex())
-    F = homogenize_poly(f, hring, 0)
+    F = homogenize_poly(f, hring)
     assert F.is_homogeneous()
-    assert dehomogenize(F, poly_xy, 0) == f
+    assert dehomogenize(F, poly_xy) == f
 
 
 def test_homogenize_ideal_saturates(paper_ring):
@@ -53,6 +53,15 @@ def test_homogenize_ideal_saturates(paper_ring):
 def test_projective_closure_chart_identity(paper_ring):
     P = Ideal(AffineAlgebra(paper_ring.ring), paper_ring.modulus)
     H = homogenize_ideal(P)
+    assert check_projective_closure_iso(P, H)
+
+
+def test_projective_closure_names_avoid_ring_variables():
+    ring = PolyRing(("X0", "x", "_x"), QQ, GrevLex())
+    X0, x, _x = ring.gens()
+    P = Ideal(AffineAlgebra(ring), (X0 * x - _x**3,))
+    H = homogenize_ideal(P)
+    assert H.algebra.ring.names == ("X0_", "X0", "x", "_x")
     assert check_projective_closure_iso(P, H)
 
 
