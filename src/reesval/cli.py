@@ -15,6 +15,7 @@ emitted under --timings so that repeated runs are byte-identical.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import re
 import sys
@@ -40,7 +41,7 @@ from .multiplicity import (
 )
 from .poly import Block, GrevLex, Lex, PolyRing, PrimeField, QQ
 from .rings import AffineAlgebra, extended_rees_presentation
-from .symbolic import ord_at, symbolic_power
+from .symbolic import DEFAULT_NMAX, ord_at, symbolic_power
 from .verify import (
     UniformConstants,
     check_improved_chevalley,
@@ -163,22 +164,6 @@ def _build_algebra(ring_spec):
     return AffineAlgebra(ring, modulus, asserted=tuple(ring_spec.get("assert", [])))
 
 
-class _Positional(list):
-    """Positional arguments; a missing one is a recorded command error."""
-
-    def __getitem__(self, i):
-        if i >= len(self):
-            raise PreconditionError(f"missing argument {i + 1}")
-        return super().__getitem__(i)
-
-
-class _Flags(dict):
-    """--flag values; a missing required flag is a recorded command error."""
-
-    def __missing__(self, key):
-        raise PreconditionError(f"missing flag --{key}")
-
-
 def _int(text):
     try:
         return int(text)
@@ -193,9 +178,9 @@ def _coordinate(field, text):
         raise PreconditionError(f"not an element of {field}: {text!r}") from None
 
 
-def _flags(tokens):
+def _split(tokens):
     """Split positional arguments from --flag value pairs."""
-    pos, flags = _Positional(), _Flags()
+    pos, flags = [], {}
     i = 0
     while i < len(tokens):
         if tokens[i].startswith("--"):
@@ -207,6 +192,21 @@ def _flags(tokens):
             pos.append(tokens[i])
             i += 1
     return pos, flags
+
+
+def _method(obj, prefix, name):
+    """obj's method prefix + name, "-" read as "_"; a name with "_" has none."""
+    return "_" not in name and getattr(obj, prefix + name.replace("-", "_"), None)
+
+
+def _call(method, pos, flags):
+    """method(*pos, **flags) if its signature takes exactly those: a missing,
+    extra or misspelled argument is a command error, never silently ignored."""
+    try:
+        inspect.signature(method).bind(*pos, **flags)
+    except TypeError as exc:
+        raise PreconditionError(f"bad arguments: {exc}") from None
+    return method(*pos, **flags)
 
 
 class _Session:
@@ -231,44 +231,42 @@ class _Session:
         return self.algebra.ring.parse(text)
 
     # -- commands ---------------------------------------------------------
+    # Positional arguments bind to positional-only parameters and flags to
+    # keyword-only ones (see _call); every value arrives as text.
 
-    def cmd_gb(self, pos, flags):
-        return {"basis": [str(g) for g in self.ideal(pos[0]).gb()]}
+    def cmd_gb(self, ideal, /):
+        return {"basis": [str(g) for g in self.ideal(ideal).gb()]}
 
-    def cmd_power(self, pos, flags):
-        J = self.ideal(pos[0]).power(_int(pos[1]))
+    def cmd_power(self, ideal, n, /):
+        J = self.ideal(ideal).power(_int(n))
         return {"generators": [str(g) for g in J.gb()]}
 
-    def cmd_saturate(self, pos, flags):
-        J, steps = self.ideal(pos[0]).saturate(self.poly(pos[1]))
+    def cmd_saturate(self, ideal, f, /):
+        J, steps = self.ideal(ideal).saturate(self.poly(f))
         return {"generators": [str(g) for g in J.gb()], "steps": steps}
 
-    def cmd_symbolic_power(self, pos, flags):
-        sep = flags.get("separator", "auto")
+    def cmd_symbolic_power(self, ideal, n, /, *, separator="auto"):
         J, cert = symbolic_power(
-            self.algebra, self.ideal(pos[0]), _int(pos[1]), separator=sep,
-            seed=self.seed,
+            self.ideal(ideal), _int(n), separator=separator, seed=self.seed
         )
         return {"generators": [str(g) for g in J.gb()], "certificate": cert}
 
-    def cmd_ord(self, pos, flags):
+    def cmd_ord(self, ideal, f, /, *, nmax=DEFAULT_NMAX):
         n, confirmed = ord_at(
-            self.algebra, self.ideal(pos[0]), self.poly(pos[1]),
-            nmax=_int(flags.get("nmax", 12)), seed=self.seed,
+            self.ideal(ideal), self.poly(f), nmax=_int(nmax), seed=self.seed
         )
         return {"ord": n, "confirmed": confirmed}
 
-    def cmd_multiplicity(self, pos, flags):
-        f = self.poly(flags["f"]) if "f" in flags else None
+    def cmd_multiplicity(self, *, f=None):
+        f = self.poly(f) if f is not None else None
         return {"e": local_multiplicity_via_gr(self.algebra, f)}
 
-    def cmd_graded_multiplicity(self, pos, flags):
+    def cmd_graded_multiplicity(self):
         return {"e": multiplicity_graded(self.algebra)}
 
-    def cmd_length_table(self, pos, flags):
-        f = self.poly(flags["f"]) if "f" in flags else None
-        N = _int(pos[1])
-        table = length_sampler(self.algebra, self.ideal(pos[0]), f=f, N=N)
+    def cmd_length_table(self, ideal, N, /, *, f=None):
+        f = self.poly(f) if f is not None else None
+        table = length_sampler(self.algebra, self.ideal(ideal), f=f, N=_int(N))
         dim = krull_dim(Ideal(self.algebra, (f,) if f is not None else ()))
         e, stabilized = multiplicity_from_table(table, dim)
         return {
@@ -278,8 +276,8 @@ class _Session:
             "stabilized": stabilized,
         }
 
-    def cmd_newton(self, pos, flags):
-        np_ = newton_polyhedron(self.ideal(pos[0]))
+    def cmd_newton(self, ideal, /):
+        np_ = newton_polyhedron(self.ideal(ideal))
         return {
             "generators": [list(e) for e in np_.generators],
             "facets": [
@@ -288,27 +286,27 @@ class _Session:
             ],
         }
 
-    def cmd_closure(self, pos, flags):
-        J = integral_closure_power(self.ideal(pos[0]), _int(pos[1]))
+    def cmd_closure(self, ideal, n, /):
+        J = integral_closure_power(self.ideal(ideal), _int(n))
         return {"generators": [str(g) for g in J.gens]}
 
-    def cmd_monomial_multiplicity(self, pos, flags):
-        return {"e": monomial_multiplicity(self.ideal(pos[0]))}
+    def cmd_monomial_multiplicity(self, ideal, /):
+        return {"e": monomial_multiplicity(self.ideal(ideal))}
 
-    def cmd_briancon_skoda(self, pos, flags):
-        B = find_min_briancon_skoda(self.ideal(pos[0]), _int(pos[1]))
-        return {"B": B if B is not None else f"not found <= {pos[1]}"}
+    def cmd_briancon_skoda(self, ideal, bmax, /):
+        B = find_min_briancon_skoda(self.ideal(ideal), _int(bmax))
+        return {"B": B if B is not None else f"not found <= {bmax}"}
 
-    def cmd_rees(self, pos, flags):
-        pres = extended_rees_presentation(self.algebra, self.ideal(pos[0]))
+    def cmd_rees(self, ideal, /):
+        pres = extended_rees_presentation(self.algebra, self.ideal(ideal))
         return {
             "variables": list(pres.algebra.ring.names),
             "relations": [str(g) for g in pres.algebra.modulus],
             "weights": list(pres.weights),
         }
 
-    def cmd_translate_origin(self, pos, flags):
-        coords = [c.strip() for c in pos[0].split(",")]
+    def cmd_translate_origin(self, point, /):
+        coords = [c.strip() for c in point.split(",")]
         ring = self.algebra.ring
         if len(coords) != ring.nvars:
             raise PreconditionError("one coordinate per variable")
@@ -327,42 +325,37 @@ class _Session:
         }
         return {"modulus": [str(m) for m in new_mod]}
 
-    def cmd_check(self, pos, flags):
-        kind = pos[0]
-        if kind == "zariski-nagata":
-            report = check_local_zariski_nagata(
-                self.algebra, self.ideal(flags["p"]), self.ideal(flags["q"]),
-                _int(flags.get("nmax", 3)), seed=self.seed,
-            )
-        elif kind == "main-a":
-            eS = _int(flags["eS"]) if "eS" in flags else None
-            report = check_main_theorem_A(
-                self.algebra, self.ideal(flags["p"]), self.ideal(flags["q"]),
-                _int(flags.get("nmax", 2)), eS=eS, seed=self.seed,
-            )
-        elif kind == "izumi-mult":
-            fs = [self.poly(f) for f in flags["fs"].split(";")]
-            C = _int(flags["C"]) if "C" in flags else None
-            report = check_uniform_izumi_multiplicity(
-                self.algebra, self.ideal(flags["q"]), fs, C=C, seed=self.seed
-            )
-        elif kind == "chevalley":
-            constants = UniformConstants(
-                A=_int(flags.get("A", 0)), B=_int(flags.get("B", 0)),
-                C=_int(flags.get("C", 1)), E=_int(flags.get("E", 1)),
-                e=_int(flags.get("e", 1)),
-            )
-            report = check_improved_chevalley(
-                self.algebra, self.ideal(flags["p"]), self.ideal(flags["q"]),
-                constants, _int(flags.get("nmax", 2)), seed=self.seed,
-            )
-        elif kind == "order-ideal-graded":
-            report = check_order_ideal_theorem_graded(
-                self.algebra, self.poly(flags["F"])
-            )
-        else:
+    def cmd_check(self, kind, /, **flags):
+        method = _method(self, "check_", kind)
+        if not method:
             raise PreconditionError(f"unknown check {kind!r}")
-        return report.to_dict()
+        return _call(method, (), flags).to_dict()
+
+    def check_zariski_nagata(self, *, p, q, nmax=3):
+        return check_local_zariski_nagata(
+            self.ideal(p), self.ideal(q), _int(nmax), seed=self.seed
+        )
+
+    def check_main_a(self, *, p, q, nmax=2, eS=None):
+        return check_main_theorem_A(
+            self.ideal(p), self.ideal(q), _int(nmax),
+            eS=_int(eS) if eS is not None else None, seed=self.seed,
+        )
+
+    def check_izumi_mult(self, *, q, fs, C=None):
+        return check_uniform_izumi_multiplicity(
+            self.ideal(q), [self.poly(f) for f in fs.split(";")],
+            C=_int(C) if C is not None else None, seed=self.seed,
+        )
+
+    def check_chevalley(self, *, p, q, nmax=2, A=0, B=0, C=1, E=1, e=1):
+        constants = UniformConstants(*map(_int, (A, B, C, E, e)))
+        return check_improved_chevalley(
+            self.ideal(p), self.ideal(q), constants, _int(nmax), seed=self.seed
+        )
+
+    def check_order_ideal_graded(self, *, F):
+        return check_order_ideal_theorem_graded(self.algebra, self.poly(F))
 
 
 def run(session, seed=0, budget=None, fail_fast=False, timings=False):
@@ -382,15 +375,12 @@ def run(session, seed=0, budget=None, fail_fast=False, timings=False):
         entry = {"name": name, "args": args}
         start = time.monotonic()
         try:
-            # command "a-b" runs method cmd_a_b; a name with "_" is no command
-            method = "_" not in name and getattr(
-                state, "cmd_" + name.replace("-", "_"), None
-            )
+            method = _method(state, "cmd_", name)
             if not method:
                 raise PreconditionError(f"unknown command {name!r}")
-            pos, flags = _flags(args)
+            pos, flags = _split(args)
             with groebner.budget(budget) if budget is not None else nullcontext():
-                result = method(pos, flags)
+                result = _call(method, pos, flags)
             entry["result"] = result
             if name == "check":
                 entry["verdict"] = "pass" if result["passed"] else "fail"

@@ -83,7 +83,6 @@ def _sub_exp(a, b):
 class GroebnerBasis:
     ring: object
     polys: tuple
-    reduced: bool = False
 
     def __iter__(self):
         return iter(self.polys)
@@ -185,7 +184,7 @@ def buchberger(gens):
     _check_ring(ring, gens)
     if all(len(g.terms) == 1 for g in gens):
         leads = sorted(_minimalize(g.lead_exp for g in gens), key=ring.order.key)
-        return GroebnerBasis(ring, tuple(map(ring.monomial, leads)), reduced=True)
+        return GroebnerBasis(ring, tuple(map(ring.monomial, leads)))
 
     basis, pairs, done = [], [], set()
 
@@ -241,7 +240,7 @@ def _reduce_basis(ring, basis):
         others = minimal[:i] + minimal[i + 1 :]
         reduced.append(normal_form(g, others).monic())
     reduced.sort(key=lambda p: ring.order.key(p.lead_exp))
-    return GroebnerBasis(ring=ring, polys=tuple(reduced), reduced=True)
+    return GroebnerBasis(ring=ring, polys=tuple(reduced))
 
 
 @_budgeted

@@ -66,9 +66,7 @@ class Ideal:
         if self._gb is None:
             gens = self.ambient_gens()
             if not gens:
-                self._gb = groebner.GroebnerBasis(
-                    ring=self.algebra.ring, polys=(), reduced=True
-                )
+                self._gb = groebner.GroebnerBasis(ring=self.algebra.ring, polys=())
             else:
                 self._gb = groebner.buchberger(gens)
         return self._gb

@@ -33,9 +33,7 @@ class AffineAlgebra:
             if self.modulus:
                 self._modulus_gb = groebner.buchberger(self.modulus)
             else:
-                self._modulus_gb = groebner.GroebnerBasis(
-                    ring=self.ring, polys=(), reduced=True
-                )
+                self._modulus_gb = groebner.GroebnerBasis(ring=self.ring, polys=())
         return self._modulus_gb
 
     def is_proper(self):
@@ -274,13 +272,13 @@ class ExceptionalPrimeCertificate:
     presentation: ReesPresentation
     primes: tuple  # Ideal instances in presentation.algebra
     multiplicities: tuple
-    separators: tuple = ()  # optional, parallel to primes; None entries = auto
 
 
 def verify_exceptional_certificate(cert):
-    """Check the certificate's defining ideal equality."""
+    """Check the certificate's defining ideal equality; each power saturates
+    by the first variable outside its prime, else by the automatic separator."""
     from .ideals import Ideal
-    from .symbolic import symbolic_power
+    from .symbolic import first_variable_outside, symbolic_power
 
     pres = cert.presentation
     if "normal" not in pres.base.asserted:
@@ -288,16 +286,12 @@ def verify_exceptional_certificate(cert):
     alg = pres.algebra
     u = alg.ring.gen(pres.u_name)
     u_ideal = Ideal(alg, (u,))
-    seps = cert.separators or (None,) * len(cert.primes)
     pieces = []
-    for Q, m, sep in zip(cert.primes, cert.multiplicities, seps):
+    for Q, m in zip(cert.primes, cert.multiplicities):
         if not Q.contains_poly(u):
             return False
-        if sep is None:
-            sep = next(
-                (x for x in alg.ring.gens() if not Q.contains_poly(x)), "auto"
-            )
-        power, _cert = symbolic_power(alg, Q, m, separator=sep)
+        sep = first_variable_outside(Q)
+        power, _cert = symbolic_power(Q, m, separator="auto" if sep is None else sep)
         pieces.append(power)
     total = pieces[0]
     for p in pieces[1:]:

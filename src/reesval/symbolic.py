@@ -17,6 +17,7 @@ import random
 from .errors import PreconditionError
 from .ideals import Ideal
 from .multiplicity import krull_dim
+from .poly import Polynomial
 
 DEFAULT_NMAX = 12
 SCREEN_PROBES = 3
@@ -24,6 +25,11 @@ SCREEN_PROBES = 3
 
 def clear_cache():
     """No-op kept for existing callers: the cache lives on each prime's handle."""
+
+
+def first_variable_outside(P):
+    """The first ring variable not in P, or None when every one lies in P."""
+    return next((x for x in P.algebra.ring.gens() if not P.contains_poly(x)), None)
 
 
 def auto_separator(P):
@@ -37,21 +43,20 @@ def auto_separator(P):
     d = krull_dim(P)
     if d == 0:
         return None
-    ring = P.algebra.ring
     if d == 1 and all(g.is_homogeneous() for g in P.gb()):
-        for x in ring.gens():
-            if not P.contains_poly(x):
-                return x
-        raise PreconditionError("every variable lies in P")
+        x = first_variable_outside(P)
+        if x is None:
+            raise PreconditionError("every variable lies in P")
+        return x
     raise PreconditionError(
         "no automatic separator for this prime; supply one explicitly"
     )
 
 
-def _random_elements(algebra, P, count, seed):
+def _random_elements(P, count, seed):
     """Low-degree random elements outside P, for the primariness screen."""
     rng = random.Random(seed)
-    ring = algebra.ring
+    ring = P.algebra.ring
     exps = [e for e in ring.monomials_up_to_degree(2) if sum(e) > 0]
     out = []
     attempts = 0
@@ -60,26 +65,29 @@ def _random_elements(algebra, P, count, seed):
         g = ring.zero
         for e in rng.sample(exps, min(3, len(exps))):
             g = g + ring.monomial(e, rng.randint(1, 5))
-        g = algebra.reduce(g)
+        g = P.algebra.reduce(g)
         if not g.is_zero() and not P.contains_poly(g):
             out.append(g)
     return out
 
 
-def symbolic_power(algebra, P, n, separator="auto", seed=0):
+def symbolic_power(P, n, separator="auto", seed=0):
     """n-th symbolic power of the (asserted) prime P, with a certificate.
 
-    Returns (ideal, certificate). The certificate records the separator,
-    the saturation exponent, a radical-membership check on the result and
-    the primariness screen (a probe passes when the result saturated by it
-    has depth 0); a failure gives "upper bound candidate", never an error.
+    The separator is "auto", a polynomial or its text. Returns (ideal,
+    certificate). The certificate records the separator, the saturation
+    exponent, a radical-membership check on the result and the primariness
+    screen (a probe passes when the result saturated by it has depth 0); a
+    failure gives "upper bound candidate", never an error.
     """
     if n < 0:
         raise PreconditionError("negative symbolic power")
+    if not isinstance(separator, (str, Polynomial)):
+        raise PreconditionError('separator must be "auto", a polynomial or its text')
     if n <= 1:
-        power = P if n else Ideal(algebra, (algebra.ring.one,))
+        power = P if n else Ideal(P.algebra, (P.algebra.ring.one,))
         return power, {"separator": None, "saturation_steps": 0, "status": "exact"}
-    key = (algebra, n, str(separator), seed)
+    key = (n, str(separator), seed)
     if key in P._symbolic_powers:
         return P._symbolic_powers[key]
     Pn = P.power(n)
@@ -89,7 +97,7 @@ def symbolic_power(algebra, P, n, separator="auto", seed=0):
         result, steps = Pn, 0
     else:
         if isinstance(separator, str):
-            separator = algebra.ring.parse(separator)
+            separator = P.algebra.ring.parse(separator)
         if P.contains_poly(separator):
             raise PreconditionError("separator lies in the prime")
         result, steps = Pn.saturate(separator)
@@ -97,7 +105,7 @@ def symbolic_power(algebra, P, n, separator="auto", seed=0):
     screened = 0
     screen_ok = True
     if separator is not None:
-        for g in _random_elements(algebra, P, SCREEN_PROBES, seed):
+        for g in _random_elements(P, SCREEN_PROBES, seed):
             screened += 1
             if result.saturate(g)[1]:
                 screen_ok = False
@@ -115,18 +123,18 @@ def symbolic_power(algebra, P, n, separator="auto", seed=0):
     return result, cert
 
 
-def ord_at(algebra, P, f, nmax=DEFAULT_NMAX, separator="auto", seed=0):
+def ord_at(P, f, nmax=DEFAULT_NMAX, separator="auto", seed=0):
     """(largest n <= nmax with f in P^(n), confirmed_flag).
 
     confirmed_flag is False only when the sweep hit nmax while f was still
     a member, so the true order may exceed the reported value.
     """
-    f = algebra.reduce(f)
+    f = P.algebra.reduce(f)
     if f.is_zero():
         raise PreconditionError("ord of zero")
     order = 0
     for k in range(1, nmax + 1):
-        power, _ = symbolic_power(algebra, P, k, separator=separator, seed=seed)
+        power, _ = symbolic_power(P, k, separator=separator, seed=seed)
         if power.contains_poly(f):
             order = k
         else:
@@ -134,22 +142,17 @@ def ord_at(algebra, P, f, nmax=DEFAULT_NMAX, separator="auto", seed=0):
     return order, False
 
 
-def symbolic_order_along(algebra, Q, g, nmax=DEFAULT_NMAX, separator=None, seed=0):
+def symbolic_order_along(Q, g, seed=0):
     """Valuation of g read off as the Q-symbolic order, Q a height-1 prime.
 
-    The height-1 hypothesis is screened by dimension; when no separator is
-    given the first variable outside Q is used (validity is left to the
-    primariness screen inside symbolic_power).
+    The height-1 hypothesis is screened by dimension; the separator is the
+    first variable outside Q (validity is left to the primariness screen
+    inside symbolic_power). The sweep stops at DEFAULT_NMAX.
     """
-    ambient_dim = krull_dim(algebra)
+    ambient_dim = krull_dim(Q.algebra)
     if krull_dim(Q) != ambient_dim - 1:
         raise PreconditionError("Q does not have height 1 in the algebra")
+    separator = first_variable_outside(Q)
     if separator is None:
-        for x in algebra.ring.gens():
-            if not Q.contains_poly(x):
-                separator = x
-                break
-        else:
-            raise PreconditionError("every variable lies in Q")
-    order, _confirmed = ord_at(algebra, Q, g, nmax=nmax, separator=separator, seed=seed)
-    return order
+        raise PreconditionError("every variable lies in Q")
+    return ord_at(Q, g, separator=separator, seed=seed)[0]

@@ -25,6 +25,7 @@ from .rings import AffineAlgebra, homogenize_ideal, lift_to_rees
 from .symbolic import ord_at, symbolic_order_along, symbolic_power
 
 CHEVALLEY_C_CAP = 8  # largest C_emp tried; past it the verdict is "budget"
+ORDER_IDEAL_N = 7  # length-table depth of the order-ideal check
 
 
 @dataclass
@@ -67,11 +68,18 @@ class CheckReport:
         }
 
 
-def _sym(algebra, P, n, separator="auto", seed=0):
-    power, cert = symbolic_power(algebra, P, n, separator=separator, seed=seed)
+def _sym(P, n, separator="auto", seed=0):
+    power, cert = symbolic_power(P, n, separator=separator, seed=seed)
     if cert["status"] != "exact":
         raise PreconditionError(f"symbolic power downgraded: {cert}")
     return power
+
+
+def _sweep(name, bound):
+    """1..bound; an empty sweep would pass vacuously, so bound < 1 is refused."""
+    if bound < 1:
+        raise PreconditionError(f"{name} must be at least 1, got {bound}")
+    return range(1, bound + 1)
 
 
 def graded_multiplicity_of_closure(R):
@@ -82,34 +90,35 @@ def graded_multiplicity_of_closure(R):
     return multiplicity_graded(S), S
 
 
-def check_local_zariski_nagata(R, p, q, nmax, p_sep="auto", q_sep="auto", seed=0):
+def check_local_zariski_nagata(p, q, nmax, p_sep="auto", seed=0):
     """p^(n) inside q^(n) for nonsingular-fixture primes p inside q."""
     if not q.contains_ideal(p):
         raise PreconditionError("p is not contained in q")
     verdicts = {}
-    for n in range(1, nmax + 1):
-        pn = _sym(R, p, n, separator=p_sep, seed=seed)
-        qn = _sym(R, q, n, separator=q_sep, seed=seed)
+    for n in _sweep("nmax", nmax):
+        pn = _sym(p, n, separator=p_sep, seed=seed)
+        qn = _sym(q, n, seed=seed)
         verdicts[n] = "pass" if qn.contains_ideal(pn) else "fail"
     return CheckReport(
         name="local-zariski-nagata",
         inputs={"p": [str(g) for g in p.gens], "q": [str(g) for g in q.gens]},
         n_range=(1, nmax),
         verdicts=verdicts,
-        relied_on=("p prime", "q prime") + tuple(sorted(R.asserted)),
+        relied_on=("p prime", "q prime") + tuple(sorted(p.algebra.asserted)),
     )
 
 
-def check_main_theorem_A(R, p, q, nmax, eS=None, p_sep="auto", q_sep="auto", seed=0):
+def check_main_theorem_A(p, q, nmax, eS=None, seed=0):
     """p^(e(S)n+1) inside q^(n), and the chain p^(2e(S)n) inside p^(e(S)n+1),
-    where S is the projective closure of R and all powers are symbolic."""
+    where S is the projective closure of p's ring and all powers are symbolic."""
+    sweep = _sweep("nmax", nmax)
     if eS is None:
-        eS, _ = graded_multiplicity_of_closure(R)
+        eS, _ = graded_multiplicity_of_closure(p.algebra)
     verdicts = {}
-    for n in range(1, nmax + 1):
-        big = _sym(R, p, eS * n + 1, separator=p_sep, seed=seed)
-        qn = _sym(R, q, n, separator=q_sep, seed=seed)
-        chain = _sym(R, p, 2 * eS * n, separator=p_sep, seed=seed)
+    for n in sweep:
+        big = _sym(p, eS * n + 1, seed=seed)
+        qn = _sym(q, n, seed=seed)
+        chain = _sym(p, 2 * eS * n, seed=seed)
         ok = qn.contains_ideal(big) and big.contains_ideal(chain)
         verdicts[n] = "pass" if ok else "fail"
     return CheckReport(
@@ -121,21 +130,23 @@ def check_main_theorem_A(R, p, q, nmax, eS=None, p_sep="auto", q_sep="auto", see
         },
         n_range=(1, nmax),
         verdicts=verdicts,
-        relied_on=("p prime", "q prime", "closure normal") + tuple(sorted(R.asserted)),
+        relied_on=("p prime", "q prime", "closure normal")
+        + tuple(sorted(p.algebra.asserted)),
         details={"e(S)": eS},
     )
 
 
-def check_uniform_izumi_multiplicity(R, q, fs, C=None, seed=0):
-    """e(R/fR at the origin) <= C * ord_q(f) for each listed f, with ord_q
-    swept up to symbolic.DEFAULT_NMAX."""
+def check_uniform_izumi_multiplicity(q, fs, C=None, seed=0):
+    """e(R/fR at the origin) <= C * ord_q(f) for each listed f, R the ring
+    of q, with ord_q swept up to symbolic.DEFAULT_NMAX."""
+    R = q.algebra
     if C is None:
         C, _ = graded_multiplicity_of_closure(R)
     verdicts = {}
     details = {}
     for i, f in enumerate(fs):
         e_f = local_multiplicity_via_gr(R, f)
-        order, confirmed = ord_at(R, q, f, seed=seed)
+        order, confirmed = ord_at(q, f, seed=seed)
         if not confirmed:
             verdicts[i] = "budget"
             continue
@@ -151,13 +162,12 @@ def check_uniform_izumi_multiplicity(R, q, fs, C=None, seed=0):
     )
 
 
-def valuation_data_from_presentation(pres, primes, separators=None, nmax=12, seed=0):
+def valuation_data_from_presentation(pres, primes, seed=0):
     """(nu functions as orders along each prime, d_nu list) for a
     presentation with certified exceptional primes Q_i.
 
     d_nu = graded multiplicity of the presentation modulo Q_i.
     """
-    seps = separators or (None,) * len(primes)
     d = []
     for Q in primes:
         quot = AffineAlgebra(
@@ -168,29 +178,27 @@ def valuation_data_from_presentation(pres, primes, separators=None, nmax=12, see
 
     def nu(i, f):
         g = lift_to_rees(pres, f)
-        return symbolic_order_along(
-            pres.algebra, primes[i], g, nmax=nmax, separator=seps[i], seed=seed
-        )
+        return symbolic_order_along(primes[i], g, seed=seed)
 
     return nu, d
 
 
-def check_order_ideal_theorem_presentation(
-    R, I, f, pres, primes, separators=None, N=7, seed=0
-):
-    """e(R/fR) = sum over exceptional primes of nu_i(f) * d_i, with the left
-    side computed by the length sampler on the I-adic filtration."""
-    nu, d = valuation_data_from_presentation(pres, primes, separators, seed=seed)
+def check_order_ideal_theorem_presentation(I, f, pres, primes, seed=0):
+    """e(R/fR) = sum over exceptional primes of nu_i(f) * d_i, R the ring of
+    I, with the left side computed by the length sampler on the I-adic
+    filtration up to ORDER_IDEAL_N."""
+    R = I.algebra
+    nu, d = valuation_data_from_presentation(pres, primes, seed=seed)
     values = [nu(i, f) for i in range(len(primes))]
     rhs = sum(v * di for v, di in zip(values, d))
     dim = krull_dim(Ideal(R, (f,)))
-    table = length_sampler(R, I, f=f, N=N)
+    table = length_sampler(R, I, f=f, N=ORDER_IDEAL_N)
     e_lhs, stabilized = multiplicity_from_table(table, dim)
     verdict = "budget" if not stabilized else ("pass" if e_lhs == rhs else "fail")
     return CheckReport(
         name="order-ideal-theorem",
         inputs={"f": str(f), "I": [str(g) for g in I.gens]},
-        n_range=(1, N),
+        n_range=(1, ORDER_IDEAL_N),
         verdicts={1: verdict},
         relied_on=("presentation normal", "Q_i prime") + tuple(sorted(R.asserted)),
         details={
@@ -225,11 +233,11 @@ def check_order_ideal_theorem_graded(S, F):
     )
 
 
-def check_izumi_valuation_bound(pres, primes, fs, E, separators=None, nmax=12, seed=0):
+def check_izumi_valuation_bound(pres, primes, fs, E, seed=0):
     """nu_i(f) <= E * nu_j(f) for all prime pairs and listed f."""
     if len(primes) < 2:
         raise PreconditionError("need at least two exceptional primes")
-    nu, _d = valuation_data_from_presentation(pres, primes, separators, nmax, seed)
+    nu, _d = valuation_data_from_presentation(pres, primes, seed)
     verdicts = {}
     details = {}
     for k, f in enumerate(fs):
@@ -252,13 +260,13 @@ def check_izumi_valuation_bound(pres, primes, fs, E, separators=None, nmax=12, s
     )
 
 
-def check_fixed_power_lemma(R, p, m, E, e, tmax, exponent=None, p_sep="auto", seed=0):
+def check_fixed_power_lemma(p, m, E, e, tmax, exponent=None, seed=0):
     """p^(E*t*e^2) inside m^t for t <= tmax (powers of m taken integrally
     closed by fixture assertion). exponent overrides E*t*e^2 for controls."""
     verdicts = {}
-    for t in range(1, tmax + 1):
+    for t in _sweep("tmax", tmax):
         k = exponent(t) if exponent is not None else E * t * e * e
-        lhs = _sym(R, p, k, separator=p_sep, seed=seed)
+        lhs = _sym(p, k, seed=seed)
         rhs = m.power(t)
         verdicts[t] = "pass" if rhs.contains_ideal(lhs) else "fail"
     return CheckReport(
@@ -267,19 +275,18 @@ def check_fixed_power_lemma(R, p, m, E, e, tmax, exponent=None, p_sep="auto", se
         n_range=(1, tmax),
         verdicts=verdicts,
         relied_on=("p prime", "powers of m integrally closed")
-        + tuple(sorted(R.asserted)),
+        + tuple(sorted(p.algebra.asserted)),
     )
 
 
-def check_improved_chevalley(
-    R, p, q, constants, nmax, p_sep="auto", q_sep="auto", seed=0
-):
+def check_improved_chevalley(p, q, constants, nmax, seed=0):
     """Find t = max t' with p inside q^(t'), sweep C = 1..CHEVALLEY_C_CAP for
     the least C_emp with p^(C_emp n) inside q^(t n), and assert the formula
     constant C*E*(A+1)^2*e^2*(B+1) dominates C_emp."""
+    sweep = _sweep("nmax", nmax)
     t = 0
-    for tp in range(nmax, 0, -1):
-        if _sym(R, q, tp, separator=q_sep, seed=seed).contains_ideal(p):
+    for tp in reversed(sweep):
+        if _sym(q, tp, seed=seed).contains_ideal(p):
             t = tp
             break
     if t == 0:
@@ -287,10 +294,8 @@ def check_improved_chevalley(
     c_emp = None
     for C in range(1, CHEVALLEY_C_CAP + 1):
         if all(
-            _sym(R, q, t * n, separator=q_sep, seed=seed).contains_ideal(
-                _sym(R, p, C * n, separator=p_sep, seed=seed)
-            )
-            for n in range(1, nmax + 1)
+            _sym(q, t * n, seed=seed).contains_ideal(_sym(p, C * n, seed=seed))
+            for n in sweep
         ):
             c_emp = C
             break
@@ -312,7 +317,7 @@ def check_improved_chevalley(
         },
         n_range=(1, nmax),
         verdicts={1: "pass" if ok else ("budget" if c_emp is None else "fail")},
-        relied_on=("p prime", "q prime") + tuple(sorted(R.asserted)),
+        relied_on=("p prime", "q prime") + tuple(sorted(p.algebra.asserted)),
         details={"t": t, "C_emp": c_emp, "formula_constant": formula},
     )
 

@@ -168,8 +168,8 @@ def test_acceptance_04_order_ideal_theorem(paper):
     second_diffs = [t[1] for t in table]
     for _ in range(2):
         second_diffs = [b - a for a, b in zip(second_diffs, second_diffs[1:])]
-    nu1 = symbolic_order_along(paper["pres"].algebra, paper["Q1"], lift_to_rees(paper["pres"], x1))
-    nu2 = symbolic_order_along(paper["pres"].algebra, paper["Q2"], lift_to_rees(paper["pres"], x1))
+    nu1 = symbolic_order_along(paper["Q1"], lift_to_rees(paper["pres"], x1))
+    nu2 = symbolic_order_along(paper["Q2"], lift_to_rees(paper["pres"], x1))
     d = [
         multiplicity_graded(
             AffineAlgebra(
@@ -197,24 +197,24 @@ def test_acceptance_05_izumi_tightness(paper):
     x1, x2, x3 = ring.gens()
     eS, _ = graded_multiplicity_of_closure(R)
     g = lift_to_rees(pres, x1)
-    nu1 = symbolic_order_along(pres.algebra, paper["Q1"], g)
-    nu2 = symbolic_order_along(pres.algebra, paper["Q2"], g)
+    nu1 = symbolic_order_along(paper["Q1"], g)
+    nu2 = symbolic_order_along(paper["Q2"], g)
     tight = nu1 == 2 and nu1 == (eS - 1) * nu2
     report = check_uniform_izumi_multiplicity(
-        R, m, [x1, x2, x3, x3**2, x1 + x3, x1 * x2], C=eS
+        m, [x1, x2, x3, x3**2, x1 + x3, x1 * x2], C=eS
     )
     _verdict(5, "Izumi tightness and Theorem B inequality", tight and report.passed)
 
 
 def test_acceptance_06_main_theorem_a_sweep(paper):
     R, m, p = paper["R"], paper["m"], paper["p"]
-    report = check_main_theorem_A(R, p, m, 3)
+    report = check_main_theorem_A(p, m, 3)
     ok = report.passed and report.details["e(S)"] == 3
     # explicit GB containments of the stated chain, n = 1..3
     for n in (1, 2, 3):
-        big = symbolic_power(R, p, 3 * n + 1)[0]
-        chain = symbolic_power(R, p, 6 * n)[0]
-        mn = symbolic_power(R, m, n)[0]
+        big = symbolic_power(p, 3 * n + 1)[0]
+        chain = symbolic_power(p, 6 * n)[0]
+        mn = symbolic_power(m, n)[0]
         ok = ok and mn.contains_ideal(big) and big.contains_ideal(chain)
     _verdict(6, "Main Theorem A sweep", ok)
 
@@ -225,13 +225,13 @@ def test_acceptance_07_symbolic_powers():
     x, y, z = pring.gens()
     P = Ideal(palg, (x, y))
     ok = all(
-        symbolic_power(palg, P, n)[0].equals(P.power(n)) for n in range(1, 5)
+        symbolic_power(P, n)[0].equals(P.power(n)) for n in range(1, 5)
     )
     tring = PolyRing(("t",), QQ, GrevLex())
     t = tring.gen("t")
     curve = kernel_of_map(("x", "y", "z"), AffineAlgebra(tring), [t**3, t**4, t**5])
     alg = curve.algebra
-    p2, cert = symbolic_power(alg, curve, 2, separator=alg.ring.gen("x"))
+    p2, cert = symbolic_power(curve, 2, separator=alg.ring.gen("x"))
     sq = curve.power(2)
     strict = p2.contains_ideal(sq) and not sq.contains_ideal(p2)
     _verdict(
@@ -280,7 +280,7 @@ def test_acceptance_09_bound_finders(paper):
         A = find_min_artin_rees(c, I, 4)
         ok = ok and A is not None and A <= 4
     constants = UniformConstants(A=1, B=1, C=3, E=2, e=2)
-    report = check_improved_chevalley(paper["R"], paper["p"], paper["m"], constants, 3)
+    report = check_improved_chevalley(paper["p"], paper["m"], constants, 3)
     ok = (
         ok
         and report.passed

@@ -144,6 +144,19 @@ def test_no_answer_carries_into_a_later_run():
         "briancon-skoda m 0",
         "briancon-skoda m -1",
         "symbolic_power m 2",
+        # an empty sweep would pass vacuously
+        "check zariski-nagata --p m --q m --nmax 0",
+        "check zariski-nagata --p m --q m --nmax -2",
+        "check main-a --p m --q m --nmax 0",
+        "check chevalley --p m --q m --nmax 0",
+        # arguments the command does not read
+        "ord m x*y --nmx 2",
+        "gb m extra",
+        "gb m --what 1",
+        "gb --ideal m",
+        "multiplicity m",
+        "check main-a extra --p m --q m --nmax 1",
+        "check zariski-nagata --p m --q m --fs x",
     ],
 )
 def test_malformed_command_recorded(command):
@@ -152,6 +165,13 @@ def test_malformed_command_recorded(command):
     assert not ok
     assert "error" in report["commands"][0]
     assert "result" in report["commands"][1]
+
+
+def test_unread_argument_error_names_it():
+    s = parse_session("ring { vars: x y }\nideal m = x, y\ncmd: ord m x*y --nmx 2")
+    report, ok = run(s)
+    assert not ok
+    assert "nmx" in report["commands"][0]["error"]
 
 
 @pytest.mark.parametrize("command", ["power m -1", "closure m -2"])

@@ -30,7 +30,7 @@ def test_variable_prime_symbolic_equals_ordinary(poly_xyz):
     x, y, z = poly_xyz.ring.gens()
     P = Ideal(poly_xyz, (x, y))
     for n in range(1, 5):
-        power, cert = symbolic_power(poly_xyz, P, n)
+        power, cert = symbolic_power(P, n)
         assert cert["status"] == "exact"
         assert power.equals(P.power(n))
 
@@ -38,18 +38,33 @@ def test_variable_prime_symbolic_equals_ordinary(poly_xyz):
 def test_symbolic_power_n1_is_the_prime(paper_ring):
     x1, x3 = paper_ring.ring.gen("x1"), paper_ring.ring.gen("x3")
     P = Ideal(paper_ring, (x1, x3))
-    power, cert = symbolic_power(paper_ring, P, 1)
+    power, cert = symbolic_power(P, 1)
     assert power.equals(P) and cert["status"] == "exact"
 
 
 def test_curve_prime_strict_containment():
     alg, P = curve_345()
     x = alg.ring.gen("x")
-    p2, cert = symbolic_power(alg, P, 2, separator=x)
+    p2, cert = symbolic_power(P, 2, separator=x)
     assert cert["status"] == "exact"
     sq = P.power(2)
     assert p2.contains_ideal(sq)
     assert not sq.contains_ideal(p2)  # strictly bigger
+
+
+def test_separator_none_is_refused():
+    # saturating by nothing would certify the unsaturated P^2, which is not
+    # P^(2) for the curve prime (test above)
+    _, P = curve_345()
+    with pytest.raises(PreconditionError, match="separator"):
+        symbolic_power(P, 2, separator=None)
+
+
+def test_symbolic_power_lives_in_the_primes_algebra(paper_ring):
+    x1, x3 = paper_ring.ring.gen("x1"), paper_ring.ring.gen("x3")
+    P = Ideal(paper_ring, (x1, x3))
+    for n in range(4):
+        assert symbolic_power(P, n)[0].algebra is paper_ring
 
 
 CURVE_UNIT_SEPARATOR = """\
@@ -83,14 +98,14 @@ def test_screen_saturation_depth_matches_colon(paper_ring):
     x1, x3 = paper_ring.ring.gen("x1"), paper_ring.ring.gen("x3")
     p = Ideal(paper_ring, (x1, x3))
     cases = [
-        (alg, P, P.power(2).saturate(x)[0]),
-        (alg, P, P.power(3).saturate(x)[0]),
-        (alg, P, P.power(2)),
-        (paper_ring, p, p.power(2)),
+        (P, P.power(2).saturate(x)[0]),
+        (P, P.power(3).saturate(x)[0]),
+        (P, P.power(2)),
+        (p, p.power(2)),
     ]
     verdicts = set()
-    for algebra, prime, I in cases:
-        for g in symbolic._random_elements(algebra, prime, 3, seed=0):
+    for prime, I in cases:
+        for g in symbolic._random_elements(prime, 3, seed=0):
             passes = I.saturate(g)[1] == 0
             assert passes == I.quotient(g).equals(I)
             verdicts.add(passes)
@@ -101,21 +116,21 @@ def test_checks_refuse_a_downgraded_symbolic_power():
     alg, P = curve_345()
     x = alg.ring.gen("x")
     with pytest.raises(PreconditionError, match="downgraded"):
-        verify._sym(alg, P, 2, separator=x + 1)
+        verify._sym(P, 2, separator=x + 1)
 
 
 def test_symbolic_powers_are_cached_on_the_prime_handle(paper_ring):
     x1, x3 = paper_ring.ring.gen("x1"), paper_ring.ring.gen("x3")
     P = Ideal(paper_ring, (x1, x3))
-    first, _ = symbolic_power(paper_ring, P, 2)
-    assert symbolic_power(paper_ring, P, 2)[0] is first
-    assert symbolic_power(paper_ring, Ideal(paper_ring, P.gens), 2)[0] is not first
+    first, _ = symbolic_power(P, 2)
+    assert symbolic_power(P, 2)[0] is first
+    assert symbolic_power(Ideal(paper_ring, P.gens), 2)[0] is not first
 
 
 def test_containment_chain(paper_ring):
     x1, x3 = paper_ring.ring.gen("x1"), paper_ring.ring.gen("x3")
     P = Ideal(paper_ring, (x1, x3))
-    powers = [symbolic_power(paper_ring, P, n)[0] for n in range(1, 5)]
+    powers = [symbolic_power(P, n)[0] for n in range(1, 5)]
     for n in range(1, 5):
         assert powers[n - 1].contains_ideal(P.power(n))
     for n in range(1, 4):
@@ -125,7 +140,7 @@ def test_containment_chain(paper_ring):
 def test_symbolic_product_containment(paper_ring):
     x1, x3 = paper_ring.ring.gen("x1"), paper_ring.ring.gen("x3")
     P = Ideal(paper_ring, (x1, x3))
-    cache = {n: symbolic_power(paper_ring, P, n)[0] for n in range(1, 5)}
+    cache = {n: symbolic_power(P, n)[0] for n in range(1, 5)}
     for a in range(1, 3):
         for b in range(1, 5 - a):
             assert cache[a + b].contains_ideal(cache[a].product(cache[b]))
@@ -135,7 +150,7 @@ def test_separator_must_avoid_prime(poly_xyz):
     x, y, _ = poly_xyz.ring.gens()
     P = Ideal(poly_xyz, (x, y))
     with pytest.raises(PreconditionError):
-        symbolic_power(poly_xyz, P, 2, separator=x)
+        symbolic_power(P, 2, separator=x)
 
 
 def test_auto_separator_needs_recognizable_shape(poly_xyz):
@@ -143,21 +158,21 @@ def test_auto_separator_needs_recognizable_shape(poly_xyz):
     # dim of quotient is 2: auto rule refuses
     P = Ideal(poly_xyz, (x,))
     with pytest.raises(PreconditionError):
-        symbolic_power(poly_xyz, P, 2)
+        symbolic_power(P, 2)
 
 
 def test_ord_at_paper_values(paper_ring, paper_m):
     x1, x2, x3 = paper_ring.ring.gens()
-    assert ord_at(paper_ring, paper_m, x1) == (1, True)
-    assert ord_at(paper_ring, paper_m, x1 * x2) == (3, True)
-    assert ord_at(paper_ring, paper_m, x3**2) == (2, True)
+    assert ord_at(paper_m, x1) == (1, True)
+    assert ord_at(paper_m, x1 * x2) == (3, True)
+    assert ord_at(paper_m, x3**2) == (2, True)
     with pytest.raises(PreconditionError):
-        ord_at(paper_ring, paper_m, paper_ring.ring.zero)
+        ord_at(paper_m, paper_ring.ring.zero)
 
 
 def test_ord_nmax_flag(paper_ring, paper_m):
     x1 = paper_ring.ring.gen("x1")
-    n, confirmed = ord_at(paper_ring, paper_m, x1**3, nmax=2)
+    n, confirmed = ord_at(paper_m, x1**3, nmax=2)
     assert n == 2 and not confirmed
 
 
@@ -176,9 +191,9 @@ def test_ord_superadditive_random(paper_ring, paper_m):
         if paper_ring.reduce(f).is_zero() or paper_ring.reduce(g).is_zero():
             continue
         pairs += 1
-        of, _ = ord_at(paper_ring, paper_m, f, nmax=8)
-        og, _ = ord_at(paper_ring, paper_m, g, nmax=8)
-        ofg, _ = ord_at(paper_ring, paper_m, f * g, nmax=8)
+        of, _ = ord_at(paper_m, f, nmax=8)
+        og, _ = ord_at(paper_m, g, nmax=8)
+        ofg, _ = ord_at(paper_m, f * g, nmax=8)
         assert ofg >= of + og
 
 
@@ -190,10 +205,10 @@ def test_symbolic_order_along_paper_values(paper_ring, paper_m):
     Q2 = Ideal(alg, (u, y2))
     x1 = paper_ring.ring.gen("x1")
     g = lift_to_rees(pres, x1)
-    assert symbolic_order_along(alg, Q1, g) == 2
-    assert symbolic_order_along(alg, Q2, g) == 1
-    assert symbolic_order_along(alg, Q1, u) == 1
-    assert symbolic_order_along(alg, Q2, u) == 1
+    assert symbolic_order_along(Q1, g) == 2
+    assert symbolic_order_along(Q2, g) == 1
+    assert symbolic_order_along(Q1, u) == 1
+    assert symbolic_order_along(Q2, u) == 1
 
 
 def test_symbolic_order_along_height_screen(paper_ring, paper_m):
@@ -202,4 +217,4 @@ def test_symbolic_order_along_height_screen(paper_ring, paper_m):
     u, y1, y2 = alg.ring.gen("u"), alg.ring.gen("y1"), alg.ring.gen("y2")
     not_height_one = Ideal(alg, (u, y1, y2))
     with pytest.raises(PreconditionError):
-        symbolic_order_along(alg, not_height_one, u)
+        symbolic_order_along(not_height_one, u)

@@ -44,7 +44,7 @@ def test_zariski_nagata_variable_primes(poly_xyz):
     x, y, z = poly_xyz.ring.gens()
     p = Ideal(poly_xyz, (x, y))
     q = Ideal(poly_xyz, (x, y, z))
-    report = check_local_zariski_nagata(poly_xyz, p, q, 4)
+    report = check_local_zariski_nagata(p, q, 4)
     assert report.passed
     assert report.verdicts == {n: "pass" for n in range(1, 5)}
 
@@ -56,7 +56,7 @@ def test_zariski_nagata_curve_prime():
     alg = P.algebra
     x, y, z = alg.ring.gens()
     M = Ideal(alg, (x, y, z))
-    report = check_local_zariski_nagata(alg, P, M, 3, p_sep=x)
+    report = check_local_zariski_nagata(P, M, 3, p_sep=x)
     assert report.passed
 
 
@@ -65,18 +65,34 @@ def test_zariski_nagata_precondition(poly_xyz):
     p = Ideal(poly_xyz, (x, y))
     q = Ideal(poly_xyz, (x, z))
     with pytest.raises(PreconditionError):
-        check_local_zariski_nagata(poly_xyz, p, q, 2)
+        check_local_zariski_nagata(p, q, 2)
+
+
+@pytest.mark.parametrize("bound", [0, -1])
+def test_empty_sweeps_are_refused(poly_xyz, bound):
+    x, y, z = poly_xyz.ring.gens()
+    p = Ideal(poly_xyz, (x, y))
+    m = Ideal(poly_xyz, (x, y, z))
+    constants = UniformConstants()
+    with pytest.raises(PreconditionError, match="nmax must be at least 1"):
+        check_local_zariski_nagata(p, m, bound)
+    with pytest.raises(PreconditionError, match="nmax must be at least 1"):
+        check_main_theorem_A(p, m, bound, eS=1)
+    with pytest.raises(PreconditionError, match="nmax must be at least 1"):
+        check_improved_chevalley(p, m, constants, bound)
+    with pytest.raises(PreconditionError, match="tmax must be at least 1"):
+        check_fixed_power_lemma(p, m, E=1, e=1, tmax=bound)
 
 
 def test_main_theorem_a_sweep(paper_ring, paper_m, paper_setup):
     _, _, p = paper_setup
-    report = check_main_theorem_A(paper_ring, p, paper_m, 3)
+    report = check_main_theorem_A(p, paper_m, 3)
     assert report.passed
     assert report.details["e(S)"] == 3
     # monotone by construction: passing at nmax means every smaller n passed
     assert set(report.verdicts) == {1, 2, 3}
     # p = q degenerate case
-    same = check_main_theorem_A(paper_ring, paper_m, paper_m, 1)
+    same = check_main_theorem_A(paper_m, paper_m, 1)
     assert same.passed
 
 
@@ -84,7 +100,7 @@ def test_izumi_multiplicity_bound(paper_ring, paper_m):
     ring = paper_ring.ring
     x1, x2, x3 = ring.gens()
     fs = [x1, x2, x3, x3**2, x1 + x3, x1 * x2]
-    report = check_uniform_izumi_multiplicity(paper_ring, paper_m, fs)
+    report = check_uniform_izumi_multiplicity(paper_m, fs)
     assert report.passed
     assert report.details["x1"] == {"e": 3, "ord": 1, "bound": 3}  # tight
     assert report.details["x1*x2"] == {"e": 6, "ord": 3, "bound": 9}
@@ -93,9 +109,7 @@ def test_izumi_multiplicity_bound(paper_ring, paper_m):
 def test_order_ideal_theorem_presentation_route(paper_ring, paper_m, paper_setup):
     pres, primes, _ = paper_setup
     x1 = paper_ring.ring.gen("x1")
-    report = check_order_ideal_theorem_presentation(
-        paper_ring, paper_m, x1, pres, list(primes)
-    )
+    report = check_order_ideal_theorem_presentation(paper_m, x1, pres, list(primes))
     assert report.passed
     assert report.details["nu"] == [2, 1]
     assert report.details["d"] == [1, 1]
@@ -135,7 +149,7 @@ def test_multiplicity_bound_implies_valuation_bound(paper_ring, paper_m, paper_s
     # valuation bound, both tight on f = x1
     pres, primes, _ = paper_setup
     x1 = paper_ring.ring.gen("x1")
-    mult = check_uniform_izumi_multiplicity(paper_ring, paper_m, [x1], C=3)
+    mult = check_uniform_izumi_multiplicity(paper_m, [x1], C=3)
     val = check_izumi_valuation_bound(pres, list(primes), [x1], E=2)
     assert mult.passed and val.passed
     assert mult.details["x1"]["e"] == mult.details["x1"]["bound"]
@@ -147,15 +161,15 @@ def test_fixed_power_lemma(poly_xyz, paper_ring, paper_m, paper_setup):
     x, y, z = poly_xyz.ring.gens()
     p = Ideal(poly_xyz, (x, y))
     m = Ideal(poly_xyz, (x, y, z))
-    trivial = check_fixed_power_lemma(poly_xyz, p, m, E=1, e=1, tmax=3)
+    trivial = check_fixed_power_lemma(p, m, E=1, e=1, tmax=3)
     assert trivial.passed
     _, _, pp = paper_setup
-    singular = check_fixed_power_lemma(paper_ring, pp, paper_m, E=2, e=2, tmax=1)
+    singular = check_fixed_power_lemma(pp, paper_m, E=2, e=2, tmax=1)
     assert singular.passed
     # negative control: exponent t instead of E*t*e^2 fails on the
     # singular fixture (x1 lies in p^(2) but not in m^2)
     control = check_fixed_power_lemma(
-        paper_ring, pp, paper_m, E=2, e=2, tmax=2, exponent=lambda t: t
+        pp, paper_m, E=2, e=2, tmax=2, exponent=lambda t: t
     )
     assert control.verdicts[2] == "fail"
 
@@ -163,20 +177,19 @@ def test_fixed_power_lemma(poly_xyz, paper_ring, paper_m, paper_setup):
 def test_improved_chevalley(paper_ring, paper_m, paper_setup):
     _, _, p = paper_setup
     constants = UniformConstants(A=1, B=1, C=3, E=2, e=2)
-    report = check_improved_chevalley(paper_ring, p, paper_m, constants, 3)
+    report = check_improved_chevalley(p, paper_m, constants, 3)
     assert report.passed
     assert report.details["t"] == 1
     assert report.details["C_emp"] is not None
     assert report.details["formula_constant"] >= report.details["C_emp"]
     # p = q degenerate case: t = 1 and C_emp = 1
-    same = check_improved_chevalley(paper_ring, paper_m, paper_m, constants, 2)
+    same = check_improved_chevalley(paper_m, paper_m, constants, 2)
     assert same.passed and same.details["C_emp"] == 1
     # regular fixture: C_emp bounded by the dimension
     plane_ring = PolyRing(("x", "y", "z"), QQ, GrevLex())
     plane = AffineAlgebra(plane_ring)
     xx, yy, zz = plane_ring.gens()
     reg = check_improved_chevalley(
-        plane,
         Ideal(plane, (xx, yy)),
         Ideal(plane, (xx, yy, zz)),
         constants,
@@ -196,7 +209,7 @@ def test_compute_normalized_ord(poly_xy):
 def test_report_serialization(poly_xyz):
     x, y, z = poly_xyz.ring.gens()
     report = check_local_zariski_nagata(
-        poly_xyz, Ideal(poly_xyz, (x,)), Ideal(poly_xyz, (x, y)), 2, p_sep=y
+        Ideal(poly_xyz, (x,)), Ideal(poly_xyz, (x, y)), 2, p_sep=y
     )
     blob = report.to_dict()
     assert blob["check"] == "local-zariski-nagata"
