@@ -30,18 +30,35 @@ from .errors import BudgetExceededError, RingMismatchError
 
 DEFAULT_BUDGET = 10**6
 
-# one-element list holding the steps left in the innermost scope
-_steps_left = ContextVar("reduction_steps_left", default=None)
+
+class Work:
+    """The reduction steps a budget scope allows, and the work done in it."""
+
+    __slots__ = ("budget", "pairs", "divisions", "steps")
+
+    def __init__(self, budget):
+        self.budget = budget
+        self.pairs = 0  # S-pairs reduced
+        self.divisions = 0  # runs of the division loop
+        self.steps = 0  # reduction steps taken
+
+
+# the work record of the innermost scope
+_work = ContextVar("groebner_work", default=None)
 
 
 @contextmanager
 def budget(n):
-    """Scope in which all Groebner computations together may take n reduction steps."""
-    token = _steps_left.set([n])
+    """Scope in which all Groebner computations together may take n reduction steps.
+
+    Yields the scope's Work record.
+    """
+    work = Work(n)
+    token = _work.set(work)
     try:
-        yield
+        yield work
     finally:
-        _steps_left.reset(token)
+        _work.reset(token)
 
 
 def _budgeted(fn):
@@ -49,7 +66,7 @@ def _budgeted(fn):
 
     @wraps(fn)
     def wrapper(*args, **kwargs):
-        if _steps_left.get() is not None:
+        if _work.get() is not None:
             return fn(*args, **kwargs)
         with budget(DEFAULT_BUDGET):
             return fn(*args, **kwargs)
@@ -111,7 +128,8 @@ def normal_form(f, G, selector=None):
     ring = f.ring
     field = ring.field
     fadd, fmul = field.add, field.mul
-    left = _steps_left.get()
+    record = _work.get()
+    record.divisions += 1
     # monic g is (L*lead + tail) / L; the work is numerators over den
     reducers = [g.cleared() for g in polys if not g.is_zero()]
     order_key = ring.order.key
@@ -134,8 +152,8 @@ def normal_form(f, G, selector=None):
             remainder[e] = field.fraction(c, den)
             continue
         lt, L, tail = r
-        left[0] -= 1
-        if left[0] < 0:
+        record.steps += 1
+        if record.steps > record.budget:
             raise BudgetExceededError("reduction-step budget exhausted")
         # scale the work by s = L/h so that (c/h)*(L*lead + tail) cancels c;
         # L = 1 over Fp, so s = 1 there
@@ -222,6 +240,7 @@ def buchberger(gens):
                     break
         if skip:
             continue
+        _work.get().pairs += 1
         r = normal_form(s_polynomial(fi, fj), basis)
         if not r.is_zero():
             append(r)

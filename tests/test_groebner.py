@@ -210,6 +210,25 @@ def test_pair_order_work_counts(
     assert (len(G), counts["s"], counts["nf"]) == (basis_len, s_polys, normal_forms)
 
 
+@pytest.mark.parametrize(
+    "system, budget_n",
+    [
+        (_cyclic4, 30),
+        (_katsura3, 95),
+        (lambda: _katsura3(PrimeField(32003)), 95),
+        (_monomial_cube, 0),
+    ],
+    ids=["cyclic4", "katsura3", "katsura3_fp", "monomial_cube"],
+)
+def test_work_record_matches_counted_calls(system, budget_n, monkeypatch):
+    # the scope's record counts what wrapping the module functions counts,
+    # and a least completing budget is spent to the last step
+    counts = _count_work(monkeypatch)
+    with groebner.budget(budget_n) as work:
+        buchberger(system())
+    assert (work.pairs, work.divisions, work.steps) == (counts["s"], counts["nf"], budget_n)
+
+
 def test_monomial_basis_work_counts(monkeypatch):
     # a monomial ideal's reduced basis is its minimal generators: no pair
     # is formed, nothing is divided and no reduction step is drawn
