@@ -186,7 +186,7 @@ def _count_work(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "system, basis_len, s_polys, normal_forms, least_budget",
+    "system, basis_len, pairs, divisions, least_budget",
     [
         (_cyclic4, 7, 8, 19, 30),
         (_katsura3, 7, 8, 19, 95),
@@ -194,20 +194,21 @@ def _count_work(monkeypatch):
     ],
     ids=["cyclic4", "katsura3", "katsura3_fp"],
 )
-def test_pair_order_work_counts(
-    system, basis_len, s_polys, normal_forms, least_budget, monkeypatch
-):
+def test_pair_order_work_counts(system, basis_len, pairs, divisions, least_budget):
     # the chain criterion skips a pair only against pairs already done, so
     # these counts move if buchberger takes its pairs in another order;
     # the budget is one tick per reduction step, so the least budget that
     # completes pins the number of steps
     with pytest.raises(BudgetExceededError), groebner.budget(least_budget - 1):
         buchberger(system())
-    with groebner.budget(least_budget):
-        buchberger(system())
-    counts = _count_work(monkeypatch)
-    G = buchberger(system())
-    assert (len(G), counts["s"], counts["nf"]) == (basis_len, s_polys, normal_forms)
+    with groebner.budget(least_budget) as work:
+        G = buchberger(system())
+    assert (len(G), work.pairs, work.divisions, work.steps) == (
+        basis_len,
+        pairs,
+        divisions,
+        least_budget,
+    )
 
 
 @pytest.mark.parametrize(
@@ -229,13 +230,12 @@ def test_work_record_matches_counted_calls(system, budget_n, monkeypatch):
     assert (work.pairs, work.divisions, work.steps) == (counts["s"], counts["nf"], budget_n)
 
 
-def test_monomial_basis_work_counts(monkeypatch):
+def test_monomial_basis_work_counts():
     # a monomial ideal's reduced basis is its minimal generators: no pair
     # is formed, nothing is divided and no reduction step is drawn
-    counts = _count_work(monkeypatch)
-    with groebner.budget(0):
+    with groebner.budget(0) as work:
         G = buchberger(_monomial_cube())
-    assert (len(G), counts["s"], counts["nf"]) == (16, 0, 0)
+    assert (len(G), work.pairs, work.divisions, work.steps) == (16, 0, 0, 0)
 
 
 _MONOMIAL_ORDERS = [GrevLex(), Lex(), Block(1)]
