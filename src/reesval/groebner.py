@@ -125,7 +125,11 @@ def normal_form(f, G, selector=None):
     polys = G.polys if isinstance(G, GroebnerBasis) else tuple(G)
     if polys:
         _check_ring(polys[0].ring, (f,) + tuple(polys))
-    ring = f.ring
+    return _divide(f.ring, *f.ring.field.clear(f.terms), polys, selector)
+
+
+def _divide(ring, den, work, polys, selector):
+    """Remainder of work/den on division by polys; work maps exponents to numerators."""
     field = ring.field
     fadd, fmul = field.add, field.mul
     record = _work.get()
@@ -133,7 +137,6 @@ def normal_form(f, G, selector=None):
     # monic g is (L*lead + tail) / L; the work is numerators over den
     reducers = [g.cleared() for g in polys if not g.is_zero()]
     order_key = ring.order.key
-    den, work = field.clear(f.terms)
     heap = [(tuple(map(neg, order_key(e))), e) for e in work]
     heapq.heapify(heap)
     remainder = {}
@@ -176,6 +179,27 @@ def normal_form(f, G, selector=None):
                 else:
                     del work[ne]
     return ring.poly_from_dict(remainder)
+
+
+def _s_pair(f, g):
+    """S-polynomial of monic f and g as (den, numerators), from their cleared tails.
+
+    With f = (L_f*lead_f + tail_f) / L_f and den = lcm(L_f, L_g), den times the
+    S-polynomial is tail_f shifted to the lcm of the leads and scaled by
+    den/L_f, minus tail_g likewise: the leads cancel by construction.
+    """
+    (ef, lf, tf), (eg, lg, tg) = f.cleared(), g.cleared()
+    m, den = _lcm(ef, eg), lf // gcd(lf, lg) * lg
+    fadd, fmul = f.ring.field.add, f.ring.field.mul
+    shift, q = _sub_exp(m, ef), den // lf
+    work = {tuple(map(add, e, shift)): fmul(c, q) for e, c in tf}
+    shift, q = _sub_exp(m, eg), -(den // lg)
+    for e, c in tg:
+        ne = tuple(map(add, e, shift))
+        t = fadd(work.pop(ne), fmul(c, q)) if ne in work else fmul(c, q)
+        if t:
+            work[ne] = t
+    return den, work
 
 
 def s_polynomial(f, g):
@@ -241,7 +265,7 @@ def buchberger(gens):
         if skip:
             continue
         _work.get().pairs += 1
-        r = normal_form(s_polynomial(fi, fj), basis)
+        r = _divide(ring, *_s_pair(fi, fj), basis, None)
         if not r.is_zero():
             append(r)
 

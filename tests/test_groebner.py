@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -118,6 +119,45 @@ def test_s_polynomial_cancels_leads():
     assert R.order.key(s.lead_exp) < R.order.key((2, 2))
 
 
+def _random_monic(rng, ring, maxdeg):
+    # over QQ every coefficient is c/d with d > 1, so the cleared
+    # denominators L of the monic members are not all 1
+    d = {}
+    for _ in range(rng.randint(1, 4)):
+        e = tuple(rng.randrange(maxdeg + 1) for _ in range(ring.nvars))
+        den = rng.randint(2, 9)
+        num = rng.choice([n for n in range(-9, 10) if gcd(n, den) == 1])
+        d[e] = ring.field.coerce(Fraction(num, den))
+    return ring.poly_from_dict(d).monic()
+
+
+@pytest.mark.parametrize(
+    "order, maxdeg",
+    # under lex and block, taking pairs by lcm degree lets the coefficients
+    # of some random pairs with exponents up to 3 swell past a minute's work,
+    # so there the exponents stop at 2
+    [(GrevLex(), 3), (Lex(), 2), (Block(1), 2), (Weighted((1, 2, 3)), 3)],
+    ids=["grevlex", "lex", "block", "weighted"],
+)
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=str)
+def test_s_pair_matches_s_polynomial(field, order, maxdeg):
+    # buchberger builds each S-pair as numerators over den from the cleared
+    # tails; s_polynomial, the route is_groebner takes, checks it
+    rng = random.Random(14)
+    R = PolyRing(("x", "y", "z"), field, order)
+    pairs = [[_random_monic(rng, R, maxdeg) for _ in range(2)] for trial in range(40)]
+    dens = set()
+    for f, g in pairs:
+        den, work = groebner._s_pair(f, g)
+        dens.add(den)
+        rebuilt = R.poly_from_dict({e: field.fraction(c, den) for e, c in work.items()})
+        assert rebuilt == s_polynomial(f, g)
+    # den > 1 is exercised over QQ, and over Fp every L is 1
+    assert (max(dens) > 1) == (field == QQ)
+    for gens in pairs:
+        assert is_groebner(buchberger(gens))
+
+
 def test_budget_exhaustion_raises():
     R = PolyRing(("x", "y", "z"), QQ, GrevLex())
     x, y, z = R.gens()
@@ -168,20 +208,20 @@ def _monomial_cube():
 
 
 def _count_work(monkeypatch):
-    """Count the S-polynomials and normal forms buchberger computes."""
-    counts = {"s": 0, "nf": 0}
-    real_s, real_nf = groebner.s_polynomial, groebner.normal_form
+    """Count the S-pairs buchberger builds and the division loops it runs."""
+    counts = {"s": 0, "div": 0}
+    real_s, real_div = groebner._s_pair, groebner._divide
 
-    def counting_s(*args, **kwargs):
+    def counting_s(*args):
         counts["s"] += 1
-        return real_s(*args, **kwargs)
+        return real_s(*args)
 
-    def counting_nf(*args, **kwargs):
-        counts["nf"] += 1
-        return real_nf(*args, **kwargs)
+    def counting_div(*args):
+        counts["div"] += 1
+        return real_div(*args)
 
-    monkeypatch.setattr(groebner, "s_polynomial", counting_s)
-    monkeypatch.setattr(groebner, "normal_form", counting_nf)
+    monkeypatch.setattr(groebner, "_s_pair", counting_s)
+    monkeypatch.setattr(groebner, "_divide", counting_div)
     return counts
 
 
@@ -227,7 +267,7 @@ def test_work_record_matches_counted_calls(system, budget_n, monkeypatch):
     counts = _count_work(monkeypatch)
     with groebner.budget(budget_n) as work:
         buchberger(system())
-    assert (work.pairs, work.divisions, work.steps) == (counts["s"], counts["nf"], budget_n)
+    assert (work.pairs, work.divisions, work.steps) == (counts["s"], counts["div"], budget_n)
 
 
 def test_monomial_basis_work_counts():
@@ -300,13 +340,13 @@ def test_pair_order_tie_breaks(monkeypatch):
     # counts miss a change in how pairs of equal lcm degree are ordered;
     # the S-pairs of cyclic-4 in the order taken catch it
     taken = []
-    real = groebner.s_polynomial
+    real = groebner._s_pair
 
     def recording(f, g):
         taken.append((f.lead_exp, g.lead_exp))
         return real(f, g)
 
-    monkeypatch.setattr(groebner, "s_polynomial", recording)
+    monkeypatch.setattr(groebner, "_s_pair", recording)
     buchberger(_cyclic4())
     assert taken == [
         ((0, 2, 0, 0), (0, 1, 2, 0)),
