@@ -23,6 +23,13 @@ DEFAULT_NMAX = 12
 SCREEN_PROBES = 3
 
 
+def sweep_range(name, bound):
+    """1..bound; an empty sweep would pass vacuously, so bound < 1 is refused."""
+    if bound < 1:
+        raise PreconditionError(f"{name} must be at least 1, got {bound}")
+    return range(1, bound + 1)
+
+
 def clear_cache():
     """No-op kept for existing callers: the cache lives on each prime's handle."""
 
@@ -133,7 +140,7 @@ def ord_at(P, f, nmax=DEFAULT_NMAX, separator="auto", seed=0):
     if f.is_zero():
         raise PreconditionError("ord of zero")
     order = 0
-    for k in range(1, nmax + 1):
+    for k in sweep_range("nmax", nmax):
         power, _ = symbolic_power(P, k, separator=separator, seed=seed)
         if power.contains_poly(f):
             order = k

@@ -22,7 +22,7 @@ from .multiplicity import (
     multiplicity_graded,
 )
 from .rings import AffineAlgebra, homogenize_ideal, lift_to_rees
-from .symbolic import ord_at, symbolic_order_along, symbolic_power
+from .symbolic import ord_at, sweep_range, symbolic_order_along, symbolic_power
 
 CHEVALLEY_C_CAP = 8  # largest C_emp tried; past it the verdict is "budget"
 ORDER_IDEAL_N = 7  # length-table depth of the order-ideal check
@@ -75,11 +75,10 @@ def _sym(P, n, separator="auto", seed=0):
     return power
 
 
-def _sweep(name, bound):
-    """1..bound; an empty sweep would pass vacuously, so bound < 1 is refused."""
-    if bound < 1:
-        raise PreconditionError(f"{name} must be at least 1, got {bound}")
-    return range(1, bound + 1)
+def _require_fs(fs):
+    # a check over no polynomials would pass vacuously
+    if not fs:
+        raise PreconditionError("fs must list at least one polynomial")
 
 
 def graded_multiplicity_of_closure(R):
@@ -95,7 +94,7 @@ def check_local_zariski_nagata(p, q, nmax, p_sep="auto", seed=0):
     if not q.contains_ideal(p):
         raise PreconditionError("p is not contained in q")
     verdicts = {}
-    for n in _sweep("nmax", nmax):
+    for n in sweep_range("nmax", nmax):
         pn = _sym(p, n, separator=p_sep, seed=seed)
         qn = _sym(q, n, seed=seed)
         verdicts[n] = "pass" if qn.contains_ideal(pn) else "fail"
@@ -111,7 +110,7 @@ def check_local_zariski_nagata(p, q, nmax, p_sep="auto", seed=0):
 def check_main_theorem_A(p, q, nmax, eS=None, seed=0):
     """p^(e(S)n+1) inside q^(n), and the chain p^(2e(S)n) inside p^(e(S)n+1),
     where S is the projective closure of p's ring and all powers are symbolic."""
-    sweep = _sweep("nmax", nmax)
+    sweep = sweep_range("nmax", nmax)
     if eS is None:
         eS, _ = graded_multiplicity_of_closure(p.algebra)
     verdicts = {}
@@ -139,6 +138,7 @@ def check_main_theorem_A(p, q, nmax, eS=None, seed=0):
 def check_uniform_izumi_multiplicity(q, fs, C=None, seed=0):
     """e(R/fR at the origin) <= C * ord_q(f) for each listed f, R the ring
     of q, with ord_q swept up to symbolic.DEFAULT_NMAX."""
+    _require_fs(fs)
     R = q.algebra
     if C is None:
         C, _ = graded_multiplicity_of_closure(R)
@@ -235,6 +235,7 @@ def check_order_ideal_theorem_graded(S, F):
 
 def check_izumi_valuation_bound(pres, primes, fs, E, seed=0):
     """nu_i(f) <= E * nu_j(f) for all prime pairs and listed f."""
+    _require_fs(fs)
     if len(primes) < 2:
         raise PreconditionError("need at least two exceptional primes")
     nu, _d = valuation_data_from_presentation(pres, primes, seed)
@@ -264,7 +265,7 @@ def check_fixed_power_lemma(p, m, E, e, tmax, exponent=None, seed=0):
     """p^(E*t*e^2) inside m^t for t <= tmax (powers of m taken integrally
     closed by fixture assertion). exponent overrides E*t*e^2 for controls."""
     verdicts = {}
-    for t in _sweep("tmax", tmax):
+    for t in sweep_range("tmax", tmax):
         k = exponent(t) if exponent is not None else E * t * e * e
         lhs = _sym(p, k, seed=seed)
         rhs = m.power(t)
@@ -283,7 +284,7 @@ def check_improved_chevalley(p, q, constants, nmax, seed=0):
     """Find t = max t' with p inside q^(t'), sweep C = 1..CHEVALLEY_C_CAP for
     the least C_emp with p^(C_emp n) inside q^(t n), and assert the formula
     constant C*E*(A+1)^2*e^2*(B+1) dominates C_emp."""
-    sweep = _sweep("nmax", nmax)
+    sweep = sweep_range("nmax", nmax)
     t = 0
     for tp in reversed(sweep):
         if _sym(q, tp, seed=seed).contains_ideal(p):

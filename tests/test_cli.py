@@ -149,6 +149,8 @@ def test_no_answer_carries_into_a_later_run():
         "check zariski-nagata --p m --q m --nmax -2",
         "check main-a --p m --q m --nmax 0",
         "check chevalley --p m --q m --nmax 0",
+        "ord m x --nmax 0",
+        "ord m x --nmax -3",
         # arguments the command does not read
         "ord m x*y --nmx 2",
         "gb m extra",

@@ -174,6 +174,10 @@ def test_ord_nmax_flag(paper_ring, paper_m):
     x1 = paper_ring.ring.gen("x1")
     n, confirmed = ord_at(paper_m, x1**3, nmax=2)
     assert n == 2 and not confirmed
+    # an empty sweep would report an unconfirmed order 0
+    for nmax in (0, -3):
+        with pytest.raises(PreconditionError, match=f"nmax must be at least 1, got {nmax}"):
+            ord_at(paper_m, x1, nmax=nmax)
 
 
 def test_ord_superadditive_random(paper_ring, paper_m):

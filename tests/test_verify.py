@@ -16,6 +16,7 @@ from reesval import (
     check_uniform_izumi_multiplicity,
     compute_normalized_ord,
     extended_rees_presentation,
+    groebner,
 )
 from reesval.errors import PreconditionError
 from reesval.ideals import Ideal, kernel_of_map
@@ -104,6 +105,18 @@ def test_izumi_multiplicity_bound(paper_ring, paper_m):
     assert report.passed
     assert report.details["x1"] == {"e": 3, "ord": 1, "bound": 3}  # tight
     assert report.details["x1*x2"] == {"e": 6, "ord": 3, "bound": 9}
+
+
+def test_empty_fs_is_refused(paper_m, paper_setup):
+    # a check over no polynomials would pass vacuously; both refuse before
+    # any Groebner work
+    pres, primes, _ = paper_setup
+    with groebner.budget(0) as work:
+        with pytest.raises(PreconditionError, match="fs must list"):
+            check_uniform_izumi_multiplicity(paper_m, [])
+        with pytest.raises(PreconditionError, match="fs must list"):
+            check_izumi_valuation_bound(pres, list(primes), [], E=2)
+    assert work.divisions == 0
 
 
 def test_order_ideal_theorem_presentation_route(paper_ring, paper_m, paper_setup):
