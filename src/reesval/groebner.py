@@ -8,12 +8,17 @@ neither rescans what it has already ranked. Order keys are flat int
 tuples, so negating one entry by entry reverses its comparison.
 Over QQ, division runs on integer numerators over one common denominator,
 with each reducer cleared of denominators once (Fp: residues over 1).
+Buchberger forms each S-pair on integer numerators straight from the two
+cleared reducers and divides it in the same loop as normal_form;
+s_polynomial, in field arithmetic, is the independent route is_groebner
+takes.
 A monomial ideal skips the loop: its reduced basis is its minimal
 generators (Cox-Little-O'Shea, ch. 2 section 4), so it spends no steps.
 A reduction-step budget converts runaway inputs into a clean
 BudgetExceededError rather than a wrong answer. It is scoped, not global:
-inside `with budget(n):` every computation draws on the same n steps, and
-a call made outside any scope gets DEFAULT_BUDGET steps of its own.
+inside `with budget(n) as work:` every computation draws on the same n
+steps and counts its work in the same record, and a call made outside any
+scope gets DEFAULT_BUDGET steps and a record of its own.
 """
 
 from __future__ import annotations
