@@ -189,21 +189,20 @@ def _divide(ring, den, work, polys, selector):
 def _s_pair(f, g):
     """S-polynomial of monic f and g as (den, numerators), from their cleared tails.
 
-    With f = (L_f*lead_f + tail_f) / L_f and den = lcm(L_f, L_g), den times the
-    S-polynomial is tail_f shifted to the lcm of the leads and scaled by
-    den/L_f, minus tail_g likewise: the leads cancel by construction.
+    With den = lcm(L_f, L_g), each tail is shifted to the lcm of the leads and
+    scaled by +-den/L; the leads cancel by construction.
     """
     (ef, lf, tf), (eg, lg, tg) = f.cleared(), g.cleared()
     m, den = _lcm(ef, eg), lf // gcd(lf, lg) * lg
     fadd, fmul = f.ring.field.add, f.ring.field.mul
-    shift, q = _sub_exp(m, ef), den // lf
-    work = {tuple(map(add, e, shift)): fmul(c, q) for e, c in tf}
-    shift, q = _sub_exp(m, eg), -(den // lg)
-    for e, c in tg:
-        ne = tuple(map(add, e, shift))
-        t = fadd(work.pop(ne), fmul(c, q)) if ne in work else fmul(c, q)
-        if t:
-            work[ne] = t
+    work = {}
+    for lt, q, tail in ((ef, den // lf, tf), (eg, -(den // lg), tg)):
+        shift = _sub_exp(m, lt)
+        for e, c in tail:
+            ne = tuple(map(add, e, shift))
+            t = fadd(work.pop(ne), fmul(c, q)) if ne in work else fmul(c, q)
+            if t:
+                work[ne] = t
     return den, work
 
 

@@ -145,7 +145,7 @@ def test_s_pair_matches_s_polynomial(field, order, maxdeg):
     # tails; s_polynomial, the route is_groebner takes, checks it
     rng = random.Random(14)
     R = PolyRing(("x", "y", "z"), field, order)
-    pairs = [[_random_monic(rng, R, maxdeg) for _ in range(2)] for trial in range(40)]
+    pairs = [[_random_monic(rng, R, maxdeg) for _ in range(2)] for _ in range(40)]
     dens = set()
     for f, g in pairs:
         den, work = groebner._s_pair(f, g)
@@ -243,12 +243,8 @@ def test_pair_order_work_counts(system, basis_len, pairs, divisions, least_budge
         buchberger(system())
     with groebner.budget(least_budget) as work:
         G = buchberger(system())
-    assert (len(G), work.pairs, work.divisions, work.steps) == (
-        basis_len,
-        pairs,
-        divisions,
-        least_budget,
-    )
+    counts = (len(G), work.pairs, work.divisions, work.steps)
+    assert counts == (basis_len, pairs, divisions, least_budget)
 
 
 @pytest.mark.parametrize(
