@@ -179,13 +179,16 @@ def _coordinate(field, text):
 
 
 def _split(tokens):
-    """Split positional arguments from --flag value pairs."""
+    """Split positional arguments from --flag value pairs; a flag given
+    twice is an error, not a silent overwrite."""
     pos, flags = [], {}
     i = 0
     while i < len(tokens):
         if tokens[i].startswith("--"):
             if i + 1 >= len(tokens):
                 raise PreconditionError(f"flag {tokens[i]} needs a value")
+            if tokens[i][2:] in flags:
+                raise PreconditionError(f"bad arguments: repeated flag {tokens[i]}")
             flags[tokens[i][2:]] = tokens[i + 1]
             i += 2
         else:

@@ -62,13 +62,13 @@ class Ideal:
         return tuple(g for g in self.gens + self.algebra.modulus if not g.is_zero())
 
     def gb(self):
-        """Reduced Groebner basis of generators + modulus in the ambient ring."""
+        """Reduced Groebner basis of generators + modulus in the ambient ring;
+        with no nonzero generator, the algebra's own (cached) modulus basis."""
         if self._gb is None:
-            gens = self.ambient_gens()
-            if not gens:
-                self._gb = groebner.GroebnerBasis(ring=self.algebra.ring, polys=())
+            if any(not g.is_zero() for g in self.gens):
+                self._gb = groebner.buchberger(self.ambient_gens())
             else:
-                self._gb = groebner.buchberger(gens)
+                self._gb = self.algebra.modulus_gb()
         return self._gb
 
     def is_unit(self):

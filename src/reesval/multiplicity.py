@@ -1,20 +1,22 @@
 """Hilbert series, Hilbert-Samuel multiplicity, and the length sampler.
 
-Graded multiplicities go through the leading-term ideal and a pivot
-recursion on monomial ideals. Local multiplicities at the origin go
-through the associated graded ring of the extended Rees presentation,
-cross-checkable against finite differences of a length table.
+Every count reads one source: the cached Groebner basis of an ideal or
+algebra, whose leading-term ideal goes through a pivot recursion on
+monomial ideals. A homogeneous ideal has the Hilbert function of its
+initial ideal under any term order (Cox-Little-O'Shea, ch. 9 section 3),
+so graded multiplicity and dimension read the algebra's basis in its own
+order. Local multiplicities at the origin go through the associated
+graded ring of the extended Rees presentation, cross-checkable against
+finite differences of a length table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import groebner
 from .errors import NotHomogeneousError, PreconditionError
 from .groebner import _minimalize
 from .ideals import Ideal
-from .poly import GrevLex
 from .rings import AffineAlgebra, associated_graded, extended_rees_presentation
 
 
@@ -122,12 +124,9 @@ def hilbert_series_monomial(nvars, exps):
 
 
 def graded_invariants(S):
-    """(multiplicity, Krull dimension) of a standard graded algebra."""
-    if not S.modulus:
-        return 1, S.ring.nvars
-    # leading exponents of a degree-compatible GB of the modulus
-    ring = S.ring.with_order(GrevLex())
-    gb = groebner.buchberger([ring.convert(m) for m in S.modulus])
+    """(multiplicity, Krull dimension) of a standard graded algebra, read
+    off its modulus basis, which is homogeneous iff the modulus is."""
+    gb = S.modulus_gb()
     if any(not g.is_homogeneous() for g in gb):
         raise NotHomogeneousError("defining ideal is not homogeneous")
     hs = hilbert_series_monomial(S.ring.nvars, [g.lead_exp for g in gb])
@@ -142,20 +141,10 @@ def multiplicity_graded(S):
     return graded_invariants(S)[0]
 
 
-def krull_dim(algebra_or_ideal):
+def krull_dim(I):
     """Dimension of k[x]/(I + modulus) via the leading-term ideal."""
-    if isinstance(algebra_or_ideal, AffineAlgebra):
-        gens = algebra_or_ideal.modulus
-        nvars = algebra_or_ideal.ring.nvars
-        gb = algebra_or_ideal.modulus_gb()
-    else:
-        gens = algebra_or_ideal.ambient_gens()
-        nvars = algebra_or_ideal.algebra.ring.nvars
-        gb = algebra_or_ideal.gb()
-    if not gens:
-        return nvars
-    exps = [g.lead_exp for g in gb]
-    return hilbert_series_monomial(nvars, exps).dim
+    exps = [g.lead_exp for g in I.gb()]
+    return hilbert_series_monomial(I.algebra.ring.nvars, exps).dim
 
 
 def local_multiplicity_via_gr(R, f=None):

@@ -294,15 +294,6 @@ class PolyRing:
         terms.sort(key=lambda t: self.order.key(t[0]), reverse=True)
         return Polynomial(self, tuple(terms))
 
-    def with_order(self, order):
-        return PolyRing(self.names, self.field, order)
-
-    def convert(self, f):
-        """Re-canonicalize a polynomial from a ring with the same variables."""
-        if f.ring.names != self.names or f.ring.field != self.field:
-            raise RingMismatchError("incompatible rings")
-        return self.poly_from_dict(dict(f.terms))
-
     def parse(self, text):
         return _parse_poly(self, text)
 

@@ -181,20 +181,23 @@ def extended_rees_presentation(R, I):
     T, the y_i and u take the first of name, name_, ... that R's ring does
     not use.
     When I is generated by exactly the ring variables (maximal at the origin)
-    the base variables are eliminated too, realizing the algebra on (y, u);
-    otherwise they are retained with grading weight 0.
+    the base variables are eliminated too, realizing the algebra on (y, u),
+    with y_j standing for the j-th ring variable in whatever order I lists
+    them; otherwise they are retained with grading weight 0.
     """
     from .ideals import eliminate
 
+    ring = R.ring
     raw = tuple(I.gens)
+    variable_case = set(raw) == set(ring.gens()) and len(raw) == ring.nvars
+    if variable_case:
+        raw = tuple(ring.gens())
     gens = [R.reduce(g) for g in raw]
     if all(g.is_zero() for g in gens):
         raise PreconditionError("extended Rees presentation needs a nonzero ideal")
-    ring = R.ring
     t = len(gens)
     aux = ring.fresh_names("_T", *(f"y{i+1}" for i in range(t)), "u")
     T_name, y_names, u_name = aux[0], aux[1:-1], aux[-1]
-    variable_case = set(raw) == set(ring.gens()) and t == ring.nvars
 
     # eliminate T, and the base variables too in the variable case
     names = (T_name,) + ring.names + y_names + (u_name,)
@@ -227,19 +230,21 @@ def extended_rees_presentation(R, I):
 
 
 def associated_graded(pres):
-    """Quotient of the presentation by (u): the associated graded ring."""
-    from .ideals import Ideal
+    """Quotient of the presentation by (u): the associated graded ring.
 
-    alg = pres.algebra
-    ring = alg.ring
-    u = ring.gen(pres.u_name)
-    mod_plus_u = Ideal(alg, alg.modulus + (u,))
-    elim = mod_plus_u.eliminate({pres.u_name})
-    gr_ring = elim.algebra.ring
-    gens = tuple(g for g in elim.gens if not g.is_zero())
-    asserted = set()
-    if all(g.is_homogeneous() for g in gens) and not pres.retained:
-        asserted.add("standard_graded")
+    (J + (u)) cap k[rest] is generated by J's generators at u = 0, so gr
+    is presented under grevlex by the u-free terms of each relation. A
+    relation has one weight d (deg y = 1, deg u = -1), so those terms have
+    degree d: gr is standard graded when no base variable is retained.
+    """
+    ring = pres.algebra.ring
+    k = ring.var_index(pres.u_name)
+    gr_ring = PolyRing(ring.names[:k] + ring.names[k + 1 :], ring.field, GrevLex())
+    gens = tuple(
+        gr_ring.poly_from_dict({e[:k] + e[k + 1 :]: c for e, c in g.terms if not e[k]})
+        for g in pres.algebra.modulus
+    )
+    asserted = () if pres.retained else ("standard_graded",)
     return AffineAlgebra(gr_ring, gens, asserted=asserted)
 
 

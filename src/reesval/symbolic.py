@@ -156,7 +156,7 @@ def symbolic_order_along(Q, g, seed=0):
     first variable outside Q (validity is left to the primariness screen
     inside symbolic_power). The sweep stops at DEFAULT_NMAX.
     """
-    ambient_dim = krull_dim(Q.algebra)
+    ambient_dim = krull_dim(Ideal(Q.algebra, ()))
     if krull_dim(Q) != ambient_dim - 1:
         raise PreconditionError("Q does not have height 1 in the algebra")
     separator = first_variable_outside(Q)

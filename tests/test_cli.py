@@ -159,6 +159,8 @@ def test_no_answer_carries_into_a_later_run():
         "multiplicity m",
         "check main-a extra --p m --q m --nmax 1",
         "check zariski-nagata --p m --q m --fs x",
+        # a flag given twice
+        "ord m x --nmax 2 --nmax 9",
     ],
 )
 def test_malformed_command_recorded(command):

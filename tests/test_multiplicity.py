@@ -5,9 +5,13 @@ import pytest
 
 from reesval import (
     AffineAlgebra,
+    Block,
     GrevLex,
+    Lex,
     PolyRing,
     QQ,
+    Weighted,
+    groebner,
     hilbert_series_monomial,
     krull_dim,
     length_sampler,
@@ -16,7 +20,7 @@ from reesval import (
     multiplicity_from_table,
     multiplicity_graded,
 )
-from reesval.errors import PreconditionError
+from reesval.errors import NotHomogeneousError, PreconditionError
 from reesval.ideals import Ideal
 from reesval.multiplicity import graded_invariants
 
@@ -67,6 +71,31 @@ def test_multiplicity_graded_examples():
     G = AffineAlgebra(gring, (y1 * y2,))
     assert multiplicity_graded(G) == 2
     assert graded_invariants(G) == (2, 2)
+
+
+@pytest.mark.parametrize(
+    "order", [GrevLex(), Lex(), Block(1), Block(2), Weighted((1, 2, 3, 4))], ids=repr
+)
+def test_graded_invariants_do_not_depend_on_the_term_order(order):
+    # a homogeneous ideal has the Hilbert function of its initial ideal
+    # under any order: the projective twisted cubic has degree 3, dim 2
+    ring = PolyRing(("X0", "X1", "X2", "X3"), QQ, order)
+    cubic = ("X1^2 - X0*X2", "X1*X2 - X0*X3", "X2^2 - X1*X3")
+    S = AffineAlgebra(ring, tuple(map(ring.parse, cubic)))
+    assert graded_invariants(S) == (3, 2)
+    with pytest.raises(NotHomogeneousError):
+        graded_invariants(AffineAlgebra(ring, (ring.parse("X1^2 - X0"),)))
+
+
+def test_empty_ideal_shares_the_modulus_basis():
+    ring = PolyRing(("x", "y", "z"), QQ, GrevLex())
+    x, y, z = ring.gens()
+    A = AffineAlgebra(ring, (y - x**2, z - x**3))
+    assert Ideal(A, ()).gb() is A.modulus_gb()
+    assert Ideal(A, (ring.zero,)).gb() is A.modulus_gb()
+    with groebner.budget(10) as work:
+        assert krull_dim(Ideal(A, ())) == 1
+    assert work.divisions == 0
 
 
 def test_local_multiplicity_examples(paper_ring):
@@ -161,7 +190,7 @@ def test_gr_vs_sampler_on_fixture_rings(paper_ring):
 
 def test_krull_dim(poly_xyz, paper_ring):
     x, y, z = poly_xyz.ring.gens()
-    assert krull_dim(poly_xyz) == 3
+    assert krull_dim(Ideal(poly_xyz, ())) == 3
     assert krull_dim(Ideal(poly_xyz, (x,))) == 2
     assert krull_dim(Ideal(poly_xyz, (x, y, z))) == 0
-    assert krull_dim(paper_ring) == 2
+    assert krull_dim(Ideal(paper_ring, ())) == 2

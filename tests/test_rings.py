@@ -106,6 +106,53 @@ def test_lift_to_rees(paper_ring, paper_m):
     assert lift_to_rees(pres, x1) == ring.gen("u") * ring.gen("y1")
 
 
+def test_lift_to_rees_with_variables_out_of_order(paper_ring):
+    # y_j stands for the j-th ring variable however m lists them, so a
+    # modulus generator lifts to zero in the presentation
+    x1, x2, x3 = paper_ring.ring.gens()
+    pres = extended_rees_presentation(paper_ring, Ideal(paper_ring, (x3, x1, x2)))
+    assert pres.back_substitution_holds()
+    ring = pres.algebra.ring
+    assert lift_to_rees(pres, x1) == ring.gen("u") * ring.gen("y1")
+    lifted = lift_to_rees(pres, paper_ring.modulus[0])
+    assert not lifted.is_zero()
+    assert pres.algebra.reduce(lifted).is_zero()
+
+
+def _gr_cases():
+    """(algebra, ideal) by name: the ideal of the variables, and one
+    non-maximal ideal whose presentation keeps the base variables."""
+    paper = PolyRing(("x1", "x2", "x3"), QQ, GrevLex())
+    x1, x2, x3 = paper.gens()
+    plane = PolyRing(("x", "y"), QQ, GrevLex())
+    x, y = plane.gens()
+    algebras = {
+        "paper": AffineAlgebra(paper, (x1 * x2 + x3**3,)),
+        "paper-f-x1": AffineAlgebra(paper, (x1 * x2 + x3**3, x1)),
+        "plane": AffineAlgebra(plane),
+        "node": AffineAlgebra(plane, (x**2 - y**2 + y**3,)),
+    }
+    cases = {name: (A, Ideal(A, tuple(A.ring.gens()))) for name, A in algebras.items()}
+    cases["plane-x2-y3"] = (algebras["plane"], Ideal(algebras["plane"], (x**2, y**3)))
+    return cases
+
+
+@pytest.mark.parametrize("case", sorted(_gr_cases()))
+def test_associated_graded_matches_elimination(case):
+    # gr sets u = 0 in each relation; the independent route eliminates u
+    # from (modulus, u)
+    R, I = _gr_cases()[case]
+    pres = extended_rees_presentation(R, I)
+    gr = associated_graded(pres)
+    alg = pres.algebra
+    elim = Ideal(alg, alg.modulus + (alg.ring.gen(pres.u_name),)).eliminate({pres.u_name})
+    assert gr.ring == elim.algebra.ring
+    assert gr.modulus_gb().polys == elim.gb().polys
+    graded = not pres.retained and all(g.is_homogeneous() for g in elim.gens)
+    assert ("standard_graded" in gr.asserted) == graded
+    assert graded == (case != "plane-x2-y3")
+
+
 def test_exceptional_certificate_paper_example(paper_ring, paper_m):
     pres = extended_rees_presentation(paper_ring, paper_m)
     alg = pres.algebra
