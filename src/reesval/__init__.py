@@ -9,7 +9,7 @@ from .errors import (
     RingMismatchError,
 )
 from .groebner import GroebnerBasis, buchberger, normal_form, s_polynomial
-from .ideals import Ideal, kernel_of_map
+from .ideals import AffineAlgebra, Ideal, kernel_of_map
 from .monomial import (
     MonomialValuation,
     NewtonPolyhedron,
@@ -34,14 +34,12 @@ from .multiplicity import (
 )
 from .poly import QQ, Block, GrevLex, Lex, PolyRing, Polynomial, PrimeField, Weighted
 from .rings import (
-    AffineAlgebra,
     ExceptionalPrimeCertificate,
     ReesPresentation,
     associated_graded,
     extended_rees_presentation,
     homogenize_ideal,
     lift_to_rees,
-    verify_exceptional_certificate,
 )
 from .symbolic import ord_at, symbolic_order_along, symbolic_power
 from .verify import (
@@ -56,6 +54,7 @@ from .verify import (
     check_order_ideal_theorem_presentation,
     check_uniform_izumi_multiplicity,
     compute_normalized_ord,
+    verify_exceptional_certificate,
 )
 
 __version__ = "0.1.0"

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 from . import groebner
 from .errors import ReesvalError, PreconditionError
-from .ideals import Ideal
+from .ideals import AffineAlgebra, Ideal
 from .monomial import (
     find_min_briancon_skoda,
     integral_closure_power,
@@ -40,7 +40,7 @@ from .multiplicity import (
     multiplicity_graded,
 )
 from .poly import Block, GrevLex, Lex, PolyRing, PrimeField, QQ
-from .rings import AffineAlgebra, extended_rees_presentation
+from .rings import extended_rees_presentation
 from .symbolic import DEFAULT_NMAX, ord_at, symbolic_power
 from .verify import (
     UniformConstants,

@@ -1,10 +1,11 @@
-"""Ideal arithmetic over affine algebras, on top of the Groebner engine.
+"""Affine algebras and ideal arithmetic, on top of the Groebner engine.
 
-An Ideal handle holds generators inside an AffineAlgebra; semantically it
-denotes (generators + modulus)/modulus, and every cached basis includes the
-modulus generators. Intersections, colons, saturations, radical membership,
-kernels and Rees presentations all route through one function, `eliminate`:
-a Groebner basis under a block order that puts the dropped variables first.
+An Ideal handle holds generators inside an AffineAlgebra and denotes
+(generators + modulus)/modulus; every cached basis includes the modulus
+generators. Intersections, colons, saturations, radical membership,
+kernels, Rees presentations and the projective-closure check each write
+their relations in `elimination_ring(front, target)`, which puts the
+variables to drop first under a block order, and call `eliminate`.
 """
 
 from __future__ import annotations
@@ -12,38 +13,85 @@ from __future__ import annotations
 from itertools import combinations_with_replacement
 
 from . import groebner
-from .errors import PreconditionError
+from .errors import NotHomogeneousError, PreconditionError
 from .poly import Block, GrevLex, PolyRing
-from .rings import AffineAlgebra
 
 
-def eliminate(ring, gens, drop, target):
-    """Generators of the ideal (gens) of `ring` intersected with k[target].
+class AffineAlgebra:
+    """A quotient k[x1..xn]/P presented by its ambient ring and modulus."""
 
-    The names in `drop` go first, in ring.names order, under a block order
-    (grevlex inside each block); the reduced basis elements that use none
-    of them are mapped by name into `target`, whose variables must include
-    every name of `ring` not dropped.
+    def __init__(self, ring, modulus=(), asserted=()):
+        self.ring = ring
+        self.modulus = tuple(m for m in modulus if not m.is_zero())
+        self.asserted = frozenset(asserted)
+        self._modulus_gb = None
+        if "standard_graded" in self.asserted:
+            if any(not m.is_homogeneous() for m in self.modulus):
+                raise NotHomogeneousError(
+                    "standard_graded asserted but modulus has a non-homogeneous generator"
+                )
+
+    def modulus_gb(self):
+        if self._modulus_gb is None:
+            if self.modulus:
+                self._modulus_gb = groebner.buchberger(self.modulus)
+            else:
+                self._modulus_gb = groebner.GroebnerBasis(ring=self.ring, polys=())
+        return self._modulus_gb
+
+    def is_proper(self):
+        """True iff 1 is not in the modulus."""
+        return not groebner.contains(self.modulus_gb(), [self.ring.one])
+
+    def reduce(self, f):
+        """Canonical representative of f modulo the modulus."""
+        if not self.modulus:
+            return f
+        return groebner.normal_form(f, self.modulus_gb())
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, AffineAlgebra)
+            and self.ring == other.ring
+            and set(self.modulus) == set(other.modulus)
+        )
+
+    def __hash__(self):
+        return hash((self.ring, frozenset(self.modulus)))
+
+    def __repr__(self):
+        mods = ", ".join(str(m) for m in self.modulus) or "0"
+        return f"{self.ring.field}[{','.join(self.ring.names)}]/({mods})"
+
+
+def elimination_ring(front, target):
+    """k[front, target's variables] under Block(len(front)), grevlex inside
+    each block: the ring `eliminate` takes its relations in."""
+    return PolyRing(tuple(front) + target.names, target.field, Block(len(front)))
+
+
+def eliminate(gens, target):
+    """Generators of the ideal (gens) intersected with k[target].
+
+    The gens live in elimination_ring(front, target); the reduced basis
+    elements that use no front variable are read in target.
     """
-    front = tuple(n for n in ring.names if n in drop)
-    back = tuple(n for n in ring.names if n not in drop)
-    ering = PolyRing(front + back, ring.field, Block(len(front)))
-    pos = [ering.var_index(n) for n in ring.names]
-    gens = [g.map_exponents(ering, pos) for g in gens if not g.is_zero()]
-    if not gens:
+    if all(g.is_zero() for g in gens):
         return ()
-    tpos = [0] * len(front) + [target.var_index(n) for n in back]
+    basis = groebner.buchberger(gens)
+    k = basis.ring.order.k
+    pos = [0] * k + list(range(target.nvars))
     return tuple(
-        g.map_exponents(target, tpos)
-        for g in groebner.buchberger(gens)
-        if not any(g.uses_var(i) for i in range(len(front)))
+        g.map_exponents(target, pos)
+        for g in basis
+        if not any(g.uses_var(i) for i in range(k))
     )
 
 
 def _with_t(ring):
-    """k[t, ring vars] for a fresh name t, and the embedding of ring's
-    polynomials into it."""
-    tring = PolyRing(ring.fresh_names("_t") + ring.names, ring.field)
+    """The elimination ring of a fresh name t into ring, and the embedding
+    of ring's polynomials into it."""
+    tring = elimination_ring(ring.fresh_names("_t"), ring)
     pos = list(range(1, ring.nvars + 1))
     return tring, lambda g: g.map_exponents(tring, pos)
 
@@ -126,8 +174,10 @@ class Ideal:
             raise PreconditionError("unknown variable in drop set")
         keep = tuple(n for n in ring.names if n not in drop_names)
         target = PolyRing(keep, ring.field, GrevLex())
-        gens = eliminate(ring, self.ambient_gens(), drop_names, target)
-        return Ideal(AffineAlgebra(target), gens)
+        ering = elimination_ring([n for n in ring.names if n in drop_names], target)
+        pos = [ering.var_index(n) for n in ring.names]
+        gens = [g.map_exponents(ering, pos) for g in self.ambient_gens()]
+        return Ideal(AffineAlgebra(target), eliminate(gens, target))
 
     def intersect(self, other):
         """I cap J via the auxiliary variable t: eliminate t from t*I + (1-t)*J."""
@@ -153,7 +203,7 @@ class Ideal:
         tring, embed = _with_t(ring)
         gens = [embed(g) for g in self.ambient_gens()]
         gens.append(tring.one - tring.gen(tring.names[0]) * embed(f))
-        return eliminate(tring, gens, tring.names[:1], ring)
+        return eliminate(gens, ring)
 
     def saturate(self, f):
         """(I : f^infinity) by one elimination; returns (ideal, depth).
@@ -186,7 +236,7 @@ def _intersect_ambient(ring, gens1, gens2):
     t = tring.gen(tring.names[0])
     gens = [t * embed(g) for g in gens1]
     gens += [(tring.one - t) * embed(g) for g in gens2]
-    return eliminate(tring, gens, tring.names[:1], ring)
+    return eliminate(gens, ring)
 
 
 def _exact_divide(g, f):
@@ -218,10 +268,10 @@ def kernel_of_map(source_names, target_algebra, images):
     tring = target_algebra.ring
     if set(source_names) & set(tring.names):
         raise PreconditionError("source names must be disjoint from target names")
-    ring = PolyRing(tring.names + tuple(source_names), tring.field)
+    source = PolyRing(source_names, tring.field, GrevLex())
+    ring = elimination_ring(tring.names, source)
     tpos = list(range(tring.nvars))
     gens = [m.map_exponents(ring, tpos) for m in target_algebra.modulus]
     for name, img in zip(source_names, images):
         gens.append(ring.gen(name) - img.map_exponents(ring, tpos))
-    source = PolyRing(source_names, tring.field, GrevLex())
-    return Ideal(AffineAlgebra(source), eliminate(ring, gens, tring.names, source))
+    return Ideal(AffineAlgebra(source), eliminate(gens, source))

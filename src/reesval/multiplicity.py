@@ -1,23 +1,25 @@
 """Hilbert series, Hilbert-Samuel multiplicity, and the length sampler.
 
-Every count reads one source: the cached Groebner basis of an ideal or
-algebra, whose leading-term ideal goes through a pivot recursion on
-monomial ideals. A homogeneous ideal has the Hilbert function of its
-initial ideal under any term order (Cox-Little-O'Shea, ch. 9 section 3),
-so graded multiplicity and dimension read the algebra's basis in its own
-order. Local multiplicities at the origin go through the associated
-graded ring of the extended Rees presentation, cross-checkable against
-finite differences of a length table.
+Every count reads one source: the cached Groebner basis of an ideal (an
+algebra's is that of its zero ideal), whose leading-term ideal goes
+through a pivot recursion on monomial ideals. A homogeneous ideal has the
+Hilbert function of its initial ideal under any term order
+(Cox-Little-O'Shea, ch. 9 section 3), so graded multiplicity and
+dimension read the ideal's basis in its ring's own order. Local
+multiplicities at the origin go through the associated graded ring of
+the extended Rees presentation, cross-checkable against finite
+differences of a length table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 from .errors import NotHomogeneousError, PreconditionError
 from .groebner import _minimalize
-from .ideals import Ideal
-from .rings import AffineAlgebra, associated_graded, extended_rees_presentation
+from .ideals import AffineAlgebra, Ideal
+from .rings import associated_graded, extended_rees_presentation
 
 
 # ---------------------------------------------------------------------------
@@ -64,8 +66,6 @@ class HilbertSeries:
     def coefficients(self, upto):
         """Dimensions of the graded pieces in degrees 0..upto."""
         # expand numerator * sum binom(n-1+k, k) t^k
-        from math import comb
-
         out = [0] * (upto + 1)
         for i, c in enumerate(self.numerator):
             if c == 0 or i > upto:
@@ -123,13 +123,14 @@ def hilbert_series_monomial(nvars, exps):
 # graded and local multiplicity
 
 
-def graded_invariants(S):
-    """(multiplicity, Krull dimension) of a standard graded algebra, read
-    off its modulus basis, which is homogeneous iff the modulus is."""
-    gb = S.modulus_gb()
+def graded_invariants(I):
+    """(multiplicity, Krull dimension) of the standard graded algebra
+    k[x]/(I + modulus), read off I's basis, which is homogeneous iff
+    I + modulus is."""
+    gb = I.gb()
     if any(not g.is_homogeneous() for g in gb):
         raise NotHomogeneousError("defining ideal is not homogeneous")
-    hs = hilbert_series_monomial(S.ring.nvars, [g.lead_exp for g in gb])
+    hs = hilbert_series_monomial(I.algebra.ring.nvars, [g.lead_exp for g in gb])
     e = hs.multiplicity
     if e <= 0:
         raise PreconditionError("algebra is the zero ring")
@@ -138,7 +139,7 @@ def graded_invariants(S):
 
 def multiplicity_graded(S):
     """Hilbert-Samuel multiplicity of a standard graded algebra."""
-    return graded_invariants(S)[0]
+    return graded_invariants(Ideal(S, ()))[0]
 
 
 def krull_dim(I):

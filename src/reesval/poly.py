@@ -105,6 +105,8 @@ class PrimeField:
         if isinstance(x, int):
             return x % self.p
         if isinstance(x, Fraction):
+            if x.denominator % self.p == 0:
+                raise PreconditionError(f"{x} has no value in {self.name}")
             return (x.numerator * pow(x.denominator, -1, self.p)) % self.p
         if isinstance(x, str):
             return self.coerce(Fraction(x))

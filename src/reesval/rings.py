@@ -1,4 +1,5 @@
-"""Affine algebras k[x]/P, homogenization, extended Rees presentations.
+"""Homogenization, extended Rees presentations and the projective-closure
+check, each one elimination over the affine algebras of `ideals`.
 
 Normality / primality of user-supplied algebras and primes are ASSERTED,
 never decided here; operations that rely on an assertion echo it in their
@@ -11,56 +12,8 @@ from dataclasses import dataclass, field
 
 from . import groebner
 from .errors import NotHomogeneousError, PreconditionError
+from .ideals import AffineAlgebra, Ideal, eliminate, elimination_ring
 from .poly import GrevLex, PolyRing
-
-
-class AffineAlgebra:
-    """A quotient k[x1..xn]/P presented by its ambient ring and modulus."""
-
-    def __init__(self, ring, modulus=(), asserted=()):
-        self.ring = ring
-        self.modulus = tuple(m for m in modulus if not m.is_zero())
-        self.asserted = frozenset(asserted)
-        self._modulus_gb = None
-        if "standard_graded" in self.asserted:
-            if any(not m.is_homogeneous() for m in self.modulus):
-                raise NotHomogeneousError(
-                    "standard_graded asserted but modulus has a non-homogeneous generator"
-                )
-
-    def modulus_gb(self):
-        if self._modulus_gb is None:
-            if self.modulus:
-                self._modulus_gb = groebner.buchberger(self.modulus)
-            else:
-                self._modulus_gb = groebner.GroebnerBasis(ring=self.ring, polys=())
-        return self._modulus_gb
-
-    def is_proper(self):
-        """True iff 1 is not in the modulus."""
-        if not self.modulus:
-            return True
-        return not groebner.contains(self.modulus_gb(), [self.ring.one])
-
-    def reduce(self, f):
-        """Canonical representative of f modulo the modulus."""
-        if not self.modulus:
-            return f
-        return groebner.normal_form(f, self.modulus_gb())
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, AffineAlgebra)
-            and self.ring == other.ring
-            and set(self.modulus) == set(other.modulus)
-        )
-
-    def __hash__(self):
-        return hash((self.ring, frozenset(self.modulus)))
-
-    def __repr__(self):
-        mods = ", ".join(str(m) for m in self.modulus) or "0"
-        return f"{self.ring.field}[{','.join(self.ring.names)}]/({mods})"
 
 
 # ---------------------------------------------------------------------------
@@ -83,8 +36,6 @@ def homogenize_ideal(P):
     variable of the result's ring, named X0 unless the ring uses that name.
     Every generator of the result is homogeneous.
     """
-    from .ideals import Ideal
-
     alg = P.algebra
     if alg.modulus:
         raise PreconditionError("homogenize_ideal wants an ideal of a polynomial ring")
@@ -185,8 +136,6 @@ def extended_rees_presentation(R, I):
     with y_j standing for the j-th ring variable in whatever order I lists
     them; otherwise they are retained with grading weight 0.
     """
-    from .ideals import eliminate
-
     ring = R.ring
     raw = tuple(I.gens)
     variable_case = set(raw) == set(ring.gens()) and len(raw) == ring.nvars
@@ -200,17 +149,17 @@ def extended_rees_presentation(R, I):
     T_name, y_names, u_name = aux[0], aux[1:-1], aux[-1]
 
     # eliminate T, and the base variables too in the variable case
-    names = (T_name,) + ring.names + y_names + (u_name,)
-    drop = (T_name,) + (ring.names if variable_case else ())
-    ering = PolyRing(names, ring.field)
+    retained = () if variable_case else ring.names
+    pres_ring = PolyRing(retained + y_names + (u_name,), ring.field)
+    dropped = (T_name,) + (ring.names if variable_case else ())
+    ering = elimination_ring(dropped, pres_ring)
     xpos = [ering.var_index(n) for n in ring.names]
     T = ering.gen(T_name)
     rel = [m.map_exponents(ering, xpos) for m in R.modulus]
     for name, g in zip(y_names, gens):
         rel.append(ering.gen(name) - g.map_exponents(ering, xpos) * T)
     rel.append(ering.gen(u_name) * T - ering.one)
-    pres_ring = PolyRing([n for n in names if n not in drop], ring.field)
-    kernel = eliminate(ering, rel, drop, pres_ring)
+    kernel = eliminate(rel, pres_ring)
     algebra = AffineAlgebra(
         pres_ring, kernel, asserted=R.asserted - {"standard_graded"}
     )
@@ -223,7 +172,7 @@ def extended_rees_presentation(R, I):
         algebra=algebra,
         y_names=y_names,
         u_name=u_name,
-        retained=() if variable_case else ring.names,
+        retained=retained,
         weights=weights,
     )
     return pres
@@ -279,31 +228,6 @@ class ExceptionalPrimeCertificate:
     multiplicities: tuple
 
 
-def verify_exceptional_certificate(cert):
-    """Check the certificate's defining ideal equality; each power saturates
-    by the first variable outside its prime, else by the automatic separator."""
-    from .ideals import Ideal
-    from .symbolic import first_variable_outside, symbolic_power
-
-    pres = cert.presentation
-    if "normal" not in pres.base.asserted:
-        raise PreconditionError("certificate check requires an asserted-normal base")
-    alg = pres.algebra
-    u = alg.ring.gen(pres.u_name)
-    u_ideal = Ideal(alg, (u,))
-    pieces = []
-    for Q, m in zip(cert.primes, cert.multiplicities):
-        if not Q.contains_poly(u):
-            return False
-        sep = first_variable_outside(Q)
-        power, _cert = symbolic_power(Q, m, separator="auto" if sep is None else sep)
-        pieces.append(power)
-    total = pieces[0]
-    for p in pieces[1:]:
-        total = total.intersect(p)
-    return total.equals(u_ideal)
-
-
 # ---------------------------------------------------------------------------
 # projective-closure chart identity
 
@@ -316,23 +240,21 @@ def check_projective_closure_iso(P, H):
     elimination of t and the projective variables from the graph ideal
     plus 1 - t*X0, which saturates by X0.
     """
-    from .ideals import Ideal, eliminate
-
     affine_ring = P.algebra.ring
+    n = affine_ring.nvars
     x0_name = H.algebra.ring.names[0]
-    # big ring: t, X0, X1..Xn (as _x1.._xn), x1..xn
-    aux = H.algebra.ring.fresh_names("_t", *(f"_{v}" for v in affine_ring.names))
-    t_name, hidden = aux[0], aux[1:]
-    bring = PolyRing((t_name, x0_name) + hidden + affine_ring.names, affine_ring.field)
-    X0 = bring.gen(x0_name)
-    hpos = list(range(1, affine_ring.nvars + 2))
-    gens = [g.map_exponents(bring, hpos) for g in H.gens]
-    for v, h in zip(affine_ring.names, hidden):
-        gens.append(bring.gen(v) * X0 - bring.gen(h))
-    gens.append(bring.one - bring.gen(t_name) * X0)
     chart = AffineAlgebra(PolyRing((x0_name,) + affine_ring.names, affine_ring.field))
-    kernel = Ideal(chart, eliminate(bring, gens, (t_name,) + hidden, chart.ring))
+    # t and X1..Xn (as _x1.._xn) go first, then the chart's X0, x1..xn
+    aux = H.algebra.ring.fresh_names("_t", *(f"_{v}" for v in affine_ring.names))
+    bring = elimination_ring(aux, chart.ring)
+    X0 = bring.gen(x0_name)
+    hpos = [bring.var_index(x0_name)] + list(range(1, n + 1))
+    gens = [g.map_exponents(bring, hpos) for g in H.gens]
+    for v, h in zip(affine_ring.names, aux[1:]):
+        gens.append(bring.gen(v) * X0 - bring.gen(h))
+    gens.append(bring.one - bring.gen(aux[0]) * X0)
+    kernel = Ideal(chart, eliminate(gens, chart.ring))
     # expected: P extended to k[X0, x]
-    xpos = list(range(1, affine_ring.nvars + 1))
+    xpos = list(range(1, n + 1))
     expected = Ideal(chart, tuple(g.map_exponents(chart.ring, xpos) for g in P.gens))
     return kernel.equals(expected)

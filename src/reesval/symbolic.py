@@ -130,23 +130,28 @@ def symbolic_power(P, n, separator="auto", seed=0):
     return result, cert
 
 
+def exact_power(P, n, separator="auto", seed=0):
+    """P^(n) from symbolic_power; one whose certificate is not exact is refused."""
+    power, cert = symbolic_power(P, n, separator=separator, seed=seed)
+    if cert["status"] != "exact":
+        raise PreconditionError(f"symbolic power downgraded: {cert}")
+    return power
+
+
 def ord_at(P, f, nmax=DEFAULT_NMAX, separator="auto", seed=0):
     """(largest n <= nmax with f in P^(n), confirmed_flag).
 
     confirmed_flag is False only when the sweep hit nmax while f was still
-    a member, so the true order may exceed the reported value.
+    a member, so the true order may exceed the reported value. A power
+    whose certificate is not exact is refused (see exact_power).
     """
     f = P.algebra.reduce(f)
     if f.is_zero():
         raise PreconditionError("ord of zero")
-    order = 0
     for k in sweep_range("nmax", nmax):
-        power, _ = symbolic_power(P, k, separator=separator, seed=seed)
-        if power.contains_poly(f):
-            order = k
-        else:
-            return order, True
-    return order, False
+        if not exact_power(P, k, separator=separator, seed=seed).contains_poly(f):
+            return k - 1, True
+    return nmax, False
 
 
 def symbolic_order_along(Q, g, seed=0):

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import PreconditionError
-from .ideals import Ideal
+from .ideals import AffineAlgebra, Ideal
 from .monomial import rees_valuations_monomial
 from .multiplicity import (
     graded_invariants,
@@ -21,8 +21,14 @@ from .multiplicity import (
     multiplicity_from_table,
     multiplicity_graded,
 )
-from .rings import AffineAlgebra, homogenize_ideal, lift_to_rees
-from .symbolic import ord_at, sweep_range, symbolic_order_along, symbolic_power
+from .rings import homogenize_ideal, lift_to_rees
+from .symbolic import (
+    exact_power,
+    first_variable_outside,
+    ord_at,
+    sweep_range,
+    symbolic_order_along,
+)
 
 CHEVALLEY_C_CAP = 8  # largest C_emp tried; past it the verdict is "budget"
 ORDER_IDEAL_N = 7  # length-table depth of the order-ideal check
@@ -68,13 +74,6 @@ class CheckReport:
         }
 
 
-def _sym(P, n, separator="auto", seed=0):
-    power, cert = symbolic_power(P, n, separator=separator, seed=seed)
-    if cert["status"] != "exact":
-        raise PreconditionError(f"symbolic power downgraded: {cert}")
-    return power
-
-
 def _require_fs(fs):
     # a check over no polynomials would pass vacuously
     if not fs:
@@ -89,14 +88,34 @@ def graded_multiplicity_of_closure(R):
     return multiplicity_graded(S), S
 
 
+def verify_exceptional_certificate(cert):
+    """Check the certificate's defining ideal equality; each power saturates
+    by the first variable outside its prime, else by the automatic separator."""
+    pres = cert.presentation
+    if "normal" not in pres.base.asserted:
+        raise PreconditionError("certificate check requires an asserted-normal base")
+    alg = pres.algebra
+    u = alg.ring.gen(pres.u_name)
+    pieces = []
+    for Q, m in zip(cert.primes, cert.multiplicities):
+        if not Q.contains_poly(u):
+            return False
+        sep = first_variable_outside(Q)
+        pieces.append(exact_power(Q, m, separator="auto" if sep is None else sep))
+    total = pieces[0]
+    for p in pieces[1:]:
+        total = total.intersect(p)
+    return total.equals(Ideal(alg, (u,)))
+
+
 def check_local_zariski_nagata(p, q, nmax, p_sep="auto", seed=0):
     """p^(n) inside q^(n) for nonsingular-fixture primes p inside q."""
     if not q.contains_ideal(p):
         raise PreconditionError("p is not contained in q")
     verdicts = {}
     for n in sweep_range("nmax", nmax):
-        pn = _sym(p, n, separator=p_sep, seed=seed)
-        qn = _sym(q, n, seed=seed)
+        pn = exact_power(p, n, separator=p_sep, seed=seed)
+        qn = exact_power(q, n, seed=seed)
         verdicts[n] = "pass" if qn.contains_ideal(pn) else "fail"
     return CheckReport(
         name="local-zariski-nagata",
@@ -115,9 +134,9 @@ def check_main_theorem_A(p, q, nmax, eS=None, seed=0):
         eS, _ = graded_multiplicity_of_closure(p.algebra)
     verdicts = {}
     for n in sweep:
-        big = _sym(p, eS * n + 1, seed=seed)
-        qn = _sym(q, n, seed=seed)
-        chain = _sym(p, 2 * eS * n, seed=seed)
+        big = exact_power(p, eS * n + 1, seed=seed)
+        qn = exact_power(q, n, seed=seed)
+        chain = exact_power(p, 2 * eS * n, seed=seed)
         ok = qn.contains_ideal(big) and big.contains_ideal(chain)
         verdicts[n] = "pass" if ok else "fail"
     return CheckReport(
@@ -168,13 +187,7 @@ def valuation_data_from_presentation(pres, primes, seed=0):
 
     d_nu = graded multiplicity of the presentation modulo Q_i.
     """
-    d = []
-    for Q in primes:
-        quot = AffineAlgebra(
-            pres.algebra.ring, pres.algebra.modulus + Q.gens
-        )
-        e_i, _ = graded_invariants(quot)
-        d.append(e_i)
+    d = [graded_invariants(Q)[0] for Q in primes]
 
     def nu(i, f):
         g = lift_to_rees(pres, f)
@@ -213,15 +226,14 @@ def check_order_ideal_theorem_presentation(I, f, pres, primes, seed=0):
 
 def check_order_ideal_theorem_graded(S, F):
     """Single-valuation graded form: e(S/FS) = e(S) * (degree order of F)."""
-    eS, _dim = graded_invariants(S)
+    eS, _dim = graded_invariants(Ideal(S, ()))
     F = S.reduce(F)
     if F.is_zero():
         raise PreconditionError("F is zero in S")
     if not F.is_homogeneous():
         raise PreconditionError("F must be homogeneous")
     order = min(sum(e) for e, _ in F.terms)
-    quot = AffineAlgebra(S.ring, S.modulus + (F,))
-    e_quot = multiplicity_graded(quot)
+    e_quot, _dim = graded_invariants(Ideal(S, (F,)))
     verdict = "pass" if e_quot == eS * order else "fail"
     return CheckReport(
         name="order-ideal-theorem-graded",
@@ -267,7 +279,7 @@ def check_fixed_power_lemma(p, m, E, e, tmax, exponent=None, seed=0):
     verdicts = {}
     for t in sweep_range("tmax", tmax):
         k = exponent(t) if exponent is not None else E * t * e * e
-        lhs = _sym(p, k, seed=seed)
+        lhs = exact_power(p, k, seed=seed)
         rhs = m.power(t)
         verdicts[t] = "pass" if rhs.contains_ideal(lhs) else "fail"
     return CheckReport(
@@ -287,7 +299,7 @@ def check_improved_chevalley(p, q, constants, nmax, seed=0):
     sweep = sweep_range("nmax", nmax)
     t = 0
     for tp in reversed(sweep):
-        if _sym(q, tp, seed=seed).contains_ideal(p):
+        if exact_power(q, tp, seed=seed).contains_ideal(p):
             t = tp
             break
     if t == 0:
@@ -295,7 +307,9 @@ def check_improved_chevalley(p, q, constants, nmax, seed=0):
     c_emp = None
     for C in range(1, CHEVALLEY_C_CAP + 1):
         if all(
-            _sym(q, t * n, seed=seed).contains_ideal(_sym(p, C * n, seed=seed))
+            exact_power(q, t * n, seed=seed).contains_ideal(
+                exact_power(p, C * n, seed=seed)
+            )
             for n in sweep
         ):
             c_emp = C
@@ -329,10 +343,8 @@ def compute_normalized_ord(I, q):
     valuations = rees_valuations_monomial(q)
     if not valuations:
         raise PreconditionError("no valuations available for q")
-    exps = [g.lead_exp for g in I.gens]
-    best = None
-    for v in valuations:
-        nu_I = min(v.value(e) for e in exps)
-        t = nu_I // v.value_on_ideal
-        best = t if best is None else min(best, t)
-    return best
+    # a monomial valuation takes its least value over all of a polynomial's terms
+    exps = [e for g in I.gens for e, _ in g.terms]
+    if not exps:
+        raise PreconditionError("I has no nonzero generator")
+    return min(min(map(v.value, exps)) // v.value_on_ideal for v in valuations)

@@ -1,7 +1,7 @@
 """Groebner bases are computed where they are cached.
 
-Only groebner (which defines buchberger), ideals (Ideal.gb and
-elimination) and rings (AffineAlgebra.modulus_gb and the presentation
+Only groebner (which defines buchberger), ideals (Ideal.gb,
+AffineAlgebra.modulus_gb and elimination) and rings (the presentation
 check) name buchberger. Every other module reads a basis through
 Ideal.gb() or AffineAlgebra.modulus_gb(), so each basis is computed once
 and kept on the ideal or algebra it belongs to.

@@ -171,6 +171,16 @@ def test_malformed_command_recorded(command):
     assert "result" in report["commands"][1]
 
 
+def test_coefficient_with_no_value_in_fp_is_recorded():
+    s = parse_session(
+        "ring { vars: x y; field: Fp 7 }\nideal m = x, y\ncmd: ord m 1/7*x\ncmd: gb m"
+    )
+    report, ok = run(s)
+    assert not ok
+    assert report["commands"][0]["error"] == "1/7 has no value in Fp(7)"
+    assert "result" in report["commands"][1]
+
+
 def test_unread_argument_error_names_it():
     s = parse_session("ring { vars: x y }\nideal m = x, y\ncmd: ord m x*y --nmx 2")
     report, ok = run(s)
@@ -271,6 +281,8 @@ def test_monomial_commands():
         "ring { vars: x y; field: Fp 1000000000000000001 }\nideal m = x, y\ncmd: gb m\n",
         "ring { vars: x y; order: block 0 }\nideal m = x, y\ncmd: gb m\n",
         "ring { vars: x y; order: block 7 }\nideal m = x, y\ncmd: gb m\n",
+        "ring { vars: x y; field: Fp 7 }\nideal a = 1/7*x, y\ncmd: gb a\n",
+        "ring { vars: x y; field: Fp 7; mod: 1/14*x }\nideal m = x, y\ncmd: gb m\n",
         None,
     ],
     ids=[
@@ -280,6 +292,8 @@ def test_monomial_commands():
         "large-composite-field",
         "block-0",
         "block-7",
+        "fp-coefficient-in-ideal",
+        "fp-coefficient-in-mod",
         "missing-file",
     ],
 )

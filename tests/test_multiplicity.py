@@ -70,7 +70,7 @@ def test_multiplicity_graded_examples():
     y1, y2, _ = gring.gens()
     G = AffineAlgebra(gring, (y1 * y2,))
     assert multiplicity_graded(G) == 2
-    assert graded_invariants(G) == (2, 2)
+    assert graded_invariants(Ideal(G, ())) == (2, 2)
 
 
 @pytest.mark.parametrize(
@@ -82,9 +82,9 @@ def test_graded_invariants_do_not_depend_on_the_term_order(order):
     ring = PolyRing(("X0", "X1", "X2", "X3"), QQ, order)
     cubic = ("X1^2 - X0*X2", "X1*X2 - X0*X3", "X2^2 - X1*X3")
     S = AffineAlgebra(ring, tuple(map(ring.parse, cubic)))
-    assert graded_invariants(S) == (3, 2)
+    assert graded_invariants(Ideal(S, ())) == (3, 2)
     with pytest.raises(NotHomogeneousError):
-        graded_invariants(AffineAlgebra(ring, (ring.parse("X1^2 - X0"),)))
+        graded_invariants(Ideal(AffineAlgebra(ring, (ring.parse("X1^2 - X0"),)), ()))
 
 
 def test_empty_ideal_shares_the_modulus_basis():

@@ -13,7 +13,7 @@ from reesval import (
     symbolic_order_along,
     symbolic_power,
 )
-from reesval import symbolic, verify
+from reesval import symbolic
 from reesval.cli import parse_session, run
 from reesval.errors import PreconditionError
 from reesval.ideals import Ideal, kernel_of_map
@@ -116,7 +116,17 @@ def test_checks_refuse_a_downgraded_symbolic_power():
     alg, P = curve_345()
     x = alg.ring.gen("x")
     with pytest.raises(PreconditionError, match="downgraded"):
-        verify._sym(P, 2, separator=x + 1)
+        symbolic.exact_power(P, 2, separator=x + 1)
+
+
+def test_ord_at_refuses_a_downgraded_symbolic_power():
+    # f lies in P^(2); with x + 1 as separator the screen fails at n = 2,
+    # and reading that power as exact would report ord 1
+    alg, P = curve_345()
+    f = alg.ring.parse("x^5 + x*y^3 - 3*x^2*y*z + z^3")
+    assert ord_at(P, f, nmax=3, separator="x") == (2, True)
+    with pytest.raises(PreconditionError, match="downgraded"):
+        ord_at(P, f, nmax=3, separator="x+1")
 
 
 def test_symbolic_powers_are_cached_on_the_prime_handle(paper_ring):

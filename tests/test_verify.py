@@ -129,6 +129,22 @@ def test_order_ideal_theorem_presentation_route(paper_ring, paper_m, paper_setup
     assert report.details["e_sampler"] == 3
 
 
+def test_order_ideal_theorem_presentation_work_count(
+    paper_ring, paper_m, paper_setup, monkeypatch
+):
+    # tripwire: each prime's basis gives both its d_i and its orders, so no
+    # Groebner input repeats
+    pres, primes, _ = paper_setup
+    calls = []
+    real = groebner.buchberger
+    monkeypatch.setattr(
+        groebner, "buchberger", lambda gens: calls.append(frozenset(gens)) or real(gens)
+    )
+    x1 = paper_ring.ring.gen("x1")
+    assert check_order_ideal_theorem_presentation(paper_m, x1, pres, list(primes)).passed
+    assert len(calls) == len(set(calls)) == 26
+
+
 def test_order_ideal_theorem_graded_route():
     hring = PolyRing(("X0", "X1", "X2", "X3"), QQ, GrevLex())
     X0, X1, X2, X3 = hring.gens()
@@ -217,6 +233,11 @@ def test_compute_normalized_ord(poly_xy):
     assert compute_normalized_ord(Ideal(poly_xy, (x**3, y**3)), q) == 3
     assert compute_normalized_ord(Ideal(poly_xy, (x**2, y**3)), q) == 2
     assert compute_normalized_ord(q, q) == 1
+    # x + y^2 is not in (x, y)^2: every term counts, not the lead term alone
+    assert compute_normalized_ord(Ideal(poly_xy, (x + y**2,)), q) == 1
+    assert compute_normalized_ord(Ideal(poly_xy, (poly_xy.ring.zero, x**2)), q) == 2
+    with pytest.raises(PreconditionError):
+        compute_normalized_ord(Ideal(poly_xy, (poly_xy.ring.zero,)), q)
 
 
 def test_report_serialization(poly_xyz):
