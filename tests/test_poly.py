@@ -132,9 +132,34 @@ def test_fresh_names_avoid_the_ring_and_each_other():
     assert R.fresh_names("t", "_x", "_x_", "x") == ("t", "_x_", "_x__", "x__")
 
 
+@pytest.mark.parametrize(
+    "text, terms",
+    [
+        ("2x", {(1, 0): 2}),
+        ("x y", {(1, 1): 1}),
+        ("x*2", {(1, 0): 2}),
+        ("2*3*x", {(1, 0): 6}),
+        ("- x", {(1, 0): -1}),
+        ("x ^ 2", {(2, 0): 1}),
+        ("1/2x", {(1, 0): Fraction(1, 2)}),
+        ("x\t+\ty", {(1, 0): 1, (0, 1): 1}),
+    ],
+)
+def test_parse_accepted_forms(text, terms):
+    R = PolyRing(("x", "y"), QQ, GrevLex())
+    assert R.parse(text) == R.poly_from_dict({e: Fraction(c) for e, c in terms.items()})
+
+
+def test_parse_reads_the_longest_name():
+    R = PolyRing(("x",), QQ, GrevLex())
+    with pytest.raises(PreconditionError, match="unknown variable 'x2'"):
+        R.parse("x2")
+
+
 def test_parse_rejects_garbage():
     R = PolyRing(("x",), QQ, GrevLex())
-    for bad in ["", "x +", "x ^", "y", "x**2", "1..2"]:
+    for bad in ["", "x +", "x ^", "y", "x**2", "1..2", "--x", "x - - y", "+x",
+                "x 2", "2 3", "1/2/3", "x^-1", "x^2^3", "*x"]:
         with pytest.raises(PreconditionError):
             R.parse(bad)
 
