@@ -21,7 +21,7 @@ import re
 import sys
 import time
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import groebner
 from .errors import ReesvalError, PreconditionError
@@ -65,10 +65,10 @@ class SessionFile:
         fields = []
         fields.append("vars: " + " ".join(self.ring["vars"]))
         fields.append("field: " + self.ring["field"])
-        if self.ring.get("mod"):
+        if self.ring["mod"]:
             fields.append("mod: " + ", ".join(self.ring["mod"]))
-        fields.append("order: " + self.ring.get("order", "grevlex"))
-        if self.ring.get("assert"):
+        fields.append("order: " + self.ring["order"])
+        if self.ring["assert"]:
             fields.append("assert: " + " ".join(self.ring["assert"]))
         parts.append("ring { " + "; ".join(fields) + " }")
         for name, polys in self.ideals:
@@ -142,7 +142,7 @@ def parse_session(text):
 
 
 def _build_algebra(ring_spec):
-    order_spec = ring_spec.get("order", "grevlex")
+    order_spec = ring_spec["order"]
     if order_spec == "lex":
         order = Lex()
     elif order_spec.startswith("block"):
@@ -152,7 +152,7 @@ def _build_algebra(ring_spec):
         order = Block(k)
     else:
         order = GrevLex()
-    try:  # PrimeField rejects a non-prime p, PolyRing a repeated variable name
+    try:  # PrimeField rejects a non-prime p, PolyRing a repeated or unreadable name
         if ring_spec["field"] == "QQ":
             fld = QQ
         else:
@@ -160,8 +160,8 @@ def _build_algebra(ring_spec):
         ring = PolyRing(ring_spec["vars"], fld, order)
     except ValueError as exc:
         raise PreconditionError(f"bad ring: {exc}") from None
-    modulus = tuple(ring.parse(p) for p in ring_spec.get("mod", []))
-    return AffineAlgebra(ring, modulus, asserted=tuple(ring_spec.get("assert", [])))
+    modulus = tuple(ring.parse(p) for p in ring_spec["mod"])
+    return AffineAlgebra(ring, modulus, asserted=tuple(ring_spec["assert"]))
 
 
 def _int(text):
@@ -171,11 +171,11 @@ def _int(text):
         raise PreconditionError(f"expected an integer, got {text!r}") from None
 
 
-def _coordinate(field, text):
-    try:
-        return field.coerce(text)
-    except (ValueError, ZeroDivisionError):
-        raise PreconditionError(f"not an element of {field}: {text!r}") from None
+def _coordinate(ring, text):
+    c = ring.parse(text)
+    if c.total_degree() > 0:
+        raise PreconditionError(f"not an element of {ring.field}: {text!r}")
+    return c
 
 
 def _split(tokens):
@@ -314,7 +314,7 @@ class _Session:
         if len(coords) != ring.nvars:
             raise PreconditionError("one coordinate per variable")
         images = [
-            ring.gen(n) + _coordinate(ring.field, c) for n, c in zip(ring.names, coords)
+            ring.gen(n) + _coordinate(ring, c) for n, c in zip(ring.names, coords)
         ]
         new_mod = tuple(
             m.substitute(ring, images) for m in self.algebra.modulus
@@ -404,9 +404,9 @@ def run(session, seed=0, budget=None, fail_fast=False, timings=False):
         "ring": {
             "vars": list(session.ring["vars"]),
             "field": session.ring["field"],
-            "mod": list(session.ring.get("mod", [])),
-            "order": session.ring.get("order", "grevlex"),
-            "assert": list(session.ring.get("assert", [])),
+            "mod": list(session.ring["mod"]),
+            "order": session.ring["order"],
+            "assert": list(session.ring["assert"]),
         },
         "seed": seed,
         "commands": results,

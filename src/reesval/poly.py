@@ -4,6 +4,13 @@ Coefficients are exact: rationals by default, or residues modulo a configured
 prime. Exponents are dense tuples of naturals, one entry per ring variable.
 Terms are kept sorted strictly descending in the ring's active order, so the
 leading term is always terms[0].
+
+Polynomial text is read by one grammar, stated above `_parse_poly` and
+written as regular expressions: signed terms, each a product of numbers
+(`3`, `1/2`) and powers (`x`, `x^2`), with `*` or plain juxtaposition
+between factors (`2x y` is `2*x*y`); a number needs a `*` before it unless
+it opens the term. Variable names are `[A-Za-z_][A-Za-z_0-9]*`, always read
+whole, and a ring refuses any other name.
 """
 
 from __future__ import annotations
@@ -33,8 +40,6 @@ class RationalField:
         if isinstance(x, Fraction):
             return x
         if isinstance(x, int):
-            return Fraction(x)
-        if isinstance(x, str):
             return Fraction(x)
         raise TypeError(f"cannot coerce {x!r} into QQ")
 
@@ -108,8 +113,6 @@ class PrimeField:
             if x.denominator % self.p == 0:
                 raise PreconditionError(f"{x} has no value in {self.name}")
             return (x.numerator * pow(x.denominator, -1, self.p)) % self.p
-        if isinstance(x, str):
-            return self.coerce(Fraction(x))
         raise TypeError(f"cannot coerce {x!r} into {self.name}")
 
     def add(self, a, b):
@@ -227,6 +230,9 @@ class PolyRing:
         names = tuple(names)
         if len(set(names)) != len(names):
             raise ValueError("duplicate variable names")
+        for name in names:
+            if not re.fullmatch(_NAME, name):
+                raise ValueError(f"{name!r} is not a name [A-Za-z_][A-Za-z_0-9]*")
         self.names = names
         self.field = field
         self.order = order or GrevLex()
@@ -522,77 +528,39 @@ class Polynomial:
 
 
 # ---------------------------------------------------------------------------
-# parsing: term ( ('+'|'-') term )*, term = coeff? ('*'? var ('^' nat)?)*
+# parsing, with any spaces between two tokens:
+#   poly   = '-'? term (('+' | '-') term)*
+#   term   = factor ('*' factor | power)*      so 2x, x y and x*2 all read
+#   factor = number | power,   power = name ('^' digits)?
+#   number = digits ('/' digits)?,   name = [A-Za-z_][A-Za-z_0-9]*, longest
+# Each \s* is followed by a token or the end, and a name takes all its letters,
+# so a failed match gives back each character a bounded number of times: the
+# match stays linear (a name without the lookahead backtracks exponentially).
 
-_TOKEN = re.compile(r"\s*(\d+/\d+|\d+|[A-Za-z_][A-Za-z_0-9]*|\^|\*|\+|-)")
-
-
-def _tokenize(text):
-    pos, out = 0, []
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            if text[pos:].strip():
-                raise PreconditionError(f"bad character at {pos}: {text[pos:]!r}")
-            break
-        out.append(m.group(1))
-        pos = m.end()
-    return out
+_NAME = r"[A-Za-z_][A-Za-z_0-9]*(?![A-Za-z_0-9])"
+_POWER = rf"{_NAME}(?:\s*\^\s*\d+)?"
+_FACTOR = rf"(?:\d+(?:/\d+)?|{_POWER})"
+_TERM = rf"{_FACTOR}(?:\s*(?:\*\s*{_FACTOR}|{_POWER}))*"
+_POLY = re.compile(rf"\s*(?:-\s*)?{_TERM}(?:\s*[+-]\s*{_TERM})*\s*")
+_SIGNED_TERM = re.compile(rf"(?:^\s*|([+-])\s*)({_TERM})")
+_FACTORS = re.compile(rf"(\d+)(?:/(\d+))?|({_NAME})(?:\s*\^\s*(\d+))?")
 
 
 def _parse_poly(ring, text):
-    toks = _tokenize(text)
-    if not toks:
-        raise PreconditionError("empty polynomial")
-    result = ring.zero
-    i = 0
-    sign = 1
-    first = True
-    while i < len(toks):
-        if toks[i] in "+-":
-            if first and toks[i] == "+":
-                raise PreconditionError("leading '+'")
-            sign = -1 if toks[i] == "-" else 1
-            i += 1
-        elif not first:
-            raise PreconditionError(f"expected '+' or '-' before {toks[i]!r}")
-        first = False
-        coeff = Fraction(sign)
-        exp = [0] * ring.nvars
-        saw_factor = False
-        expect_factor = True
-        while i < len(toks) and toks[i] not in "+-":
-            t = toks[i]
-            if t == "*":
-                if not saw_factor or expect_factor:
-                    raise PreconditionError("misplaced '*'")
-                i += 1
-                expect_factor = True
-                continue
-            if not expect_factor and not re.match(r"[A-Za-z_]", t):
-                raise PreconditionError(f"unexpected token {t!r}")
-            if re.match(r"\d", t):
-                coeff *= Fraction(t)
-                i += 1
-            elif re.match(r"[A-Za-z_]", t):
-                if t not in ring._index:
-                    raise PreconditionError(f"unknown variable {t!r}")
-                j = ring.var_index(t)
-                power = 1
-                i += 1
-                if i < len(toks) and toks[i] == "^":
-                    i += 1
-                    if i >= len(toks) or not re.match(r"\d+$", toks[i]):
-                        raise PreconditionError("'^' needs a natural number")
-                    power = int(toks[i])
-                    i += 1
-                exp[j] += power
+    if not _POLY.fullmatch(text):
+        raise PreconditionError(f"not a polynomial: {text!r}")
+    field, terms = ring.field, {}
+    for sign, term in _SIGNED_TERM.findall(text):
+        coeff, exp = Fraction(-1 if sign == "-" else 1), [0] * ring.nvars
+        for num, den, name, power in _FACTORS.findall(term):
+            if name:
+                if name not in ring._index:
+                    raise PreconditionError(f"unknown variable {name!r}")
+                exp[ring._index[name]] += int(power or 1)
+            elif den and not int(den):
+                raise PreconditionError(f"zero denominator in {num}/{den}")
             else:
-                raise PreconditionError(f"unexpected token {t!r}")
-            saw_factor = True
-            expect_factor = False
-        if not saw_factor:
-            raise PreconditionError("empty term")
-        result = result + ring.monomial(exp, coeff)
-        sign = 1
-    return result
+                coeff *= Fraction(int(num), int(den or 1))
+        e = tuple(exp)
+        terms[e] = field.add(terms.get(e, field.zero), field.coerce(coeff))
+    return ring.poly_from_dict(terms)

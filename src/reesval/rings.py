@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from . import groebner
 from .errors import NotHomogeneousError, PreconditionError
 from .ideals import AffineAlgebra, Ideal, eliminate, elimination_ring
 from .poly import GrevLex, PolyRing
@@ -106,7 +105,7 @@ class ReesPresentation:
         base_images = [g.map_exponents(ring, list(range(n))) for g in base_ring.gens()]
         rel = [m.map_exponents(ring, list(range(n))) for m in self.base.modulus]
         rel.append(T * Ti - ring.one)
-        gb = groebner.buchberger(rel)
+        laurent = Ideal(AffineAlgebra(ring), rel)
         # images of the presentation variables
         images = []
         pres_ring = self.algebra.ring
@@ -118,11 +117,10 @@ class ReesPresentation:
                 images.append(Ti)
             else:
                 images.append(base_images[base_ring.var_index(name)])
-        for m in self.algebra.modulus:
-            image = m.substitute(ring, images)
-            if not groebner.normal_form(image, gb).is_zero():
-                return False
-        return True
+        return all(
+            laurent.contains_poly(m.substitute(ring, images))
+            for m in self.algebra.modulus
+        )
 
 
 def extended_rees_presentation(R, I):

@@ -91,6 +91,11 @@ def graded_multiplicity_of_closure(R):
 def verify_exceptional_certificate(cert):
     """Check the certificate's defining ideal equality; each power saturates
     by the first variable outside its prime, else by the automatic separator."""
+    if not cert.primes or len(cert.primes) != len(cert.multiplicities):
+        raise PreconditionError(
+            "a certificate needs one or more primes, each with a multiplicity: "
+            f"got {len(cert.primes)} primes, {len(cert.multiplicities)} multiplicities"
+        )
     pres = cert.presentation
     if "normal" not in pres.base.asserted:
         raise PreconditionError("certificate check requires an asserted-normal base")

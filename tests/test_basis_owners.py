@@ -1,10 +1,9 @@
 """Groebner bases are computed where they are cached.
 
-Only groebner (which defines buchberger), ideals (Ideal.gb,
-AffineAlgebra.modulus_gb and elimination) and rings (the presentation
-check) name buchberger. Every other module reads a basis through
-Ideal.gb() or AffineAlgebra.modulus_gb(), so each basis is computed once
-and kept on the ideal or algebra it belongs to.
+Only groebner (which defines buchberger) and ideals (Ideal.gb,
+AffineAlgebra.modulus_gb and elimination) name buchberger. Every other
+module reads a basis through Ideal.gb() or AffineAlgebra.modulus_gb(), so
+each basis is computed once and kept on the ideal or algebra it belongs to.
 """
 
 import ast
@@ -15,7 +14,7 @@ import pytest
 import reesval
 
 SOURCES = sorted(Path(reesval.__file__).parent.glob("*.py"))
-OWNERS = ("groebner", "ideals", "rings")
+OWNERS = ("groebner", "ideals")
 
 
 def _buchberger_uses(tree):

@@ -141,6 +141,12 @@ def test_no_answer_carries_into_a_later_run():
         "power m abc",
         "translate-origin 1/0,0",
         "translate-origin a,0",
+        # one number grammar: coordinates read as polynomials do
+        "translate-origin 0.5,0",
+        "translate-origin 1e3,0",
+        "translate-origin +1,0",
+        "translate-origin x,0",
+        "ord m 3/0*x",
         "briancon-skoda m 0",
         "briancon-skoda m -1",
         "symbolic_power m 2",
@@ -217,6 +223,15 @@ def test_translate_origin():
     assert report["commands"][1]["result"] == {"e": 2}
 
 
+def test_translate_origin_reads_coordinates_as_constants():
+    s = parse_session(
+        "ring { vars: x y; mod: x - y^2 }\nideal m = x, y\ncmd: translate-origin -1,1/2"
+    )
+    report, ok = run(s)
+    assert ok
+    assert report["commands"][0]["result"]["modulus"] == ["-y^2 + x - y - 5/4"]
+
+
 def test_main_exit_codes(tmp_path, capsys):
     good = tmp_path / "good.session"
     good.write_text("ring { vars: x y }\nideal m = x, y\ncmd: gb m\n")
@@ -283,6 +298,10 @@ def test_monomial_commands():
         "ring { vars: x y; order: block 7 }\nideal m = x, y\ncmd: gb m\n",
         "ring { vars: x y; field: Fp 7 }\nideal a = 1/7*x, y\ncmd: gb a\n",
         "ring { vars: x y; field: Fp 7; mod: 1/14*x }\nideal m = x, y\ncmd: gb m\n",
+        "ring { vars: x y; mod: 3/0*x }\nideal m = x, y\ncmd: gb m\n",
+        "ring { vars: x y }\nideal a = 1/0*x\ncmd: gb a\n",
+        "ring { vars: 1x y }\nideal m = y\ncmd: gb m\n",
+        "ring { vars: x-y }\ncmd: graded-multiplicity\n",
         None,
     ],
     ids=[
@@ -294,6 +313,10 @@ def test_monomial_commands():
         "block-7",
         "fp-coefficient-in-ideal",
         "fp-coefficient-in-mod",
+        "zero-denominator-in-mod",
+        "zero-denominator-in-ideal",
+        "variable-starts-with-digit",
+        "variable-with-minus",
         "missing-file",
     ],
 )

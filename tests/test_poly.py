@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from functools import cmp_to_key
 
@@ -162,6 +163,54 @@ def test_parse_rejects_garbage():
                 "x 2", "2 3", "1/2/3", "x^-1", "x^2^3", "*x"]:
         with pytest.raises(PreconditionError):
             R.parse(bad)
+
+
+@pytest.mark.parametrize("text", ["x*", "x* + y", "3/0*x", "x + 1/0"])
+def test_parse_rejects_trailing_star_and_zero_denominator(text):
+    R = PolyRing(("x", "y"), QQ, GrevLex())
+    with pytest.raises(PreconditionError):
+        R.parse(text)
+
+
+_ALPHABET = ["x", "y", "x2", "_", "0", "2", "17", "1/7", "1/0", "/", "*", "^",
+             "+", "-", " ", "\t", "!", "."]
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=str)
+def test_parse_reads_or_refuses_any_text_property(field):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    R = PolyRing(("x", "y"), field, GrevLex())
+
+    @hypothesis.settings(derandomize=True, database=None, max_examples=400)
+    @hypothesis.given(st.lists(st.sampled_from(_ALPHABET), max_size=12).map("".join))
+    def reads_or_refuses(text):
+        try:
+            R.parse(text)
+        except PreconditionError:
+            pass
+
+    reads_or_refuses()
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["x" * 50_000 + "!", " " * 50_000 + "!", "x*" * 25_000, "x " * 25_000 + "!",
+     "x^" + "1" * 50_000 + "!"],
+    ids=["long-name", "leading-spaces", "trailing-star", "spaced-names", "long-exponent"],
+)
+def test_parse_time_is_linear(text):
+    R = PolyRing(("x",), QQ, GrevLex())
+    start = time.perf_counter()
+    with pytest.raises(PreconditionError):
+        R.parse(text)
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("name", ["1x", "x-y", "x y", "", "x!"])
+def test_ring_rejects_names_polynomials_cannot_use(name):
+    with pytest.raises(ValueError, match=repr(name)):
+        PolyRing(("z", name), QQ)
 
 
 def test_ring_mismatch_detected():

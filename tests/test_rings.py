@@ -179,6 +179,16 @@ def test_exceptional_certificate_paper_example(paper_ring, paper_m):
     assert not verify_exceptional_certificate(worse)
 
 
+def test_certificate_needs_one_multiplicity_per_prime(paper_ring, paper_m):
+    pres = extended_rees_presentation(paper_ring, paper_m)
+    alg = pres.algebra
+    u, y1 = alg.ring.gen("u"), alg.ring.gen("y1")
+    for primes, multiplicities in [((), ()), ((Ideal(alg, (u, y1)),), ())]:
+        cert = ExceptionalPrimeCertificate(pres, primes, multiplicities)
+        with pytest.raises(PreconditionError, match="each with a multiplicity"):
+            verify_exceptional_certificate(cert)
+
+
 def test_certificate_requires_normality_assertion(paper_ring, paper_m):
     stripped = AffineAlgebra(paper_ring.ring, paper_ring.modulus)
     m = Ideal(stripped, tuple(stripped.ring.gens()))
