@@ -249,6 +249,8 @@ class _Session:
         return {"generators": [str(g) for g in J.gb()], "steps": steps}
 
     def cmd_symbolic_power(self, ideal, n, /, *, separator="auto"):
+        if separator != "auto":
+            separator = self.poly(separator)
         J, cert = symbolic_power(
             self.ideal(ideal), _int(n), separator=separator, seed=self.seed
         )
@@ -313,9 +315,9 @@ class _Session:
         ring = self.algebra.ring
         if len(coords) != ring.nvars:
             raise PreconditionError("one coordinate per variable")
-        images = [
-            ring.gen(n) + _coordinate(ring, c) for n, c in zip(ring.names, coords)
-        ]
+        images = {
+            n: ring.gen(n) + _coordinate(ring, c) for n, c in zip(ring.names, coords)
+        }
         new_mod = tuple(
             m.substitute(ring, images) for m in self.algebra.modulus
         )

@@ -6,6 +6,8 @@ generators. Intersections, colons, saturations, radical membership,
 kernels, Rees presentations and the projective-closure check each write
 their relations in `elimination_ring(front, target)`, which puts the
 variables to drop first under a block order, and call `eliminate`.
+Polynomials enter and leave that ring by `to_ring`, which matches
+variables by name.
 """
 
 from __future__ import annotations
@@ -80,20 +82,15 @@ def eliminate(gens, target):
         return ()
     basis = groebner.buchberger(gens)
     k = basis.ring.order.k
-    pos = [0] * k + list(range(target.nvars))
     return tuple(
-        g.map_exponents(target, pos)
-        for g in basis
-        if not any(g.uses_var(i) for i in range(k))
+        g.to_ring(target) for g in basis if not any(g.uses_var(i) for i in range(k))
     )
 
 
 def _with_t(ring):
-    """The elimination ring of a fresh name t into ring, and the embedding
-    of ring's polynomials into it."""
+    """The elimination ring of a fresh name t into ring, and its t."""
     tring = elimination_ring(ring.fresh_names("_t"), ring)
-    pos = list(range(1, ring.nvars + 1))
-    return tring, lambda g: g.map_exponents(tring, pos)
+    return tring, tring.gens()[0]
 
 
 class Ideal:
@@ -175,8 +172,7 @@ class Ideal:
         keep = tuple(n for n in ring.names if n not in drop_names)
         target = PolyRing(keep, ring.field, GrevLex())
         ering = elimination_ring([n for n in ring.names if n in drop_names], target)
-        pos = [ering.var_index(n) for n in ring.names]
-        gens = [g.map_exponents(ering, pos) for g in self.ambient_gens()]
+        gens = [g.to_ring(ering) for g in self.ambient_gens()]
         return Ideal(AffineAlgebra(target), eliminate(gens, target))
 
     def intersect(self, other):
@@ -200,9 +196,9 @@ class Ideal:
     def _saturation_gens(self, f):
         """Rabinowitsch: (I + modulus) : f^infinity is (I + modulus, 1 - t*f) cap k[x]."""
         ring = self.algebra.ring
-        tring, embed = _with_t(ring)
-        gens = [embed(g) for g in self.ambient_gens()]
-        gens.append(tring.one - tring.gen(tring.names[0]) * embed(f))
+        tring, t = _with_t(ring)
+        gens = [g.to_ring(tring) for g in self.ambient_gens()]
+        gens.append(tring.one - t * f.to_ring(tring))
         return eliminate(gens, ring)
 
     def saturate(self, f):
@@ -232,10 +228,9 @@ class Ideal:
 
 def _intersect_ambient(ring, gens1, gens2):
     """Ambient-ring intersection of two generator lists via the t-trick."""
-    tring, embed = _with_t(ring)
-    t = tring.gen(tring.names[0])
-    gens = [t * embed(g) for g in gens1]
-    gens += [(tring.one - t) * embed(g) for g in gens2]
+    tring, t = _with_t(ring)
+    gens = [t * g.to_ring(tring) for g in gens1]
+    gens += [(tring.one - t) * g.to_ring(tring) for g in gens2]
     return eliminate(gens, ring)
 
 
@@ -270,8 +265,7 @@ def kernel_of_map(source_names, target_algebra, images):
         raise PreconditionError("source names must be disjoint from target names")
     source = PolyRing(source_names, tring.field, GrevLex())
     ring = elimination_ring(tring.names, source)
-    tpos = list(range(tring.nvars))
-    gens = [m.map_exponents(ring, tpos) for m in target_algebra.modulus]
+    gens = [m.to_ring(ring) for m in target_algebra.modulus]
     for name, img in zip(source_names, images):
-        gens.append(ring.gen(name) - img.map_exponents(ring, tpos))
+        gens.append(ring.gen(name) - img.to_ring(ring))
     return Ideal(AffineAlgebra(source), eliminate(gens, source))

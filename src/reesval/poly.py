@@ -3,7 +3,9 @@
 Coefficients are exact: rationals by default, or residues modulo a configured
 prime. Exponents are dense tuples of naturals, one entry per ring variable.
 Terms are kept sorted strictly descending in the ring's active order, so the
-leading term is always terms[0].
+leading term is always terms[0]. Polynomials move between rings by variable
+name (`to_ring`, and `substitute` with images keyed by name), so no caller
+writes down where a variable sits in another ring.
 
 Polynomial text is read by one grammar, stated above `_parse_poly` and
 written as regular expressions: signed terms, each a product of numbers
@@ -254,6 +256,8 @@ class PolyRing:
         return f"{self.field}[{','.join(self.names)}; {self.order!r}]"
 
     def var_index(self, name):
+        if name not in self._index:
+            raise RingMismatchError(f"{self} has no variable {name!r}")
         return self._index[name]
 
     def fresh_names(self, *wanted):
@@ -452,34 +456,28 @@ class Polynomial:
 
     # -- structure ---------------------------------------------------------
 
-    def lowest_degree_form(self):
-        """Sum of all terms of minimal total degree; homogeneous by construction."""
-        if self.is_zero():
-            raise PreconditionError("zero polynomial has no lowest-degree form")
-        t = min(sum(e) for e, _ in self.terms)
-        return Polynomial(self.ring, tuple((e, c) for e, c in self.terms if sum(e) == t))
-
     def substitute(self, target_ring, images):
-        """Map this polynomial through var_i -> images[i] into target_ring."""
-        if len(images) != self.ring.nvars:
-            raise PreconditionError("one image per variable required")
+        """Map this polynomial into target_ring through var -> images[name];
+        a variable with no image goes to the target variable of its name."""
         out = target_ring.zero
         for e, c in self.terms:
             term = target_ring.monomial((0,) * target_ring.nvars, c)
-            for i, p in enumerate(e):
+            for name, p in zip(self.ring.names, e):
                 if p:
-                    term = term * images[i] ** p
+                    image = images[name] if name in images else target_ring.gen(name)
+                    term = term * image**p
             out = out + term
         return out
 
-    def map_exponents(self, target_ring, positions):
-        """Rename variables: var i of self becomes var positions[i] of target."""
+    def to_ring(self, target_ring):
+        """This polynomial in target_ring, each variable sent to the target
+        variable of the same name; a variable it uses must exist there."""
         d = {}
         for e, c in self.terms:
             ne = [0] * target_ring.nvars
-            for i, p in enumerate(e):
+            for name, p in zip(self.ring.names, e):
                 if p:
-                    ne[positions[i]] = p
+                    ne[target_ring.var_index(name)] = p
             d[tuple(ne)] = target_ring.field.coerce(c)
         return target_ring.poly_from_dict(d)
 

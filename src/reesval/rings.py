@@ -1,5 +1,8 @@
 """Homogenization, extended Rees presentations and the projective-closure
-check, each one elimination over the affine algebras of `ideals`.
+check, each one elimination over the affine algebras of `ideals`. Base,
+auxiliary and presentation variables are matched by name (`to_ring`,
+`substitute`); the homogenizing X0 is the one variable read by position,
+as the first of its ring.
 
 Normality / primality of user-supplied algebras and primes are ASSERTED,
 never decided here; operations that rely on an assertion echo it in their
@@ -10,22 +13,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import NotHomogeneousError, PreconditionError
+from .errors import PreconditionError
 from .ideals import AffineAlgebra, Ideal, eliminate, elimination_ring
 from .poly import GrevLex, PolyRing
 
 
 # ---------------------------------------------------------------------------
-# homogenization / dehomogenization
+# homogenization
 
 
 def homogenize_poly(f, target_ring):
-    """Homogenize f by the first variable of target_ring (one extra var)."""
+    """Homogenize f by the first variable of target_ring, which f must not
+    use; f's variables go to the target variables of the same names."""
     d = f.total_degree()
-    out = {}
-    for e, c in f.terms:
-        out[(d - sum(e),) + e] = target_ring.field.coerce(c)
-    return target_ring.poly_from_dict(out)
+    return target_ring.poly_from_dict(
+        {(d - sum(e),) + e[1:]: c for e, c in f.to_ring(target_ring).terms}
+    )
 
 
 def homogenize_ideal(P):
@@ -47,18 +50,6 @@ def homogenize_ideal(P):
     ideal = Ideal(halg, tuple(hgens))
     sat, _ = ideal.saturate(hring.gens()[0])
     return sat
-
-
-def dehomogenize(F, affine_algebra):
-    """Set the homogenizing (first) variable to 1 and read off the affine element."""
-    if not F.is_homogeneous():
-        raise NotHomogeneousError("dehomogenize needs a homogeneous input")
-    ring = affine_algebra.ring
-    d = {}
-    for e, c in F.terms:
-        prev = d.get(e[1:], ring.field.zero)
-        d[e[1:]] = ring.field.add(prev, ring.field.coerce(c))
-    return ring.poly_from_dict(d)
 
 
 # ---------------------------------------------------------------------------
@@ -100,23 +91,13 @@ class ReesPresentation:
         base_ring = self.base.ring
         names = base_ring.names + base_ring.fresh_names("_T", "_Ti")
         ring = PolyRing(names, base_ring.field, GrevLex())
-        n = base_ring.nvars
-        T, Ti = ring.gens()[n:]
-        base_images = [g.map_exponents(ring, list(range(n))) for g in base_ring.gens()]
-        rel = [m.map_exponents(ring, list(range(n))) for m in self.base.modulus]
+        T, Ti = ring.gens()[-2:]
+        rel = [m.to_ring(ring) for m in self.base.modulus]
         rel.append(T * Ti - ring.one)
         laurent = Ideal(AffineAlgebra(ring), rel)
-        # images of the presentation variables
-        images = []
-        pres_ring = self.algebra.ring
-        fmap = {name: g for name, g in zip(self.y_names, self.ideal_gens)}
-        for name in pres_ring.names:
-            if name in fmap:
-                images.append(fmap[name].map_exponents(ring, list(range(n))) * T)
-            elif name == self.u_name:
-                images.append(Ti)
-            else:
-                images.append(base_images[base_ring.var_index(name)])
+        # the retained base variables map to themselves
+        images = {y: g.to_ring(ring) * T for y, g in zip(self.y_names, self.ideal_gens)}
+        images[self.u_name] = Ti
         return all(
             laurent.contains_poly(m.substitute(ring, images))
             for m in self.algebra.modulus
@@ -151,11 +132,10 @@ def extended_rees_presentation(R, I):
     pres_ring = PolyRing(retained + y_names + (u_name,), ring.field)
     dropped = (T_name,) + (ring.names if variable_case else ())
     ering = elimination_ring(dropped, pres_ring)
-    xpos = [ering.var_index(n) for n in ring.names]
     T = ering.gen(T_name)
-    rel = [m.map_exponents(ering, xpos) for m in R.modulus]
+    rel = [m.to_ring(ering) for m in R.modulus]
     for name, g in zip(y_names, gens):
-        rel.append(ering.gen(name) - g.map_exponents(ering, xpos) * T)
+        rel.append(ering.gen(name) - g.to_ring(ering) * T)
     rel.append(ering.gen(u_name) * T - ering.one)
     kernel = eliminate(rel, pres_ring)
     algebra = AffineAlgebra(
@@ -204,7 +184,7 @@ def lift_to_rees(pres, f):
         raise PreconditionError("lift supported only when I is generated by the variables")
     ring = pres.algebra.ring
     u = ring.gen(pres.u_name)
-    images = [u * ring.gen(n) for n in pres.y_names]
+    images = {x: u * ring.gen(y) for x, y in zip(pres.base.ring.names, pres.y_names)}
     return f.substitute(ring, images)
 
 
@@ -239,20 +219,18 @@ def check_projective_closure_iso(P, H):
     plus 1 - t*X0, which saturates by X0.
     """
     affine_ring = P.algebra.ring
-    n = affine_ring.nvars
     x0_name = H.algebra.ring.names[0]
     chart = AffineAlgebra(PolyRing((x0_name,) + affine_ring.names, affine_ring.field))
     # t and X1..Xn (as _x1.._xn) go first, then the chart's X0, x1..xn
     aux = H.algebra.ring.fresh_names("_t", *(f"_{v}" for v in affine_ring.names))
     bring = elimination_ring(aux, chart.ring)
     X0 = bring.gen(x0_name)
-    hpos = [bring.var_index(x0_name)] + list(range(1, n + 1))
-    gens = [g.map_exponents(bring, hpos) for g in H.gens]
-    for v, h in zip(affine_ring.names, aux[1:]):
-        gens.append(bring.gen(v) * X0 - bring.gen(h))
+    rename = {v: bring.gen(h) for v, h in zip(affine_ring.names, aux[1:])}
+    gens = [g.substitute(bring, rename) for g in H.gens]
+    for v, h in rename.items():
+        gens.append(bring.gen(v) * X0 - h)
     gens.append(bring.one - bring.gen(aux[0]) * X0)
     kernel = Ideal(chart, eliminate(gens, chart.ring))
     # expected: P extended to k[X0, x]
-    xpos = list(range(1, n + 1))
-    expected = Ideal(chart, tuple(g.map_exponents(chart.ring, xpos) for g in P.gens))
+    expected = Ideal(chart, tuple(g.to_ring(chart.ring) for g in P.gens))
     return kernel.equals(expected)

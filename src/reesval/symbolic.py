@@ -81,16 +81,16 @@ def _random_elements(P, count, seed):
 def symbolic_power(P, n, separator="auto", seed=0):
     """n-th symbolic power of the (asserted) prime P, with a certificate.
 
-    The separator is "auto", a polynomial or its text. Returns (ideal,
-    certificate). The certificate records the separator, the saturation
-    exponent, a radical-membership check on the result and the primariness
-    screen (a probe passes when the result saturated by it has depth 0); a
-    failure gives "upper bound candidate", never an error.
+    The separator is "auto" or a polynomial. Returns (ideal, certificate).
+    The certificate records the separator, the saturation exponent, a
+    radical-membership check on the result and the primariness screen (a
+    probe passes when the result saturated by it has depth 0); a failure
+    gives "upper bound candidate", never an error.
     """
     if n < 0:
         raise PreconditionError("negative symbolic power")
-    if not isinstance(separator, (str, Polynomial)):
-        raise PreconditionError('separator must be "auto", a polynomial or its text')
+    if separator != "auto" and not isinstance(separator, Polynomial):
+        raise PreconditionError('separator must be "auto" or a polynomial')
     if n <= 1:
         power = P if n else Ideal(P.algebra, (P.algebra.ring.one,))
         return power, {"separator": None, "saturation_steps": 0, "status": "exact"}
@@ -103,8 +103,6 @@ def symbolic_power(P, n, separator="auto", seed=0):
     if separator is None:
         result, steps = Pn, 0
     else:
-        if isinstance(separator, str):
-            separator = P.algebra.ring.parse(separator)
         if P.contains_poly(separator):
             raise PreconditionError("separator lies in the prime")
         result, steps = Pn.saturate(separator)

@@ -147,6 +147,7 @@ def test_no_answer_carries_into_a_later_run():
         "translate-origin +1,0",
         "translate-origin x,0",
         "ord m 3/0*x",
+        "symbolic-power m 2 --separator x*",
         "briancon-skoda m 0",
         "briancon-skoda m -1",
         "symbolic_power m 2",

@@ -25,8 +25,6 @@ def test_leading_term_grevlex_vs_lex():
     x, y, z = R.gens()
     f = x * z + y**2  # same degree; grevlex prefers y^2 (smaller last exponent)
     assert f.lead_exp == (0, 2, 0)
-    L = PolyRing(("x", "y", "z"), QQ, Lex())
-    assert f.map_exponents(L, [0, 1, 2]).lead_exp == (1, 0, 1)
 
 
 def test_block_order_isolates_front_variables():
@@ -220,24 +218,59 @@ def test_ring_mismatch_detected():
         A.gen("x") + B.gen("x")
 
 
-def test_homogeneous_and_lowest_form():
+def test_is_homogeneous():
     R = PolyRing(("x", "y"), QQ, GrevLex())
     x, y = R.gens()
-    f = x**2 + y**3
-    assert not f.is_homogeneous()
-    assert f.lowest_degree_form() == x**2
+    assert not (x**2 + y**3).is_homogeneous()
     assert (x * y + y**2).is_homogeneous()
 
 
-def test_substitute_and_map_exponents():
+def test_to_ring_goes_by_name_into_any_order():
+    R = PolyRing(("x", "y", "z"), QQ, GrevLex())
+    x, y, z = R.gens()
+    f = x * z + y**2 + 3 * y
+    L = PolyRing(("z", "y", "x", "w"), QQ, Lex())
+    Z, Y, X, _ = L.gens()
+    g = f.to_ring(L)
+    assert g == X * Z + Y**2 + 3 * Y
+    assert g.lead_exp == (1, 0, 1, 0)  # lex on z first
+    assert g.to_ring(R) == f
+
+
+def test_to_ring_refuses_a_used_variable_the_target_lacks():
+    R = PolyRing(("x", "y"), QQ, GrevLex())
+    S = PolyRing(("x", "z"), QQ, GrevLex())
+    with pytest.raises(RingMismatchError, match="'y'"):
+        (R.gen("x") + R.gen("y")).to_ring(S)
+
+
+def test_to_ring_needs_no_counterpart_for_an_unused_variable():
+    R = PolyRing(("t", "x", "y"), QQ, Block(1))
+    S = PolyRing(("y", "x"), QQ, GrevLex())
+    _, x, y = R.gens()
+    assert (x**2 - 2 * y + 1).to_ring(S) == S.parse("x^2 - 2*y + 1")
+    assert R.zero.to_ring(S) == S.zero
+
+
+def test_substitute_maps_variables_without_an_image_to_themselves():
+    R = PolyRing(("x", "y"), QQ, GrevLex())
+    S = PolyRing(("a", "y", "x"), QQ, GrevLex())
+    x, y = R.gens()
+    a, Y, X = S.gens()
+    f = x**2 + x * y
+    assert f.substitute(S, {"x": a + 1}) == (a + 1) ** 2 + (a + 1) * Y
+    assert f.substitute(S, {}) == X**2 + X * Y
+    assert f.substitute(S, {"x": a, "y": a * X}) == a**2 + a**2 * X
+
+
+def test_substitute_refuses_a_used_variable_with_no_image_or_namesake():
     R = PolyRing(("x", "y"), QQ, GrevLex())
     S = PolyRing(("a", "b", "c"), QQ, GrevLex())
     x, y = R.gens()
     a, b, c = S.gens()
-    f = x**2 + x * y
-    assert f.substitute(S, [a, b * c]) == a**2 + a * b * c
-    g = f.map_exponents(S, [0, 2])
-    assert g == a**2 + a * c
+    with pytest.raises(RingMismatchError, match="'y'"):
+        (x**2 + x * y).substitute(S, {"x": a})
+    assert (x**2).substitute(S, {"x": b * c}) == b**2 * c**2
 
 
 # comparators written from each order's definition, independent of order.key

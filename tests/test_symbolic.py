@@ -60,6 +60,13 @@ def test_separator_none_is_refused():
         symbolic_power(P, 2, separator=None)
 
 
+def test_separator_text_is_refused():
+    # the CLI parses a separator's text; the library takes a polynomial
+    _, P = curve_345()
+    with pytest.raises(PreconditionError, match="separator"):
+        symbolic_power(P, 2, separator="x")
+
+
 def test_symbolic_power_lives_in_the_primes_algebra(paper_ring):
     x1, x3 = paper_ring.ring.gen("x1"), paper_ring.ring.gen("x3")
     P = Ideal(paper_ring, (x1, x3))
@@ -124,9 +131,9 @@ def test_ord_at_refuses_a_downgraded_symbolic_power():
     # and reading that power as exact would report ord 1
     alg, P = curve_345()
     f = alg.ring.parse("x^5 + x*y^3 - 3*x^2*y*z + z^3")
-    assert ord_at(P, f, nmax=3, separator="x") == (2, True)
+    assert ord_at(P, f, nmax=3, separator=alg.ring.parse("x")) == (2, True)
     with pytest.raises(PreconditionError, match="downgraded"):
-        ord_at(P, f, nmax=3, separator="x+1")
+        ord_at(P, f, nmax=3, separator=alg.ring.parse("x+1"))
 
 
 def test_symbolic_powers_are_cached_on_the_prime_handle(paper_ring):
