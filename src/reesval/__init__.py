@@ -3,12 +3,11 @@
 from .errors import (
     BudgetExceededError,
     NotHomogeneousError,
-    OrderError,
     PreconditionError,
     ReesvalError,
     RingMismatchError,
 )
-from .groebner import GroebnerBasis, buchberger, normal_form, s_polynomial
+from .groebner import buchberger, normal_form, s_polynomial
 from .ideals import AffineAlgebra, Ideal, kernel_of_map
 from .monomial import (
     MonomialValuation,
@@ -32,7 +31,7 @@ from .multiplicity import (
     multiplicity_from_table,
     multiplicity_graded,
 )
-from .poly import QQ, Block, GrevLex, Lex, PolyRing, Polynomial, PrimeField, Weighted
+from .poly import QQ, Block, GrevLex, Lex, PolyRing, Polynomial, PrimeField
 from .rings import (
     ExceptionalPrimeCertificate,
     ReesPresentation,

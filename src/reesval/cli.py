@@ -60,23 +60,6 @@ class SessionFile:
     ideals: list  # (name, [poly strings]) in definition order
     commands: list  # token lists
 
-    def render(self):
-        parts = []
-        fields = []
-        fields.append("vars: " + " ".join(self.ring["vars"]))
-        fields.append("field: " + self.ring["field"])
-        if self.ring["mod"]:
-            fields.append("mod: " + ", ".join(self.ring["mod"]))
-        fields.append("order: " + self.ring["order"])
-        if self.ring["assert"]:
-            fields.append("assert: " + " ".join(self.ring["assert"]))
-        parts.append("ring { " + "; ".join(fields) + " }")
-        for name, polys in self.ideals:
-            parts.append(f"ideal {name} = " + ", ".join(polys))
-        for toks in self.commands:
-            parts.append("cmd: " + " ".join(toks))
-        return "\n".join(parts) + "\n"
-
 
 def parse_session(text):
     text = re.sub(r"#[^\n]*", "", text)

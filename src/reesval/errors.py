@@ -9,10 +9,6 @@ class RingMismatchError(ReesvalError):
     """Operands live in different rings or carry different term orders."""
 
 
-class OrderError(ReesvalError):
-    """Term order unfit for the requested computation (e.g. non-positive weights)."""
-
-
 class BudgetExceededError(ReesvalError):
     """A configured step or iteration budget ran out.
 

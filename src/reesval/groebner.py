@@ -1,5 +1,10 @@
 """Buchberger's algorithm, multivariate division, reduced Groebner bases.
 
+A reduced basis is a plain tuple of monic polynomials in increasing term
+order, () for the zero ideal. It is unique (Cox-Little-O'Shea, ch. 2
+section 7), so two ideals are equal iff their bases compare equal, and the
+unit ideal's basis is exactly (1,).
+
 Pair selection is fixed (normal strategy: minimal lcm degree first,
 lexicographic tie-break on pair indices) so output is deterministic.
 Pairs come off a heap keyed that way, and division takes the terms of
@@ -26,7 +31,6 @@ from __future__ import annotations
 import heapq
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass
 from functools import wraps
 from math import gcd
 from operator import add, le, neg, sub
@@ -101,18 +105,6 @@ def _sub_exp(a, b):
     return tuple(map(sub, a, b))
 
 
-@dataclass(frozen=True)
-class GroebnerBasis:
-    ring: object
-    polys: tuple
-
-    def __iter__(self):
-        return iter(self.polys)
-
-    def __len__(self):
-        return len(self.polys)
-
-
 def _check_ring(ring, polys):
     for p in polys:
         if p.ring != ring:
@@ -127,9 +119,9 @@ def normal_form(f, G, selector=None):
     default takes the first. Against a reduced basis the result does not
     depend on this choice.
     """
-    polys = G.polys if isinstance(G, GroebnerBasis) else tuple(G)
+    polys = tuple(G)
     if polys:
-        _check_ring(polys[0].ring, (f,) + tuple(polys))
+        _check_ring(polys[0].ring, (f,) + polys)
     return _divide(f.ring, *f.ring.field.clear(f.terms), polys, selector)
 
 
@@ -221,16 +213,16 @@ def buchberger(gens):
     Both standard criteria are applied: coprime lead terms, and the chain
     criterion against already-processed pairs. When every generator is one
     term, the basis is the monic minimal generators, found with no
-    reduction steps.
+    reduction steps. The zero ideal's basis is ().
     """
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
-        raise ValueError("no nonzero generators")
+        return ()
     ring = gens[0].ring
     _check_ring(ring, gens)
     if all(len(g.terms) == 1 for g in gens):
         leads = sorted(_minimalize(g.lead_exp for g in gens), key=ring.order.key)
-        return GroebnerBasis(ring, tuple(map(ring.monomial, leads)))
+        return tuple(map(ring.monomial, leads))
 
     basis, pairs, done = [], [], set()
 
@@ -287,13 +279,7 @@ def _reduce_basis(ring, basis):
         others = minimal[:i] + minimal[i + 1 :]
         reduced.append(normal_form(g, others).monic())
     reduced.sort(key=lambda p: ring.order.key(p.lead_exp))
-    return GroebnerBasis(ring=ring, polys=tuple(reduced))
-
-
-@_budgeted
-def contains(G, polys):
-    """True iff every element of polys reduces to zero against G."""
-    return all(normal_form(p, G).is_zero() for p in polys)
+    return tuple(reduced)
 
 
 @_budgeted

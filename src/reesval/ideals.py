@@ -2,12 +2,14 @@
 
 An Ideal handle holds generators inside an AffineAlgebra and denotes
 (generators + modulus)/modulus; every cached basis includes the modulus
-generators. Intersections, colons, saturations, radical membership,
-kernels, Rees presentations and the projective-closure check each write
-their relations in `elimination_ring(front, target)`, which puts the
-variables to drop first under a block order, and call `eliminate`.
-Polynomials enter and leave that ring by `to_ring`, which matches
-variables by name.
+generators. Bases are the plain tuples `groebner.buchberger` returns, so
+the unit ideal is the one whose basis is (1,), and two algebras are equal
+when their rings and reduced modulus bases are. Intersections, colons,
+saturations, radical membership, kernels, Rees presentations and the
+projective-closure check each write their relations in
+`elimination_ring(front, target)`, which puts the variables to drop first
+under a block order, and call `eliminate`. Polynomials enter and leave
+that ring by `to_ring`, which matches variables by name.
 """
 
 from __future__ import annotations
@@ -35,15 +37,12 @@ class AffineAlgebra:
 
     def modulus_gb(self):
         if self._modulus_gb is None:
-            if self.modulus:
-                self._modulus_gb = groebner.buchberger(self.modulus)
-            else:
-                self._modulus_gb = groebner.GroebnerBasis(ring=self.ring, polys=())
+            self._modulus_gb = groebner.buchberger(self.modulus)
         return self._modulus_gb
 
     def is_proper(self):
         """True iff 1 is not in the modulus."""
-        return not groebner.contains(self.modulus_gb(), [self.ring.one])
+        return self.modulus_gb() != (self.ring.one,)
 
     def reduce(self, f):
         """Canonical representative of f modulo the modulus."""
@@ -52,14 +51,15 @@ class AffineAlgebra:
         return groebner.normal_form(f, self.modulus_gb())
 
     def __eq__(self, other):
-        return (
+        """Same ring and same ideal: the reduced modulus bases agree."""
+        return self is other or (
             isinstance(other, AffineAlgebra)
             and self.ring == other.ring
-            and set(self.modulus) == set(other.modulus)
+            and self.modulus_gb() == other.modulus_gb()
         )
 
     def __hash__(self):
-        return hash((self.ring, frozenset(self.modulus)))
+        return hash(self.ring)
 
     def __repr__(self):
         mods = ", ".join(str(m) for m in self.modulus) or "0"
@@ -78,12 +78,10 @@ def eliminate(gens, target):
     The gens live in elimination_ring(front, target); the reduced basis
     elements that use no front variable are read in target.
     """
-    if all(g.is_zero() for g in gens):
-        return ()
-    basis = groebner.buchberger(gens)
-    k = basis.ring.order.k
     return tuple(
-        g.to_ring(target) for g in basis if not any(g.uses_var(i) for i in range(k))
+        g.to_ring(target)
+        for g in groebner.buchberger(gens)
+        if not any(g.uses_var(i) for i in range(g.ring.order.k))
     )
 
 
@@ -107,8 +105,9 @@ class Ideal:
         return tuple(g for g in self.gens + self.algebra.modulus if not g.is_zero())
 
     def gb(self):
-        """Reduced Groebner basis of generators + modulus in the ambient ring;
-        with no nonzero generator, the algebra's own (cached) modulus basis."""
+        """Reduced Groebner basis, a tuple, of generators + modulus in the
+        ambient ring; with no nonzero generator, the algebra's own (cached)
+        modulus basis."""
         if self._gb is None:
             if any(not g.is_zero() for g in self.gens):
                 self._gb = groebner.buchberger(self.ambient_gens())
@@ -117,7 +116,7 @@ class Ideal:
         return self._gb
 
     def is_unit(self):
-        return groebner.contains(self.gb(), [self.algebra.ring.one])
+        return self.gb() == (self.algebra.ring.one,)
 
     def contains_poly(self, f):
         return groebner.normal_form(f, self.gb()).is_zero()

@@ -139,21 +139,16 @@ def _exponents_of(I):
     return exps
 
 
-def newton_polyhedron(I_or_exps, nvars=None):
+def newton_polyhedron(I):
     """Facet description of the Newton polyhedron conv(exps) + orthant."""
-    if nvars is None:
-        exps = _exponents_of(I_or_exps)
-        nvars = I_or_exps.algebra.ring.nvars
-    else:
-        exps = list(I_or_exps)
-    exps = _minimalize(exps)
+    exps = _minimalize(_exponents_of(I))
+    n = I.algebra.ring.nvars
     if not exps:
         raise PreconditionError("empty generating set")
-    if nvars > MAX_VARS:
+    if n > MAX_VARS:
         raise PreconditionError(f"at most {MAX_VARS} variables supported")
     if len(exps) > MAX_GENS:
         raise PreconditionError(f"at most {MAX_GENS} generators supported")
-    n = nvars
     unit = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
     facets = {}
     for k in range(1, n + 1):
@@ -196,26 +191,16 @@ def rees_valuations_monomial(I):
 # integral closure and the facet-free membership oracle
 
 
-def integral_closure_exponents(exps, nvars, n=1):
-    """Minimal lattice generators of the closure of I^n."""
+def integral_closure_power(I, n=1):
+    """Integral closure of I^n as an ideal, I monomial in a polynomial ring:
+    the minimal lattice points of n * NP(I)."""
     if n < 0:
         raise PreconditionError("negative power")
-    np_ = newton_polyhedron(exps, nvars)
-    bounds = [n * max(g[i] for g in np_.generators) for i in range(nvars)]
-    hits = [
-        e
-        for e in product(*(range(b + 1) for b in bounds))
-        if np_.contains(e, n)
-    ]
-    return _minimalize(hits)
-
-
-def integral_closure_power(I, n=1):
-    """Integral closure of I^n as an ideal, I monomial in a polynomial ring."""
-    exps = _exponents_of(I)
+    np_ = newton_polyhedron(I)
+    bounds = [n * max(g[i] for g in np_.generators) for i in range(np_.nvars)]
+    hits = [e for e in product(*(range(b + 1) for b in bounds)) if np_.contains(e, n)]
     ring = I.algebra.ring
-    mins = integral_closure_exponents(exps, ring.nvars, n)
-    return Ideal(I.algebra, tuple(ring.monomial(e) for e in mins))
+    return Ideal(I.algebra, tuple(map(ring.monomial, _minimalize(hits))))
 
 
 def membership_oracle_caratheodory(exps, nvars, e, n=1):
@@ -250,7 +235,7 @@ def membership_oracle_caratheodory(exps, nvars, e, n=1):
 # volume multiplicity of m-primary monomial ideals
 
 
-def monomial_multiplicity(I_or_exps, nvars=None):
+def monomial_multiplicity(I):
     """Hilbert-Samuel multiplicity of an m-primary monomial ideal.
 
     n! times the covolume of NP, the union of the cones from the origin
@@ -262,16 +247,12 @@ def monomial_multiplicity(I_or_exps, nvars=None):
     filtering. Down at the points, each chain (v_1, ..., v_n) is an integer
     simplex with the origin, and n! times its volume is |det(v_1, ..., v_n)|.
     """
-    if nvars is None:
-        exps = _exponents_of(I_or_exps)
-        nvars = I_or_exps.algebra.ring.nvars
-    else:
-        exps = list(I_or_exps)
-    n = nvars
+    exps = _exponents_of(I)
+    n = I.algebra.ring.nvars
     for i in range(n):
         if not any(all(p == 0 for j, p in enumerate(g) if j != i) for g in exps):
             raise PreconditionError("ideal is not primary to the maximal ideal")
-    np_ = newton_polyhedron(exps, n)
+    np_ = newton_polyhedron(I)
     tight = [
         tuple(
             g

@@ -22,9 +22,9 @@ import re
 from fractions import Fraction
 from itertools import product
 from math import lcm
-from operator import add, mul, neg
+from operator import add, neg
 
-from .errors import OrderError, PreconditionError, RingMismatchError
+from .errors import PreconditionError, RingMismatchError
 
 
 # ---------------------------------------------------------------------------
@@ -203,22 +203,6 @@ class Block(MonomialOrder):
 
     def __repr__(self):
         return f"block({self.k},grevlex,grevlex)"
-
-
-class Weighted(MonomialOrder):
-    """Positive weight vector first, grevlex second."""
-
-    def __init__(self, weights):
-        weights = tuple(weights)
-        if any(w <= 0 for w in weights):
-            raise OrderError("weights must be positive")
-        self.weights = weights
-
-    def key(self, exp):
-        return (sum(map(mul, self.weights, exp)),) + _grevlex(exp)
-
-    def __repr__(self):
-        return f"weighted({self.weights},grevlex)"
 
 
 # ---------------------------------------------------------------------------

@@ -74,7 +74,7 @@ class ReesPresentation:
     weights: tuple = field(default=())
 
     def grading_weight(self, f):
-        """Weighted degree of a homogeneous-for-the-weights element; None if mixed."""
+        """Degree under self.weights of an element homogeneous for them; None if mixed."""
         degs = {
             sum(w * p for w, p in zip(self.weights, e)) for e, _ in f.terms
         }

@@ -4,6 +4,12 @@ from reesval import AffineAlgebra, GrevLex, PolyRing, QQ
 from reesval.ideals import Ideal
 
 
+def _exps_ideal(exps, nvars):
+    """The monomial ideal of the exponent tuples exps in QQ[x0..x{nvars-1}]."""
+    ring = PolyRing(tuple(f"x{i}" for i in range(nvars)), QQ, GrevLex())
+    return Ideal(AffineAlgebra(ring), tuple(map(ring.monomial, exps)))
+
+
 @pytest.fixture
 def paper_ring():
     """Q[x1,x2,x3]/(x1*x2 + x3^3), normality and primality asserted."""

@@ -51,12 +51,6 @@ def test_prime_field_session():
     assert report["commands"][0]["result"]["basis"] == ["y", "x"]
 
 
-def test_render_round_trip():
-    s = parse_session(PAPER_SESSION)
-    again = parse_session(s.render())
-    assert again == s
-
-
 def test_run_paper_session_results():
     report, ok = run(parse_session(PAPER_SESSION))
     assert ok

@@ -1,9 +1,9 @@
 import pytest
 
-from reesval import AffineAlgebra, GrevLex, PolyRing, QQ, groebner
+from reesval import AffineAlgebra, GrevLex, Lex, PolyRing, QQ, groebner
 from reesval.cli import parse_session, run
 from reesval.errors import PreconditionError
-from reesval.ideals import Ideal, kernel_of_map
+from reesval.ideals import Ideal, eliminate, elimination_ring, kernel_of_map
 
 
 def test_containment_and_equality(poly_xy):
@@ -172,6 +172,41 @@ def test_unit_ideal_detection(poly_xy):
     x, y = poly_xy.ring.gens()
     I = Ideal(poly_xy, (x, x + 1))
     assert I.is_unit()
+    assert not Ideal(poly_xy, (x**2, x * y - 1 + y)).is_unit()
+    assert poly_xy.is_proper()
+    # the zero ring, as a session's `mod: 1` gives it
+    ring = poly_xy.ring
+    zero_ring = AffineAlgebra(ring, (ring.parse("1"),))
+    assert not zero_ring.is_proper()
+    assert Ideal(zero_ring, ()).is_unit()
+
+
+def test_bases_are_tuples(poly_xy):
+    x, y = poly_xy.ring.gens()
+    assert isinstance(Ideal(poly_xy, (x**2 - y,)).gb(), tuple)
+    assert Ideal(poly_xy, ()).gb() == ()
+    assert Ideal(poly_xy, (poly_xy.ring.zero,)).gb() == ()
+    # relations that are all zero eliminate to the zero ideal
+    ering = elimination_ring(("t",), poly_xy.ring)
+    assert eliminate([ering.zero, ering.zero], poly_xy.ring) == ()
+
+
+def test_algebras_equal_by_their_ideal():
+    ring = PolyRing(("x", "y", "z"), QQ, GrevLex())
+    x, y, z = ring.gens()
+    A = AffineAlgebra(ring, (x * y + z**3,))
+    B = AffineAlgebra(ring, (2 * x * y + 2 * z**3, x * (x * y + z**3)))
+    assert A == B and hash(A) == hash(B)
+    I = Ideal(A, (x,)).intersect(Ideal(B, (z,)))
+    assert I.contains_poly(x * z) and not I.contains_poly(x)
+    # another modulus or another ring is another algebra
+    assert A != AffineAlgebra(ring, (x * y - z**3,))
+    lex = PolyRing(("x", "y", "z"), QQ, Lex())
+    assert A != AffineAlgebra(lex, (lex.parse("x*y + z^3"),))
+    # one algebra is equal to itself before any basis is computed
+    C = AffineAlgebra(ring, (x * y + z**3,))
+    Ideal(C, (x,)) + Ideal(C, (y,))
+    assert C._modulus_gb is None
 
 
 def test_cross_algebra_operations_rejected(poly_xy, poly_xyz):

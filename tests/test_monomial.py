@@ -23,6 +23,8 @@ from reesval.ideals import Ideal
 from reesval.monomial import _nullspace, _reduce, _solve
 from reesval.multiplicity import length_sampler, multiplicity_from_table
 
+from conftest import _exps_ideal
+
 
 def _ideal(alg, *exps):
     return Ideal(alg, tuple(alg.ring.monomial(e) for e in exps))
@@ -141,14 +143,14 @@ def test_newton_polyhedron_simplex_and_square(poly_xy):
 def test_supporting_non_facets_rejected():
     # (3,2) supports conv{(2,0),(1,1),(0,3)} only at the middle point:
     # it must NOT appear as a facet
-    np_ = newton_polyhedron([(2, 0), (1, 1), (0, 3)], 2)
+    np_ = newton_polyhedron(_exps_ideal([(2, 0), (1, 1), (0, 3)], 2))
     normals = {f.normal for f in np_.facets}
     assert (3, 2) not in normals
     assert {(1, 1), (2, 1)} <= normals
 
 
 def test_every_generator_satisfies_facets():
-    np_ = newton_polyhedron([(2, 1), (1, 3)], 2)
+    np_ = newton_polyhedron(_exps_ideal([(2, 1), (1, 3)], 2))
     for g in np_.generators:
         for f in np_.facets:
             assert sum(a * e for a, e in zip(f.normal, g)) >= f.offset
@@ -199,7 +201,7 @@ def test_facets_agree_with_caratheodory_randomized():
         gens = [g for g in gens if sum(g) > 0]
         if not gens:
             continue
-        np_ = newton_polyhedron(gens, nvars)
+        np_ = newton_polyhedron(_exps_ideal(gens, nvars))
         degree_cap = 12 if nvars == 2 else 6
         for n in (1, 2, 3):
             for e in product(range(degree_cap + 1), repeat=nvars):
@@ -276,12 +278,12 @@ def test_monomial_multiplicity_symmetry_and_scaling_property():
             tuple(rng.randint(1, 6) if j == i else 0 for j in range(n))
             for i in range(n)
         ]
-        e = monomial_multiplicity(gens, n)
+        e = monomial_multiplicity(_exps_ideal(gens, n))
         perm = rng.sample(range(n), n)
         permuted = [tuple(g[p] for p in perm) for g in gens]
-        assert monomial_multiplicity(permuted, n) == e, (gens, perm)
+        assert monomial_multiplicity(_exps_ideal(permuted, n)) == e, (gens, perm)
         scaled = [tuple(k * x for x in g) for g in gens]
-        assert monomial_multiplicity(scaled, n) == k**n * e, (gens, k)
+        assert monomial_multiplicity(_exps_ideal(scaled, n)) == k**n * e, (gens, k)
 
     symmetric_and_homogeneous()
 
@@ -368,7 +370,7 @@ def test_artin_rees_bounds(poly_xy, paper_ring):
 def test_variable_limit():
     ring = PolyRing(tuple("abcde"), QQ, GrevLex())
     with pytest.raises(PreconditionError):
-        newton_polyhedron([(1, 0, 0, 0, 0)], 5)
+        newton_polyhedron(_exps_ideal([(1, 0, 0, 0, 0)], 5))
     m = Ideal(AffineAlgebra(ring), tuple(ring.gens()))
     with pytest.raises(PreconditionError, match="at most 4 variables supported"):
         monomial_multiplicity(m)

@@ -22,6 +22,8 @@ from reesval import (
 )
 from reesval.errors import PreconditionError
 
+from conftest import _exps_ideal
+
 GOLDEN = Path(__file__).parent / "golden" / "newton_polyhedra.json"
 
 # nvars -> (number of generator sets, grid side, powers n of the oracle)
@@ -36,7 +38,7 @@ def _case(rng, nvars, side, powers):
             for _ in range(rng.randint(2, 5))
         ]
         gens = [g for g in gens if sum(g) > 0]
-    np_ = newton_polyhedron(gens, nvars)
+    np_ = newton_polyhedron(_exps_ideal(gens, nvars))
     case = {
         "nvars": nvars,
         "gens": gens,
@@ -56,7 +58,7 @@ def _case(rng, nvars, side, powers):
             if rng.random() < 0.9
         ]
         try:
-            value = {"value": monomial_multiplicity(primary, nvars)}
+            value = {"value": monomial_multiplicity(_exps_ideal(primary, nvars))}
         except PreconditionError as exc:
             value = {"error": str(exc)}
         case["multiplicity"] = {"gens": primary, **value}

@@ -5,8 +5,8 @@ from functools import cmp_to_key
 
 import pytest
 
-from reesval import Block, GrevLex, Lex, PolyRing, PrimeField, QQ, Weighted
-from reesval.errors import OrderError, PreconditionError, RingMismatchError
+from reesval import Block, GrevLex, Lex, PolyRing, PrimeField, QQ
+from reesval.errors import PreconditionError, RingMismatchError
 from reesval.poly import _is_prime
 
 
@@ -32,11 +32,6 @@ def test_block_order_isolates_front_variables():
     t, x, y = R.gens()
     f = t + x**5 * y**5
     assert f.lead_exp == (1, 0, 0)
-
-
-def test_weighted_order_rejects_nonpositive_weight():
-    with pytest.raises(OrderError):
-        Weighted((1, 0))
 
 
 def test_prime_field_arithmetic():
@@ -293,13 +288,6 @@ def _block(k, front, back):
     return lambda a, b: front(a[:k], b[:k]) or back(a[k:], b[k:])
 
 
-def _weighted(weights, tiebreak):
-    def weight(e):
-        return sum(w * x for w, x in zip(weights, e))
-
-    return lambda a, b: _cmp(weight(a), weight(b)) or tiebreak(a, b)
-
-
 @pytest.mark.parametrize(
     "order, compare",
     [
@@ -307,9 +295,8 @@ def _weighted(weights, tiebreak):
         (GrevLex(), _grevlex),
         (Block(1), _block(1, _grevlex, _grevlex)),
         (Block(2), _block(2, _grevlex, _grevlex)),
-        (Weighted((1, 2, 3)), _weighted((1, 2, 3), _grevlex)),
     ],
-    ids=["lex", "grevlex", "block1", "block2", "weighted123"],
+    ids=["lex", "grevlex", "block1", "block2"],
 )
 def test_canonical_terms_sorted_descending(order, compare):
     rng = random.Random(11)

@@ -146,7 +146,7 @@ def test_associated_graded_matches_elimination(case):
     alg = pres.algebra
     elim = Ideal(alg, alg.modulus + (alg.ring.gen(pres.u_name),)).eliminate({pres.u_name})
     assert gr.ring == elim.algebra.ring
-    assert gr.modulus_gb().polys == elim.gb().polys
+    assert gr.modulus_gb() == elim.gb()
     graded = not pres.retained and all(g.is_homogeneous() for g in elim.gens)
     assert ("standard_graded" in gr.asserted) == graded
     assert graded == (case != "plane-x2-y3")
