@@ -33,7 +33,6 @@ from .multiplicity import (
 )
 from .poly import QQ, Block, GrevLex, Lex, PolyRing, Polynomial, PrimeField
 from .rings import (
-    ExceptionalPrimeCertificate,
     ReesPresentation,
     associated_graded,
     extended_rees_presentation,
@@ -43,7 +42,6 @@ from .rings import (
 from .symbolic import ord_at, symbolic_order_along, symbolic_power
 from .verify import (
     CheckReport,
-    UniformConstants,
     check_fixed_power_lemma,
     check_improved_chevalley,
     check_izumi_valuation_bound,

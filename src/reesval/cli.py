@@ -43,7 +43,6 @@ from .poly import Block, GrevLex, Lex, PolyRing, PrimeField, QQ
 from .rings import extended_rees_presentation
 from .symbolic import DEFAULT_NMAX, ord_at, symbolic_power
 from .verify import (
-    UniformConstants,
     check_improved_chevalley,
     check_local_zariski_nagata,
     check_main_theorem_A,
@@ -324,22 +323,20 @@ class _Session:
             self.ideal(p), self.ideal(q), _int(nmax), seed=self.seed
         )
 
-    def check_main_a(self, *, p, q, nmax=2, eS=None):
+    def check_main_a(self, *, p, q, nmax=2):
         return check_main_theorem_A(
-            self.ideal(p), self.ideal(q), _int(nmax),
-            eS=_int(eS) if eS is not None else None, seed=self.seed,
+            self.ideal(p), self.ideal(q), _int(nmax), seed=self.seed
         )
 
-    def check_izumi_mult(self, *, q, fs, C=None):
+    def check_izumi_mult(self, *, q, fs):
         return check_uniform_izumi_multiplicity(
-            self.ideal(q), [self.poly(f) for f in fs.split(";")],
-            C=_int(C) if C is not None else None, seed=self.seed,
+            self.ideal(q), [self.poly(f) for f in fs.split(";")], seed=self.seed
         )
 
     def check_chevalley(self, *, p, q, nmax=2, A=0, B=0, C=1, E=1, e=1):
-        constants = UniformConstants(*map(_int, (A, B, C, E, e)))
         return check_improved_chevalley(
-            self.ideal(p), self.ideal(q), constants, _int(nmax), seed=self.seed
+            self.ideal(p), self.ideal(q), _int(nmax),
+            A=_int(A), B=_int(B), C=_int(C), E=_int(E), e=_int(e), seed=self.seed,
         )
 
     def check_order_ideal_graded(self, *, F):

@@ -40,10 +40,6 @@ class AffineAlgebra:
             self._modulus_gb = groebner.buchberger(self.modulus)
         return self._modulus_gb
 
-    def is_proper(self):
-        """True iff 1 is not in the modulus."""
-        return self.modulus_gb() != (self.ring.one,)
-
     def reduce(self, f):
         """Canonical representative of f modulo the modulus."""
         if not self.modulus:
@@ -114,9 +110,6 @@ class Ideal:
             else:
                 self._gb = self.algebra.modulus_gb()
         return self._gb
-
-    def is_unit(self):
-        return self.gb() == (self.algebra.ring.one,)
 
     def contains_poly(self, f):
         return groebner.normal_form(f, self.gb()).is_zero()

@@ -11,7 +11,7 @@ reports so a reader can see what a verdict depended on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import PreconditionError
 from .ideals import AffineAlgebra, Ideal, eliminate, elimination_ring
@@ -71,7 +71,7 @@ class ReesPresentation:
     y_names: tuple
     u_name: str
     retained: tuple  # names of base variables kept in the presentation
-    weights: tuple = field(default=())
+    weights: tuple
 
     def grading_weight(self, f):
         """Degree under self.weights of an element homogeneous for them; None if mixed."""
@@ -186,24 +186,6 @@ def lift_to_rees(pres, f):
     u = ring.gen(pres.u_name)
     images = {x: u * ring.gen(y) for x, y in zip(pres.base.ring.names, pres.y_names)}
     return f.substitute(ring, images)
-
-
-# ---------------------------------------------------------------------------
-# exceptional-prime certificates
-
-
-@dataclass
-class ExceptionalPrimeCertificate:
-    """User-supplied candidate exceptional primes with multiplicities.
-
-    Valid iff the intersection of the symbolic powers Q_i^(m_i) equals (u)
-    in the presentation and u lies in every Q_i. Primality of the Q_i and
-    normality of the presentation are assertions, not conclusions.
-    """
-
-    presentation: ReesPresentation
-    primes: tuple  # Ideal instances in presentation.algebra
-    multiplicities: tuple
 
 
 # ---------------------------------------------------------------------------

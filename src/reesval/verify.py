@@ -35,21 +35,6 @@ ORDER_IDEAL_N = 7  # length-table depth of the order-ideal check
 
 
 @dataclass
-class UniformConstants:
-    """Named constants of the uniformity statements.
-
-    A: Artin-Rees, B: Briancon-Skoda, C: multiplicity/order ratio,
-    E: Izumi bound, e: max local multiplicity.
-    """
-
-    A: int = 0
-    B: int = 0
-    C: int = 0
-    E: int = 0
-    e: int = 1
-
-
-@dataclass
 class CheckReport:
     name: str
     inputs: dict
@@ -88,21 +73,24 @@ def graded_multiplicity_of_closure(R):
     return multiplicity_graded(S), S
 
 
-def verify_exceptional_certificate(cert):
-    """Check the certificate's defining ideal equality; each power saturates
-    by the first variable outside its prime, else by the automatic separator."""
-    if not cert.primes or len(cert.primes) != len(cert.multiplicities):
+def verify_exceptional_certificate(pres, primes, multiplicities):
+    """Check candidate exceptional primes Q_i of a presentation, with
+    multiplicities m_i: valid iff u lies in every Q_i and the intersection of
+    the symbolic powers Q_i^(m_i) equals (u). Each power saturates by the
+    first variable outside its prime, else by the automatic separator.
+    Primality of the Q_i and normality of the presentation are assertions,
+    not conclusions."""
+    if not primes or len(primes) != len(multiplicities):
         raise PreconditionError(
             "a certificate needs one or more primes, each with a multiplicity: "
-            f"got {len(cert.primes)} primes, {len(cert.multiplicities)} multiplicities"
+            f"got {len(primes)} primes, {len(multiplicities)} multiplicities"
         )
-    pres = cert.presentation
     if "normal" not in pres.base.asserted:
         raise PreconditionError("certificate check requires an asserted-normal base")
     alg = pres.algebra
     u = alg.ring.gen(pres.u_name)
     pieces = []
-    for Q, m in zip(cert.primes, cert.multiplicities):
+    for Q, m in zip(primes, multiplicities):
         if not Q.contains_poly(u):
             return False
         sep = first_variable_outside(Q)
@@ -131,12 +119,11 @@ def check_local_zariski_nagata(p, q, nmax, p_sep="auto", seed=0):
     )
 
 
-def check_main_theorem_A(p, q, nmax, eS=None, seed=0):
+def check_main_theorem_A(p, q, nmax, seed=0):
     """p^(e(S)n+1) inside q^(n), and the chain p^(2e(S)n) inside p^(e(S)n+1),
     where S is the projective closure of p's ring and all powers are symbolic."""
     sweep = sweep_range("nmax", nmax)
-    if eS is None:
-        eS, _ = graded_multiplicity_of_closure(p.algebra)
+    eS, _ = graded_multiplicity_of_closure(p.algebra)
     verdicts = {}
     for n in sweep:
         big = exact_power(p, eS * n + 1, seed=seed)
@@ -159,13 +146,13 @@ def check_main_theorem_A(p, q, nmax, eS=None, seed=0):
     )
 
 
-def check_uniform_izumi_multiplicity(q, fs, C=None, seed=0):
+def check_uniform_izumi_multiplicity(q, fs, seed=0):
     """e(R/fR at the origin) <= C * ord_q(f) for each listed f, R the ring
-    of q, with ord_q swept up to symbolic.DEFAULT_NMAX."""
+    of q, C = e(S) for S its projective closure, with ord_q swept up to
+    symbolic.DEFAULT_NMAX."""
     _require_fs(fs)
     R = q.algebra
-    if C is None:
-        C, _ = graded_multiplicity_of_closure(R)
+    C, _ = graded_multiplicity_of_closure(R)
     verdicts = {}
     details = {}
     for i, f in enumerate(fs):
@@ -278,13 +265,12 @@ def check_izumi_valuation_bound(pres, primes, fs, E, seed=0):
     )
 
 
-def check_fixed_power_lemma(p, m, E, e, tmax, exponent=None, seed=0):
+def check_fixed_power_lemma(p, m, E, e, tmax, seed=0):
     """p^(E*t*e^2) inside m^t for t <= tmax (powers of m taken integrally
-    closed by fixture assertion). exponent overrides E*t*e^2 for controls."""
+    closed by fixture assertion)."""
     verdicts = {}
     for t in sweep_range("tmax", tmax):
-        k = exponent(t) if exponent is not None else E * t * e * e
-        lhs = exact_power(p, k, seed=seed)
+        lhs = exact_power(p, E * t * e * e, seed=seed)
         rhs = m.power(t)
         verdicts[t] = "pass" if rhs.contains_ideal(lhs) else "fail"
     return CheckReport(
@@ -297,10 +283,14 @@ def check_fixed_power_lemma(p, m, E, e, tmax, exponent=None, seed=0):
     )
 
 
-def check_improved_chevalley(p, q, constants, nmax, seed=0):
-    """Find t = max t' with p inside q^(t'), sweep C = 1..CHEVALLEY_C_CAP for
+def check_improved_chevalley(p, q, nmax, *, A, B, C, E, e, seed=0):
+    """Find t = max t' with p inside q^(t'), sweep c = 1..CHEVALLEY_C_CAP for
     the least C_emp with p^(C_emp n) inside q^(t n), and assert the formula
-    constant C*E*(A+1)^2*e^2*(B+1) dominates C_emp."""
+    constant C*E*(A+1)^2*e^2*(B+1) dominates C_emp.
+
+    A: Artin-Rees, B: Briancon-Skoda, C: multiplicity/order ratio,
+    E: Izumi bound, e: max local multiplicity.
+    """
     sweep = sweep_range("nmax", nmax)
     t = 0
     for tp in reversed(sweep):
@@ -310,30 +300,23 @@ def check_improved_chevalley(p, q, constants, nmax, seed=0):
     if t == 0:
         raise PreconditionError("p is not contained in q")
     c_emp = None
-    for C in range(1, CHEVALLEY_C_CAP + 1):
+    for c in range(1, CHEVALLEY_C_CAP + 1):
         if all(
             exact_power(q, t * n, seed=seed).contains_ideal(
-                exact_power(p, C * n, seed=seed)
+                exact_power(p, c * n, seed=seed)
             )
             for n in sweep
         ):
-            c_emp = C
+            c_emp = c
             break
-    k = constants
-    formula = k.C * k.E * (k.A + 1) ** 2 * k.e * k.e * (k.B + 1)
+    formula = C * E * (A + 1) ** 2 * e * e * (B + 1)
     ok = c_emp is not None and formula >= c_emp
     return CheckReport(
         name="improved-chevalley",
         inputs={
             "p": [str(g) for g in p.gens],
             "q": [str(g) for g in q.gens],
-            "constants": {
-                "A": k.A,
-                "B": k.B,
-                "C": k.C,
-                "E": k.E,
-                "e": k.e,
-            },
+            "constants": {"A": A, "B": B, "C": C, "E": E, "e": e},
         },
         n_range=(1, nmax),
         verdicts={1: "pass" if ok else ("budget" if c_emp is None else "fail")},

@@ -13,12 +13,10 @@ import pytest
 
 from reesval import (
     AffineAlgebra,
-    ExceptionalPrimeCertificate,
     GrevLex,
     Lex,
     PolyRing,
     QQ,
-    UniformConstants,
     buchberger,
     check_improved_chevalley,
     check_main_theorem_A,
@@ -147,12 +145,9 @@ def test_acceptance_03_paper_worked_example(paper):
     ok = ring.names == ("y1", "y2", "y3", "u")
     y1, y2, y3, u = ring.gens()
     ok = ok and pres.algebra.modulus == (y1 * y2 + u * y3**3,)
-    cert = ExceptionalPrimeCertificate(
-        presentation=pres,
-        primes=(paper["Q1"], paper["Q2"]),
-        multiplicities=(1, 1),
+    ok = ok and verify_exceptional_certificate(
+        pres, (paper["Q1"], paper["Q2"]), (1, 1)
     )
-    ok = ok and verify_exceptional_certificate(cert)
     ok = ok and local_multiplicity_via_gr(paper["R"]) == 2
     eS, _ = graded_multiplicity_of_closure(paper["R"])
     ok = ok and eS == 3
@@ -203,7 +198,7 @@ def test_acceptance_05_izumi_tightness(paper):
     nu2 = symbolic_order_along(paper["Q2"], g)
     tight = nu1 == 2 and nu1 == (eS - 1) * nu2
     report = check_uniform_izumi_multiplicity(
-        m, [x1, x2, x3, x3**2, x1 + x3, x1 * x2], C=eS
+        m, [x1, x2, x3, x3**2, x1 + x3, x1 * x2]
     )
     _verdict(5, "Izumi tightness and Theorem B inequality", tight and report.passed)
 
@@ -281,8 +276,9 @@ def test_acceptance_09_bound_finders(paper):
     for c, I in fixtures:
         A = find_min_artin_rees(c, I, 4)
         ok = ok and A is not None and A <= 4
-    constants = UniformConstants(A=1, B=1, C=3, E=2, e=2)
-    report = check_improved_chevalley(paper["p"], paper["m"], constants, 3)
+    report = check_improved_chevalley(
+        paper["p"], paper["m"], 3, A=1, B=1, C=3, E=2, e=2
+    )
     ok = (
         ok
         and report.passed

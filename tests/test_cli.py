@@ -361,3 +361,70 @@ def test_auxiliary_names_avoid_ring_variables():
         "cmd: check main-a --p p --q m --nmax 1"
     )
     assert main_a["passed"] and main_a["details"] == {"e(S)": 3}
+
+
+PAPER_RING = """ring { vars: x1 x2 x3; field: QQ; mod: x1*x2 + x3^3; order: grevlex;
+       assert: normal domain }
+ideal m = x1, x2, x3
+ideal p = x1, x3
+"""
+
+
+def _paper_check(args):
+    """The report entry of one `check` command on the paper ring at seed 7."""
+    report, _ = run(parse_session(PAPER_RING + f"cmd: check {args}\n"), seed=7)
+    (entry,) = report["commands"]
+    return entry
+
+
+def test_chevalley_constants_reach_the_report():
+    flags = "--C 3 --E 2 --e 2 --A 1 --B 1"
+    given = _paper_check(f"chevalley --p p --q m --nmax 2 {flags}")["result"]
+    assert given["passed"]
+    assert given["details"] == {"t": 1, "C_emp": 2, "formula_constant": 192}
+    assert given["inputs"]["constants"] == {"A": 1, "B": 1, "C": 3, "E": 2, "e": 2}
+    # the CLI's defaults give formula constant 1, below C_emp
+    default = _paper_check("chevalley --p p --q m --nmax 2")["result"]
+    assert not default["passed"] and default["verdicts"] == {"1": "fail"}
+    assert default["details"] == {"t": 1, "C_emp": 2, "formula_constant": 1}
+    assert default["inputs"]["constants"] == {"A": 0, "B": 0, "C": 1, "E": 1, "e": 1}
+    same = _paper_check("chevalley --p m --q m --nmax 2")["result"]
+    assert same["passed"] and same["details"]["C_emp"] == 1
+
+
+def test_theorem_a_and_izumi_read_e_of_the_closure():
+    main_a = _paper_check("main-a --p p --q m --nmax 1")["result"]
+    assert main_a == {
+        "check": "main-theorem-a",
+        "details": {"e(S)": 3},
+        "inputs": {"e(S)": 3, "p": ["x1", "x3"], "q": ["x1", "x2", "x3"]},
+        "n_range": [1, 1],
+        "passed": True,
+        "relied_on": ["p prime", "q prime", "closure normal", "domain", "normal"],
+        "verdicts": {"1": "pass"},
+    }
+    izumi = _paper_check("izumi-mult --q m --fs x1")["result"]
+    assert izumi == {
+        "check": "uniform-izumi-multiplicity",
+        "details": {"x1": {"bound": 3, "e": 3, "ord": 1}},
+        "inputs": {"C": 3, "fs": ["x1"], "q": ["x1", "x2", "x3"]},
+        "n_range": [0, 0],
+        "passed": True,
+        "relied_on": ["q prime", "domain", "normal"],
+        "verdicts": {"0": "pass"},
+    }
+
+
+@pytest.mark.parametrize(
+    "args, flag",
+    [
+        ("main-a --p p --q m --nmax 1 --eS 3", "eS"),
+        ("izumi-mult --q m --fs x1 --C 3", "C"),
+    ],
+)
+def test_closure_multiplicity_is_not_a_flag(args, flag):
+    entry = _paper_check(args)
+    assert "result" not in entry
+    assert entry["error"] == (
+        f"bad arguments: got an unexpected keyword argument '{flag}'"
+    )

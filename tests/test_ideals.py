@@ -171,14 +171,15 @@ def test_kernel_of_map_twisted_cubic():
 def test_unit_ideal_detection(poly_xy):
     x, y = poly_xy.ring.gens()
     I = Ideal(poly_xy, (x, x + 1))
-    assert I.is_unit()
-    assert not Ideal(poly_xy, (x**2, x * y - 1 + y)).is_unit()
-    assert poly_xy.is_proper()
+    one = (poly_xy.ring.one,)
+    assert I.gb() == one
+    assert Ideal(poly_xy, (x**2, x * y - 1 + y)).gb() != one
+    assert poly_xy.modulus_gb() != one
     # the zero ring, as a session's `mod: 1` gives it
     ring = poly_xy.ring
     zero_ring = AffineAlgebra(ring, (ring.parse("1"),))
-    assert not zero_ring.is_proper()
-    assert Ideal(zero_ring, ()).is_unit()
+    assert zero_ring.modulus_gb() == one
+    assert Ideal(zero_ring, ()).gb() == one
 
 
 def test_bases_are_tuples(poly_xy):

@@ -2,7 +2,6 @@ import pytest
 
 from reesval import (
     AffineAlgebra,
-    ExceptionalPrimeCertificate,
     GrevLex,
     PolyRing,
     QQ,
@@ -21,7 +20,7 @@ def test_reduce_and_properness(paper_ring):
     x1, x2, x3 = paper_ring.ring.gens()
     assert paper_ring.reduce(x1 * x2 + x3**3).is_zero()
     assert paper_ring.reduce(x1 * x2) == paper_ring.reduce(-(x3**3))
-    assert paper_ring.is_proper()
+    assert paper_ring.modulus_gb() != (paper_ring.ring.one,)
 
 
 def test_standard_graded_assertion_checked():
@@ -156,26 +155,12 @@ def test_exceptional_certificate_paper_example(paper_ring, paper_m):
     pres = extended_rees_presentation(paper_ring, paper_m)
     alg = pres.algebra
     u, y1, y2 = alg.ring.gen("u"), alg.ring.gen("y1"), alg.ring.gen("y2")
-    good = ExceptionalPrimeCertificate(
-        presentation=pres,
-        primes=(Ideal(alg, (u, y1)), Ideal(alg, (u, y2))),
-        multiplicities=(1, 1),
-    )
-    assert verify_exceptional_certificate(good)
+    primes = (Ideal(alg, (u, y1)), Ideal(alg, (u, y2)))
+    assert verify_exceptional_certificate(pres, primes, (1, 1))
     # wrong multiplicities must fail
-    bad = ExceptionalPrimeCertificate(
-        presentation=pres,
-        primes=(Ideal(alg, (u, y1)), Ideal(alg, (u, y2))),
-        multiplicities=(2, 1),
-    )
-    assert not verify_exceptional_certificate(bad)
+    assert not verify_exceptional_certificate(pres, primes, (2, 1))
     # a prime not containing u must fail
-    worse = ExceptionalPrimeCertificate(
-        presentation=pres,
-        primes=(Ideal(alg, (y1,)),),
-        multiplicities=(1,),
-    )
-    assert not verify_exceptional_certificate(worse)
+    assert not verify_exceptional_certificate(pres, (Ideal(alg, (y1,)),), (1,))
 
 
 def test_certificate_needs_one_multiplicity_per_prime(paper_ring, paper_m):
@@ -183,9 +168,8 @@ def test_certificate_needs_one_multiplicity_per_prime(paper_ring, paper_m):
     alg = pres.algebra
     u, y1 = alg.ring.gen("u"), alg.ring.gen("y1")
     for primes, multiplicities in [((), ()), ((Ideal(alg, (u, y1)),), ())]:
-        cert = ExceptionalPrimeCertificate(pres, primes, multiplicities)
         with pytest.raises(PreconditionError, match="each with a multiplicity"):
-            verify_exceptional_certificate(cert)
+            verify_exceptional_certificate(pres, primes, multiplicities)
 
 
 def test_certificate_requires_normality_assertion(paper_ring, paper_m):
@@ -194,11 +178,8 @@ def test_certificate_requires_normality_assertion(paper_ring, paper_m):
     pres = extended_rees_presentation(stripped, m)
     alg = pres.algebra
     u, y1 = alg.ring.gen("u"), alg.ring.gen("y1")
-    cert = ExceptionalPrimeCertificate(
-        presentation=pres, primes=(Ideal(alg, (u, y1)),), multiplicities=(1,)
-    )
     with pytest.raises(PreconditionError):
-        verify_exceptional_certificate(cert)
+        verify_exceptional_certificate(pres, (Ideal(alg, (u, y1)),), (1,))
 
 
 def test_zero_ideal_rejected(paper_ring):

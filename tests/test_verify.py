@@ -5,7 +5,6 @@ from reesval import (
     GrevLex,
     PolyRing,
     QQ,
-    UniformConstants,
     check_fixed_power_lemma,
     check_improved_chevalley,
     check_izumi_valuation_bound,
@@ -74,13 +73,12 @@ def test_empty_sweeps_are_refused(poly_xyz, bound):
     x, y, z = poly_xyz.ring.gens()
     p = Ideal(poly_xyz, (x, y))
     m = Ideal(poly_xyz, (x, y, z))
-    constants = UniformConstants()
     with pytest.raises(PreconditionError, match="nmax must be at least 1"):
         check_local_zariski_nagata(p, m, bound)
     with pytest.raises(PreconditionError, match="nmax must be at least 1"):
-        check_main_theorem_A(p, m, bound, eS=1)
+        check_main_theorem_A(p, m, bound)
     with pytest.raises(PreconditionError, match="nmax must be at least 1"):
-        check_improved_chevalley(p, m, constants, bound)
+        check_improved_chevalley(p, m, bound, A=0, B=0, C=1, E=1, e=1)
     with pytest.raises(PreconditionError, match="tmax must be at least 1"):
         check_fixed_power_lemma(p, m, E=1, e=1, tmax=bound)
 
@@ -178,7 +176,7 @@ def test_multiplicity_bound_implies_valuation_bound(paper_ring, paper_m, paper_s
     # valuation bound, both tight on f = x1
     pres, primes, _ = paper_setup
     x1 = paper_ring.ring.gen("x1")
-    mult = check_uniform_izumi_multiplicity(paper_m, [x1], C=3)
+    mult = check_uniform_izumi_multiplicity(paper_m, [x1])
     val = check_izumi_valuation_bound(pres, list(primes), [x1], E=2)
     assert mult.passed and val.passed
     assert mult.details["x1"]["e"] == mult.details["x1"]["bound"]
@@ -195,24 +193,22 @@ def test_fixed_power_lemma(poly_xyz, paper_ring, paper_m, paper_setup):
     _, _, pp = paper_setup
     singular = check_fixed_power_lemma(pp, paper_m, E=2, e=2, tmax=1)
     assert singular.passed
-    # negative control: exponent t instead of E*t*e^2 fails on the
-    # singular fixture (x1 lies in p^(2) but not in m^2)
-    control = check_fixed_power_lemma(
-        pp, paper_m, E=2, e=2, tmax=2, exponent=lambda t: t
-    )
+    # negative control: E = e = 1 (exponent t instead of E*t*e^2) fails on
+    # the singular fixture (x1 lies in p^(2) but not in m^2)
+    control = check_fixed_power_lemma(pp, paper_m, E=1, e=1, tmax=2)
     assert control.verdicts[2] == "fail"
 
 
 def test_improved_chevalley(paper_ring, paper_m, paper_setup):
     _, _, p = paper_setup
-    constants = UniformConstants(A=1, B=1, C=3, E=2, e=2)
-    report = check_improved_chevalley(p, paper_m, constants, 3)
+    constants = dict(A=1, B=1, C=3, E=2, e=2)
+    report = check_improved_chevalley(p, paper_m, 3, **constants)
     assert report.passed
     assert report.details["t"] == 1
     assert report.details["C_emp"] is not None
     assert report.details["formula_constant"] >= report.details["C_emp"]
     # p = q degenerate case: t = 1 and C_emp = 1
-    same = check_improved_chevalley(paper_m, paper_m, constants, 2)
+    same = check_improved_chevalley(paper_m, paper_m, 2, **constants)
     assert same.passed and same.details["C_emp"] == 1
     # regular fixture: C_emp bounded by the dimension
     plane_ring = PolyRing(("x", "y", "z"), QQ, GrevLex())
@@ -221,8 +217,8 @@ def test_improved_chevalley(paper_ring, paper_m, paper_setup):
     reg = check_improved_chevalley(
         Ideal(plane, (xx, yy)),
         Ideal(plane, (xx, yy, zz)),
-        constants,
         3,
+        **constants,
     )
     assert reg.passed and reg.details["C_emp"] <= 3
 
