@@ -8,8 +8,8 @@ Session grammar (line oriented, # comments):
     cmd: gb m
     cmd: check main-a --p p --q m --nmax 3
 
-Reports are deterministic for a fixed --seed: timing fields are only
-emitted under --timings so that repeated runs are byte-identical.
+Reports are deterministic: nothing is random, and timing fields are only
+emitted under --timings, so repeated runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from .verify import (
     check_uniform_izumi_multiplicity,
 )
 
-REPORT_VERSION = "1"
+REPORT_VERSION = "2"
 
 
 @dataclass
@@ -195,9 +195,8 @@ def _call(method, pos, flags):
 
 
 class _Session:
-    def __init__(self, session, seed):
+    def __init__(self, session):
         self.algebra = _build_algebra(session.ring)
-        self.seed = seed
         self.ideals = {}
         for name, polys in session.ideals:
             ring = self.algebra.ring
@@ -233,15 +232,11 @@ class _Session:
     def cmd_symbolic_power(self, ideal, n, /, *, separator="auto"):
         if separator != "auto":
             separator = self.poly(separator)
-        J, cert = symbolic_power(
-            self.ideal(ideal), _int(n), separator=separator, seed=self.seed
-        )
+        J, cert = symbolic_power(self.ideal(ideal), _int(n), separator=separator)
         return {"generators": [str(g) for g in J.gb()], "certificate": cert}
 
     def cmd_ord(self, ideal, f, /, *, nmax=DEFAULT_NMAX):
-        n, confirmed = ord_at(
-            self.ideal(ideal), self.poly(f), nmax=_int(nmax), seed=self.seed
-        )
+        n, confirmed = ord_at(self.ideal(ideal), self.poly(f), nmax=_int(nmax))
         return {"ord": n, "confirmed": confirmed}
 
     def cmd_multiplicity(self, *, f=None):
@@ -319,24 +314,20 @@ class _Session:
         return _call(method, (), flags).to_dict()
 
     def check_zariski_nagata(self, *, p, q, nmax=3):
-        return check_local_zariski_nagata(
-            self.ideal(p), self.ideal(q), _int(nmax), seed=self.seed
-        )
+        return check_local_zariski_nagata(self.ideal(p), self.ideal(q), _int(nmax))
 
     def check_main_a(self, *, p, q, nmax=2):
-        return check_main_theorem_A(
-            self.ideal(p), self.ideal(q), _int(nmax), seed=self.seed
-        )
+        return check_main_theorem_A(self.ideal(p), self.ideal(q), _int(nmax))
 
     def check_izumi_mult(self, *, q, fs):
         return check_uniform_izumi_multiplicity(
-            self.ideal(q), [self.poly(f) for f in fs.split(";")], seed=self.seed
+            self.ideal(q), [self.poly(f) for f in fs.split(";")]
         )
 
     def check_chevalley(self, *, p, q, nmax=2, A=0, B=0, C=1, E=1, e=1):
         return check_improved_chevalley(
             self.ideal(p), self.ideal(q), _int(nmax),
-            A=_int(A), B=_int(B), C=_int(C), E=_int(E), e=_int(e), seed=self.seed,
+            A=_int(A), B=_int(B), C=_int(C), E=_int(E), e=_int(e),
         )
 
     def check_order_ideal_graded(self, *, F):
@@ -350,9 +341,10 @@ def run(session, seed=0, budget=None, fail_fast=False, timings=False):
     all its Groebner computations together; without one, each top-level
     Groebner computation gets groebner.DEFAULT_BUDGET. A ring or ideal that
     does not build raises PreconditionError before any command runs; the
-    error of a single command is recorded in its report entry.
+    error of a single command is recorded in its report entry. seed is
+    read by nothing; it stays for callers that still pass it.
     """
-    state = _Session(session, seed)
+    state = _Session(session)
     results = []
     ok = True
     for toks in session.commands:
@@ -390,7 +382,6 @@ def run(session, seed=0, budget=None, fail_fast=False, timings=False):
             "order": session.ring["order"],
             "assert": list(session.ring["assert"]),
         },
-        "seed": seed,
         "commands": results,
     }
     return report, ok
@@ -402,7 +393,6 @@ def main(argv=None):
         description="run a commutative-algebra session file and report results",
     )
     parser.add_argument("session", help="path to a session file")
-    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--budget", type=int, default=None,
                         help="reduction steps each command may spend")
     parser.add_argument("--json", metavar="PATH", default=None,
@@ -418,7 +408,7 @@ def main(argv=None):
         with open(args.session, encoding="utf-8") as fh:
             text = fh.read()
         report, ok = run(
-            parse_session(text), seed=args.seed, budget=args.budget,
+            parse_session(text), budget=args.budget,
             fail_fast=args.fail_fast, timings=args.timings,
         )
     except (OSError, UnicodeDecodeError, ReesvalError) as exc:

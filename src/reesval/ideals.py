@@ -29,6 +29,7 @@ class AffineAlgebra:
         self.modulus = tuple(m for m in modulus if not m.is_zero())
         self.asserted = frozenset(asserted)
         self._modulus_gb = None
+        self._jacobian = None  # J_R of the Jacobian criterion, filled by symbolic
         if "standard_graded" in self.asserted:
             if any(not m.is_homogeneous() for m in self.modulus):
                 raise NotHomogeneousError(
@@ -93,6 +94,7 @@ class Ideal:
         self.gens = tuple(gens)
         self._gb = None
         self._symbolic_powers = {}  # filled by symbolic.symbolic_power
+        self._separators = {}  # separator text -> (separator, proven), by symbolic
 
     def __repr__(self):
         return f"Ideal({', '.join(str(g) for g in self.gens) or '0'})"

@@ -438,6 +438,15 @@ class Polynomial:
             tuple((tuple(map(add, e, exp)), f.mul(c, coeff)) for e, c in self.terms),
         )
 
+    def diff(self, i):
+        """Partial derivative with respect to variable i."""
+        f = self.ring.field
+        d = {}
+        for e, c in self.terms:
+            if e[i]:
+                d[e[:i] + (e[i] - 1,) + e[i + 1 :]] = f.mul(c, f.coerce(e[i]))
+        return self.ring.poly_from_dict(d)
+
     # -- structure ---------------------------------------------------------
 
     def substitute(self, target_ring, images):

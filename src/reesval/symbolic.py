@@ -1,18 +1,24 @@
-"""Symbolic powers of primes via saturation by a separator element.
+"""Symbolic powers of primes via saturation by a proven separator element.
 
-The separator stands in for the multiplicative set complementary to the
-associated primes: P^(n) = (P^n : separator^infinity). An "auto" separator
-is derived only where provably valid; every saturated result is screened:
-each random probe outside P must be a nonzerodivisor on R/result.
+P^(n) = (P^n : s^infinity) for a separator s outside P that lies in the
+radicals of J_R and J_{R/P}, the Jacobian ideals of the non-regular loci of
+R and of R/P. At a prime Q containing P but not s, R_Q and (R/P)_Q are then
+regular, so P^n R_Q is primary (Matsumura, Commutative Ring Theory, Thm.
+14.2) and no embedded component of P^n survives the saturation. Over QQ
+and Fp, perfect fields, J_{R/P} is P + M + the c x c minors of Jac(P + M),
+c = nvars - dim R/P, and J_R the same for P = 0 (Eisenbud, Commutative
+Algebra, Cor. 16.20); both need the modulus M prime, so R must be asserted
+a domain or have no modulus.
 
-Results are cached on the prime's own Ideal handle, as its Groebner basis
-is, so they live as long as that handle: repeated calls with the same
-handle reuse them, and a re-parsed session starts with none.
+Results and proofs are cached on the prime's own Ideal handle, as its
+Groebner basis is, so they live as long as that handle: repeated calls with
+the same handle reuse them, and a re-parsed session starts with none. J_R
+is cached on the algebra, which all its primes share.
 """
 
 from __future__ import annotations
 
-import random
+from itertools import combinations
 
 from .errors import PreconditionError
 from .ideals import Ideal
@@ -20,7 +26,6 @@ from .multiplicity import krull_dim
 from .poly import Polynomial
 
 DEFAULT_NMAX = 12
-SCREEN_PROBES = 3
 
 
 def sweep_range(name, bound):
@@ -34,58 +39,69 @@ def clear_cache():
     """No-op kept for existing callers: the cache lives on each prime's handle."""
 
 
-def first_variable_outside(P):
-    """The first ring variable not in P, or None when every one lies in P."""
-    return next((x for x in P.algebra.ring.gens() if not P.contains_poly(x)), None)
-
-
-def auto_separator(P):
-    """Separator for the powers of P, or None when no saturation is needed.
-
-    dim(R/P) = 0: the powers are already primary to the maximal ideal at
-    the origin, nothing to remove. Homogeneous P with dim(R/P) = 1: the
-    only possible embedded prime is the irrelevant ideal, so any variable
-    outside P separates. Other shapes need an explicit element.
-    """
-    d = krull_dim(P)
-    if d == 0:
-        return None
-    if d == 1 and all(g.is_homogeneous() for g in P.gb()):
-        x = first_variable_outside(P)
-        if x is None:
-            raise PreconditionError("every variable lies in P")
-        return x
-    raise PreconditionError(
-        "no automatic separator for this prime; supply one explicitly"
+def _det(m, one):
+    """Determinant of a square matrix of polynomials by cofactor expansion
+    along its first row; the empty matrix has determinant one."""
+    if not m:
+        return one
+    return sum(
+        (-1) ** j * m[0][j] * _det([row[:j] + row[j + 1 :] for row in m[1:]], one)
+        for j in range(len(m))
     )
 
 
-def _random_elements(P, count, seed):
-    """Low-degree random elements outside P, for the primariness screen."""
-    rng = random.Random(seed)
-    ring = P.algebra.ring
-    exps = [e for e in ring.monomials_up_to_degree(2) if sum(e) > 0]
-    out = []
-    attempts = 0
-    while len(out) < count and attempts < 60 * count:
-        attempts += 1
-        g = ring.zero
-        for e in rng.sample(exps, min(3, len(exps))):
-            g = g + ring.monomial(e, rng.randint(1, 5))
-        g = P.algebra.reduce(g)
-        if not g.is_zero() and not P.contains_poly(g):
-            out.append(g)
-    return out
+def _jacobian_ideal(alg, gens, dim):
+    """gens + modulus + the c x c minors of their Jacobian matrix, where
+    c = nvars - dim and dim is the dimension of their quotient."""
+    ring = alg.ring
+    jac = [[g.diff(i) for i in range(ring.nvars)] for g in tuple(gens) + alg.modulus]
+    c = ring.nvars - dim
+    minors = tuple(
+        _det([[row[k] for k in cols] for row in rows], ring.one)
+        for rows in combinations(jac, c)
+        for cols in combinations(range(ring.nvars), c)
+    )
+    return Ideal(alg, tuple(gens) + minors)
 
 
-def symbolic_power(P, n, separator="auto", seed=0):
+def _prove(P, separator):
+    """(separator, proven) for the powers of P. At dim R/P = 0, P is maximal
+    and its powers primary: "auto" needs no separator and any other is
+    proven. Otherwise "auto" is the first proven variable outside P, else
+    the product of the first basis elements of J_R and of J_{R/P} outside
+    P, else refused."""
+    alg = P.algebra
+    d = krull_dim(P)
+    if d == 0:
+        return (None if separator == "auto" else separator), True
+    if "domain" not in alg.asserted and alg.modulus:
+        if separator == "auto":
+            raise PreconditionError("no proven separator: R is not asserted a domain")
+        return separator, False
+    if alg._jacobian is None:
+        alg._jacobian = _jacobian_ideal(alg, (), krull_dim(Ideal(alg, ())))
+    loci = (alg._jacobian, _jacobian_ideal(alg, P.gens, d))
+    if separator != "auto":
+        return separator, all(J.radical_contains(separator) for J in loci)
+    for x in alg.ring.gens():
+        if not P.contains_poly(x) and all(J.radical_contains(x) for J in loci):
+            return x, True
+    outside = [next((g for g in J.gb() if not P.contains_poly(g)), None) for J in loci]
+    if None in outside:
+        raise PreconditionError(
+            "no proven separator: P lies in the singular locus of R"
+        )
+    return outside[0] * outside[1], True
+
+
+def symbolic_power(P, n, separator="auto"):
     """n-th symbolic power of the (asserted) prime P, with a certificate.
 
     The separator is "auto" or a polynomial. Returns (ideal, certificate).
     The certificate records the separator, the saturation exponent, a
-    radical-membership check on the result and the primariness screen (a
-    probe passes when the result saturated by it has depth 0); a failure
-    gives "upper bound candidate", never an error.
+    radical-membership check on the result and whether the separator is
+    proven; a result that fails either gives "upper bound candidate",
+    never an error.
     """
     if n < 0:
         raise PreconditionError("negative symbolic power")
@@ -93,50 +109,41 @@ def symbolic_power(P, n, separator="auto", seed=0):
         raise PreconditionError('separator must be "auto" or a polynomial')
     if n <= 1:
         power = P if n else Ideal(P.algebra, (P.algebra.ring.one,))
-        return power, {"separator": None, "saturation_steps": 0, "status": "exact"}
-    key = (n, str(separator), seed)
+        return power, _certificate(None, 0, True, True)
+    key = (n, str(separator))
     if key in P._symbolic_powers:
         return P._symbolic_powers[key]
+    if separator != "auto" and P.contains_poly(separator):
+        raise PreconditionError("separator lies in the prime")
+    if str(separator) not in P._separators:
+        P._separators[str(separator)] = _prove(P, separator)
+    separator, proven = P._separators[str(separator)]
     Pn = P.power(n)
-    if separator == "auto":
-        separator = auto_separator(P)
-    if separator is None:
-        result, steps = Pn, 0
-    else:
-        if P.contains_poly(separator):
-            raise PreconditionError("separator lies in the prime")
-        result, steps = Pn.saturate(separator)
+    result, steps = (Pn, 0) if separator is None else Pn.saturate(separator)
     radical_ok = all(P.radical_contains(g) for g in result.gens)
-    screened = 0
-    screen_ok = True
-    if separator is not None:
-        for g in _random_elements(P, SCREEN_PROBES, seed):
-            screened += 1
-            if result.saturate(g)[1]:
-                screen_ok = False
-                break
-    status = "exact" if (radical_ok and screen_ok) else "upper bound candidate"
-    cert = {
+    P._symbolic_powers[key] = result, _certificate(separator, steps, radical_ok, proven)
+    return P._symbolic_powers[key]
+
+
+def _certificate(separator, steps, radical_ok, proven):
+    return {
         "separator": str(separator) if separator is not None else None,
         "saturation_steps": steps,
         "radical_ok": radical_ok,
-        "screen_probes": screened,
-        "screen_ok": screen_ok,
-        "status": status,
+        "proven": proven,
+        "status": "exact" if radical_ok and proven else "upper bound candidate",
     }
-    P._symbolic_powers[key] = (result, cert)
-    return result, cert
 
 
-def exact_power(P, n, separator="auto", seed=0):
+def exact_power(P, n):
     """P^(n) from symbolic_power; one whose certificate is not exact is refused."""
-    power, cert = symbolic_power(P, n, separator=separator, seed=seed)
+    power, cert = symbolic_power(P, n)
     if cert["status"] != "exact":
         raise PreconditionError(f"symbolic power downgraded: {cert}")
     return power
 
 
-def ord_at(P, f, nmax=DEFAULT_NMAX, separator="auto", seed=0):
+def ord_at(P, f, nmax=DEFAULT_NMAX):
     """(largest n <= nmax with f in P^(n), confirmed_flag).
 
     confirmed_flag is False only when the sweep hit nmax while f was still
@@ -147,22 +154,18 @@ def ord_at(P, f, nmax=DEFAULT_NMAX, separator="auto", seed=0):
     if f.is_zero():
         raise PreconditionError("ord of zero")
     for k in sweep_range("nmax", nmax):
-        if not exact_power(P, k, separator=separator, seed=seed).contains_poly(f):
+        if not exact_power(P, k).contains_poly(f):
             return k - 1, True
     return nmax, False
 
 
-def symbolic_order_along(Q, g, seed=0):
+def symbolic_order_along(Q, g):
     """Valuation of g read off as the Q-symbolic order, Q a height-1 prime.
 
-    The height-1 hypothesis is screened by dimension; the separator is the
-    first variable outside Q (validity is left to the primariness screen
-    inside symbolic_power). The sweep stops at DEFAULT_NMAX.
+    The height-1 hypothesis is screened by dimension; the powers use the
+    proven "auto" separator. The sweep stops at DEFAULT_NMAX.
     """
     ambient_dim = krull_dim(Ideal(Q.algebra, ()))
     if krull_dim(Q) != ambient_dim - 1:
         raise PreconditionError("Q does not have height 1 in the algebra")
-    separator = first_variable_outside(Q)
-    if separator is None:
-        raise PreconditionError("every variable lies in Q")
-    return ord_at(Q, g, separator=separator, seed=seed)[0]
+    return ord_at(Q, g)[0]

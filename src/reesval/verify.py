@@ -22,13 +22,7 @@ from .multiplicity import (
     multiplicity_graded,
 )
 from .rings import homogenize_ideal, lift_to_rees
-from .symbolic import (
-    exact_power,
-    first_variable_outside,
-    ord_at,
-    sweep_range,
-    symbolic_order_along,
-)
+from .symbolic import exact_power, ord_at, sweep_range, symbolic_order_along
 
 CHEVALLEY_C_CAP = 8  # largest C_emp tried; past it the verdict is "budget"
 ORDER_IDEAL_N = 7  # length-table depth of the order-ideal check
@@ -77,8 +71,7 @@ def verify_exceptional_certificate(pres, primes, multiplicities):
     """Check candidate exceptional primes Q_i of a presentation, with
     multiplicities m_i: valid iff u lies in every Q_i and the intersection of
     the symbolic powers Q_i^(m_i) equals (u). Each power saturates by the
-    first variable outside its prime, else by the automatic separator.
-    Primality of the Q_i and normality of the presentation are assertions,
+    proven automatic separator. Primality of the Q_i and normality of the presentation are assertions,
     not conclusions."""
     if not primes or len(primes) != len(multiplicities):
         raise PreconditionError(
@@ -93,22 +86,21 @@ def verify_exceptional_certificate(pres, primes, multiplicities):
     for Q, m in zip(primes, multiplicities):
         if not Q.contains_poly(u):
             return False
-        sep = first_variable_outside(Q)
-        pieces.append(exact_power(Q, m, separator="auto" if sep is None else sep))
+        pieces.append(exact_power(Q, m))
     total = pieces[0]
     for p in pieces[1:]:
         total = total.intersect(p)
     return total.equals(Ideal(alg, (u,)))
 
 
-def check_local_zariski_nagata(p, q, nmax, p_sep="auto", seed=0):
+def check_local_zariski_nagata(p, q, nmax):
     """p^(n) inside q^(n) for nonsingular-fixture primes p inside q."""
     if not q.contains_ideal(p):
         raise PreconditionError("p is not contained in q")
     verdicts = {}
     for n in sweep_range("nmax", nmax):
-        pn = exact_power(p, n, separator=p_sep, seed=seed)
-        qn = exact_power(q, n, seed=seed)
+        pn = exact_power(p, n)
+        qn = exact_power(q, n)
         verdicts[n] = "pass" if qn.contains_ideal(pn) else "fail"
     return CheckReport(
         name="local-zariski-nagata",
@@ -119,16 +111,16 @@ def check_local_zariski_nagata(p, q, nmax, p_sep="auto", seed=0):
     )
 
 
-def check_main_theorem_A(p, q, nmax, seed=0):
+def check_main_theorem_A(p, q, nmax):
     """p^(e(S)n+1) inside q^(n), and the chain p^(2e(S)n) inside p^(e(S)n+1),
     where S is the projective closure of p's ring and all powers are symbolic."""
     sweep = sweep_range("nmax", nmax)
     eS, _ = graded_multiplicity_of_closure(p.algebra)
     verdicts = {}
     for n in sweep:
-        big = exact_power(p, eS * n + 1, seed=seed)
-        qn = exact_power(q, n, seed=seed)
-        chain = exact_power(p, 2 * eS * n, seed=seed)
+        big = exact_power(p, eS * n + 1)
+        qn = exact_power(q, n)
+        chain = exact_power(p, 2 * eS * n)
         ok = qn.contains_ideal(big) and big.contains_ideal(chain)
         verdicts[n] = "pass" if ok else "fail"
     return CheckReport(
@@ -146,7 +138,7 @@ def check_main_theorem_A(p, q, nmax, seed=0):
     )
 
 
-def check_uniform_izumi_multiplicity(q, fs, seed=0):
+def check_uniform_izumi_multiplicity(q, fs):
     """e(R/fR at the origin) <= C * ord_q(f) for each listed f, R the ring
     of q, C = e(S) for S its projective closure, with ord_q swept up to
     symbolic.DEFAULT_NMAX."""
@@ -157,7 +149,7 @@ def check_uniform_izumi_multiplicity(q, fs, seed=0):
     details = {}
     for i, f in enumerate(fs):
         e_f = local_multiplicity_via_gr(R, f)
-        order, confirmed = ord_at(q, f, seed=seed)
+        order, confirmed = ord_at(q, f)
         if not confirmed:
             verdicts[i] = "budget"
             continue
@@ -173,7 +165,7 @@ def check_uniform_izumi_multiplicity(q, fs, seed=0):
     )
 
 
-def valuation_data_from_presentation(pres, primes, seed=0):
+def valuation_data_from_presentation(pres, primes):
     """(nu functions as orders along each prime, d_nu list) for a
     presentation with certified exceptional primes Q_i.
 
@@ -183,17 +175,17 @@ def valuation_data_from_presentation(pres, primes, seed=0):
 
     def nu(i, f):
         g = lift_to_rees(pres, f)
-        return symbolic_order_along(primes[i], g, seed=seed)
+        return symbolic_order_along(primes[i], g)
 
     return nu, d
 
 
-def check_order_ideal_theorem_presentation(I, f, pres, primes, seed=0):
+def check_order_ideal_theorem_presentation(I, f, pres, primes):
     """e(R/fR) = sum over exceptional primes of nu_i(f) * d_i, R the ring of
     I, with the left side computed by the length sampler on the I-adic
     filtration up to ORDER_IDEAL_N."""
     R = I.algebra
-    nu, d = valuation_data_from_presentation(pres, primes, seed=seed)
+    nu, d = valuation_data_from_presentation(pres, primes)
     values = [nu(i, f) for i in range(len(primes))]
     rhs = sum(v * di for v, di in zip(values, d))
     dim = krull_dim(Ideal(R, (f,)))
@@ -237,12 +229,12 @@ def check_order_ideal_theorem_graded(S, F):
     )
 
 
-def check_izumi_valuation_bound(pres, primes, fs, E, seed=0):
+def check_izumi_valuation_bound(pres, primes, fs, E):
     """nu_i(f) <= E * nu_j(f) for all prime pairs and listed f."""
     _require_fs(fs)
     if len(primes) < 2:
         raise PreconditionError("need at least two exceptional primes")
-    nu, _d = valuation_data_from_presentation(pres, primes, seed)
+    nu, _d = valuation_data_from_presentation(pres, primes)
     verdicts = {}
     details = {}
     for k, f in enumerate(fs):
@@ -265,12 +257,12 @@ def check_izumi_valuation_bound(pres, primes, fs, E, seed=0):
     )
 
 
-def check_fixed_power_lemma(p, m, E, e, tmax, seed=0):
+def check_fixed_power_lemma(p, m, E, e, tmax):
     """p^(E*t*e^2) inside m^t for t <= tmax (powers of m taken integrally
     closed by fixture assertion)."""
     verdicts = {}
     for t in sweep_range("tmax", tmax):
-        lhs = exact_power(p, E * t * e * e, seed=seed)
+        lhs = exact_power(p, E * t * e * e)
         rhs = m.power(t)
         verdicts[t] = "pass" if rhs.contains_ideal(lhs) else "fail"
     return CheckReport(
@@ -283,7 +275,7 @@ def check_fixed_power_lemma(p, m, E, e, tmax, seed=0):
     )
 
 
-def check_improved_chevalley(p, q, nmax, *, A, B, C, E, e, seed=0):
+def check_improved_chevalley(p, q, nmax, *, A, B, C, E, e):
     """Find t = max t' with p inside q^(t'), sweep c = 1..CHEVALLEY_C_CAP for
     the least C_emp with p^(C_emp n) inside q^(t n), and assert the formula
     constant C*E*(A+1)^2*e^2*(B+1) dominates C_emp.
@@ -294,7 +286,7 @@ def check_improved_chevalley(p, q, nmax, *, A, B, C, E, e, seed=0):
     sweep = sweep_range("nmax", nmax)
     t = 0
     for tp in reversed(sweep):
-        if exact_power(q, tp, seed=seed).contains_ideal(p):
+        if exact_power(q, tp).contains_ideal(p):
             t = tp
             break
     if t == 0:
@@ -302,9 +294,7 @@ def check_improved_chevalley(p, q, nmax, *, A, B, C, E, e, seed=0):
     c_emp = None
     for c in range(1, CHEVALLEY_C_CAP + 1):
         if all(
-            exact_power(q, t * n, seed=seed).contains_ideal(
-                exact_power(p, c * n, seed=seed)
-            )
+            exact_power(q, t * n).contains_ideal(exact_power(p, c * n))
             for n in sweep
         ):
             c_emp = c

@@ -69,7 +69,7 @@ def test_run_paper_session_results():
 def test_reports_identical_across_runs():
     blobs = []
     for _ in range(2):
-        report, _ = run(parse_session(PAPER_SESSION), seed=42)
+        report, _ = run(parse_session(PAPER_SESSION))
         blobs.append(json.dumps(report, sort_keys=True))
     assert blobs[0] == blobs[1]
 
@@ -109,12 +109,12 @@ CURVE_SQUARE = parse_session(
 
 
 def test_budget_bounds_the_whole_command():
-    # the command's Groebner computations together take 509 reduction
-    # steps; the largest single one takes 184
-    report, ok = run(CURVE_SQUARE, seed=7, budget=508)
+    # the command's Groebner computations together take 117 reduction
+    # steps; the largest single one takes 35
+    report, ok = run(CURVE_SQUARE, budget=116)
     assert not ok
     assert report["commands"][0]["error"] == "reduction-step budget exhausted"
-    report, ok = run(CURVE_SQUARE, seed=7, budget=509)
+    report, ok = run(CURVE_SQUARE, budget=117)
     assert ok and "result" in report["commands"][0]
 
 
@@ -233,7 +233,13 @@ def test_main_exit_codes(tmp_path, capsys):
     out = tmp_path / "report.json"
     assert main([str(good), "--json", str(out)]) == 0
     blob = json.loads(out.read_text())
-    assert blob["version"] == "1"
+    assert blob["version"] == "2" and "seed" not in blob
+    capsys.readouterr()
+
+    # nothing is random, so there is no seed to set
+    with pytest.raises(SystemExit) as exc:
+        main([str(good), "--seed", "7"])
+    assert exc.value.code == 2
     capsys.readouterr()
 
     bad = tmp_path / "bad.session"
@@ -371,8 +377,8 @@ ideal p = x1, x3
 
 
 def _paper_check(args):
-    """The report entry of one `check` command on the paper ring at seed 7."""
-    report, _ = run(parse_session(PAPER_RING + f"cmd: check {args}\n"), seed=7)
+    """The report entry of one `check` command on the paper ring."""
+    report, _ = run(parse_session(PAPER_RING + f"cmd: check {args}\n"))
     (entry,) = report["commands"]
     return entry
 

@@ -5,7 +5,7 @@ coefficients) and Fp(32003), in lex and grevlex,
 the reduced basis must equal sympy's (made monic), normal forms must
 equal sympy's remainders and membership must agree with sympy's. The
 elimination ideal must equal the part of sympy's lex basis free of the
-dropped variables.
+dropped variables, and each partial derivative must equal sympy's.
 """
 
 import random
@@ -165,3 +165,14 @@ def test_elimination_agrees_with_sympy(field):
         G = buchberger(ours)
         assert all(normal_form(h, G).is_zero() for h in theirs), trial
     assert 0 in sizes and len(sizes) > 1
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(P)], ids=repr)
+def test_derivatives_agree_with_sympy(field):
+    rng, dens = random.Random(20244), random.Random(20245)
+    ring = PolyRing(NAMES, field, GrevLex())
+    for trial in range(20):
+        f = _random_poly(rng, ring, 6, 5, dens if field == QQ else None)
+        expr = _to_sympy(f).as_expr()
+        for i, x in enumerate(SYMBOLS):
+            assert f.diff(i) == _from_sympy(ring, sympy.diff(expr, x)), trial

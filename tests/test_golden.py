@@ -42,7 +42,7 @@ cmd: length-table m 6
 
 
 def golden_blob():
-    reports = {name: run(parse_session(text), seed=7)[0] for name, text in SESSIONS.items()}
+    reports = {name: run(parse_session(text))[0] for name, text in SESSIONS.items()}
     return json.dumps(reports, indent=2, sort_keys=True) + "\n"
 
 

@@ -45,6 +45,8 @@ def test_prime_field_arithmetic():
     x = R.gen("x")
     assert (x * 7).is_zero()
     assert (3 * x + 4 * x) == 0
+    # the derivative of x^7 is 7*x^6 = 0 in characteristic 7
+    assert (x**7 + x**2).diff(0) == 2 * x
 
 
 def test_prime_field_primality_exact_and_bounded():

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -14,7 +15,7 @@ from reesval import (
     symbolic_power,
 )
 from reesval import symbolic
-from reesval.cli import parse_session, run
+from reesval.cli import main, parse_session, run
 from reesval.errors import PreconditionError
 from reesval.ideals import Ideal, kernel_of_map
 
@@ -81,59 +82,132 @@ cmd: symbolic-power P 2 --separator x+1
 """
 
 
-@pytest.mark.parametrize("seed", [0, 7])
-def test_screen_catches_separator_unit_at_embedded_point(seed):
-    # x+1 is a unit at the origin, so saturating by it leaves the embedded
-    # (x, y, z)-primary component of P^2 in place: the screen must fail
-    report, ok = run(parse_session(CURVE_UNIT_SEPARATOR), seed=seed)
+def test_unproven_separator_is_an_upper_bound_candidate():
+    # x+1 is a unit at the origin, where the curve is singular, so it is not
+    # in rad(J_{R/P}) and saturating by it leaves the embedded (x, y, z)-
+    # primary component of P^2 in place
+    report, ok = run(parse_session(CURVE_UNIT_SEPARATOR))
     assert ok
     assert report["commands"][0]["result"]["certificate"] == {
         "separator": "x + 1",
         "saturation_steps": 0,
         "radical_ok": True,
-        "screen_probes": 1,
-        "screen_ok": False,
+        "proven": False,
         "status": "upper bound candidate",
     }
 
 
+# The surface is singular at (0, 0, 0) and at (0, 1, 0); P^2 has an embedded
+# component at (0, 1, 0), where y is a unit. Since x*(y^2 - y) = z^3 and
+# y^2 - y is not in P, x lies in P^(3) and P^(2) = (x, z^2).
+SINGULAR_OFF_THE_ORIGIN = """\
+ring { vars: x y z; field: QQ; mod: x*y^2 - x*y - z^3; order: grevlex;
+       assert: normal domain }
+ideal P = x, z
+cmd: symbolic-power P 2
+cmd: ord P x --nmax 4
+cmd: symbolic-power P 2 --separator y
+"""
+
+
+def test_separator_is_proven_off_the_origin(tmp_path, capsys):
+    path = tmp_path / "singular.session"
+    path.write_text(SINGULAR_OFF_THE_ORIGIN)
+    assert main([str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    power, order, by_y = (c["result"] for c in report["commands"])
+    assert power["generators"] == ["x", "z^2"]
+    assert power["certificate"]["status"] == "exact"
+    assert order == {"ord": 3, "confirmed": True}
+    # y is not in rad(J_R): it leaves the component at (0, 1, 0) in place
+    assert by_y["generators"] == ["z^2", "x*z", "x*y - x", "x^2"]
+    assert by_y["certificate"]["proven"] is False
+    assert by_y["certificate"]["status"] == "upper bound candidate"
+
+
+def test_auto_separator_needs_recognizable_shape():
+    # "auto" refuses a prime it cannot prove a separator for
+    cases = [
+        # the Whitney umbrella: J_R = (x, y^2, y*z) + M lies in P = (x, y)
+        (
+            "vars: x y z; mod: x^2 - y^2*z; assert: domain",
+            "no proven separator: P lies in the singular locus of R",
+        ),
+        # the Jacobian criterion reads the singular locus of a domain only
+        (
+            "vars: x y z; mod: x*z - y*z",
+            "no proven separator: R is not asserted a domain",
+        ),
+    ]
+    for ring, error in cases:
+        session = f"ring {{ {ring} }}\nideal P = x, y\ncmd: symbolic-power P 2\n"
+        report, ok = run(parse_session(session))
+        assert not ok and report["commands"][0]["error"] == error
+
+
+def test_two_proven_separators_give_one_answer():
+    alg, P = curve_345()
+    x, y, _ = alg.ring.gens()
+    for n in (2, 3):
+        by_x, cert_x = symbolic_power(P, n, separator=x)
+        by_y, cert_y = symbolic_power(P, n, separator=y)
+        assert cert_x["proven"] and cert_y["proven"]
+        assert by_x.gb() == by_y.gb()
+
+
+def test_certificate_has_one_shape(paper_ring):
+    x1, x3 = paper_ring.ring.gen("x1"), paper_ring.ring.gen("x3")
+    P = Ideal(paper_ring, (x1, x3))
+    for n in range(4):
+        assert set(symbolic_power(P, n)[1]) == {
+            "separator", "saturation_steps", "radical_ok", "proven", "status"
+        }
+
+
 def test_screen_saturation_depth_matches_colon(paper_ring):
-    # independent route for the screen: g is a nonzerodivisor modulo I
-    # exactly when I : g = I, and exactly when I : g^infinity has depth 0
+    # g is a nonzerodivisor modulo I exactly when I : g = I, and exactly
+    # when I : g^infinity has depth 0
     alg, P = curve_345()
     x = alg.ring.gen("x")
     x1, x3 = paper_ring.ring.gen("x1"), paper_ring.ring.gen("x3")
     p = Ideal(paper_ring, (x1, x3))
     cases = [
-        (P, P.power(2).saturate(x)[0]),
-        (P, P.power(3).saturate(x)[0]),
-        (P, P.power(2)),
-        (p, p.power(2)),
+        (P.power(2).saturate(x)[0], ("x", "z", "x + 1", "y + 2*z^2")),
+        (P.power(3).saturate(x)[0], ("x", "z", "x + 1", "y + 2*z^2")),
+        (P.power(2), ("x", "z", "x + 1", "y + 2*z^2")),
+        (p.power(2), ("x2", "x2 + 1", "x2 + 3*x1*x3")),
     ]
     verdicts = set()
-    for prime, I in cases:
-        for g in symbolic._random_elements(prime, 3, seed=0):
+    for I, probes in cases:
+        for text in probes:
+            g = I.algebra.ring.parse(text)
             passes = I.saturate(g)[1] == 0
             assert passes == I.quotient(g).equals(I)
             verdicts.add(passes)
     assert verdicts == {True, False}
 
 
-def test_checks_refuse_a_downgraded_symbolic_power():
-    alg, P = curve_345()
-    x = alg.ring.gen("x")
+def _not_prime(alg):
+    # (x*y) asserted prime: x is proven by the Jacobian ideals, but
+    # P^2 : x^infinity = (y^2), which the radical check finds outside rad(P)
+    x, y, _ = alg.ring.gens()
+    return Ideal(alg, (x * y,))
+
+
+def test_checks_refuse_a_downgraded_symbolic_power(poly_xyz):
     with pytest.raises(PreconditionError, match="downgraded"):
-        symbolic.exact_power(P, 2, separator=x + 1)
+        symbolic.exact_power(_not_prime(poly_xyz), 2)
 
 
-def test_ord_at_refuses_a_downgraded_symbolic_power():
-    # f lies in P^(2); with x + 1 as separator the screen fails at n = 2,
-    # and reading that power as exact would report ord 1
+def test_ord_at_refuses_a_downgraded_symbolic_power(poly_xyz):
+    # f lies in P^(2) of the curve prime, and the proven separator reads it
     alg, P = curve_345()
     f = alg.ring.parse("x^5 + x*y^3 - 3*x^2*y*z + z^3")
-    assert ord_at(P, f, nmax=3, separator=alg.ring.parse("x")) == (2, True)
+    assert ord_at(P, f, nmax=3) == (2, True)
+    # reading a downgraded power as exact would report ord 1
+    x, y, _ = poly_xyz.ring.gens()
     with pytest.raises(PreconditionError, match="downgraded"):
-        ord_at(P, f, nmax=3, separator=alg.ring.parse("x+1"))
+        ord_at(_not_prime(poly_xyz), x * y, nmax=3)
 
 
 def test_symbolic_powers_are_cached_on_the_prime_handle(paper_ring):
@@ -170,12 +244,13 @@ def test_separator_must_avoid_prime(poly_xyz):
         symbolic_power(P, 2, separator=x)
 
 
-def test_auto_separator_needs_recognizable_shape(poly_xyz):
+def test_auto_separator_is_proven_in_every_dimension(poly_xyz):
     x, y, z = poly_xyz.ring.gens()
-    # dim of quotient is 2: auto rule refuses
+    # dim R/P = 2: y, the first variable outside P, is proven
     P = Ideal(poly_xyz, (x,))
-    with pytest.raises(PreconditionError):
-        symbolic_power(P, 2)
+    power, cert = symbolic_power(P, 2)
+    assert cert["separator"] == "y" and cert["status"] == "exact"
+    assert power.equals(P.power(2))
 
 
 def test_ord_at_paper_values(paper_ring, paper_m):
