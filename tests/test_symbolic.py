@@ -82,11 +82,13 @@ cmd: symbolic-power P 2 --separator x+1
 """
 
 
-def test_unproven_separator_is_an_upper_bound_candidate():
+@pytest.mark.parametrize("seed", [0, 7])
+def test_screen_catches_separator_unit_at_embedded_point(seed):
     # x+1 is a unit at the origin, where the curve is singular, so it is not
     # in rad(J_{R/P}) and saturating by it leaves the embedded (x, y, z)-
-    # primary component of P^2 in place
-    report, ok = run(parse_session(CURVE_UNIT_SEPARATOR))
+    # primary component of P^2 in place; the separator proof refuses it
+    # whatever seed the caller passes, since run reads none
+    report, ok = run(parse_session(CURVE_UNIT_SEPARATOR), seed=seed)
     assert ok
     assert report["commands"][0]["result"]["certificate"] == {
         "separator": "x + 1",
