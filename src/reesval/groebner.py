@@ -7,16 +7,22 @@ unit ideal's basis is exactly (1,).
 
 Pair selection is fixed (normal strategy: minimal lcm degree first,
 lexicographic tie-break on pair indices) so output is deterministic.
-Pairs come off a heap keyed that way, and division takes the terms of
-the working polynomial off a heap of negated order keys, largest first;
-neither rescans what it has already ranked. Order keys are flat int
-tuples, so negating one entry by entry reverses its comparison.
+Inside this module a monomial is two ints (Bachmann-Schoenemann, ISSAC
+1998; Monagan-Pearce, CASC 2007): E, each exponent in its own field under
+a guard bit, and K, the order key, whose entries are linear in the
+exponent (lex, grevlex, block) and sit in fields wider than their spread.
+So a product of monomials adds K and E, comparing K compares keys, and a
+divides b iff ((E_b | G) - E_a) & G == G for the guard bits G. Exponents
+stay below 2^EXPONENT_BITS; a larger one, given or created, is refused
+with PreconditionError. Pairs come off a heap keyed by (lcm degree, i, j)
+and division takes terms off a heap of -K, largest first, so neither
+rescans what it has ranked and the remainder comes back sorted.
 Over QQ, division runs on integer numerators over one common denominator,
-with each reducer cleared of denominators once (Fp: residues over 1).
-Buchberger forms each S-pair on integer numerators straight from the two
-cleared reducers and divides it in the same loop as normal_form;
-s_polynomial, in field arithmetic, is the independent route is_groebner
-takes.
+with each reducer cleared and packed once, cached on it (Fp: residues
+over 1). Buchberger forms each S-pair on integer numerators straight from
+the two packed reducers and divides it in the same loop as normal_form;
+s_polynomial, on tuple exponents in field arithmetic, is the independent
+route is_groebner takes.
 A monomial ideal skips the loop: its reduced basis is its minimal
 generators (Cox-Little-O'Shea, ch. 2 section 4), so it spends no steps.
 A reduction-step budget converts runaway inputs into a clean
@@ -31,25 +37,33 @@ from __future__ import annotations
 import heapq
 from contextlib import contextmanager
 from contextvars import ContextVar
-from functools import wraps
+from functools import reduce, wraps
 from math import gcd
-from operator import add, le, neg, sub
+from operator import le, lshift, mul, sub
 
-from .errors import BudgetExceededError, RingMismatchError
+from .errors import BudgetExceededError, PreconditionError, RingMismatchError
+from .poly import Polynomial
 
 DEFAULT_BUDGET = 10**6
+EXPONENT_BITS = 24
+_LIMIT = (1 << EXPONENT_BITS) - 1  # the largest exponent the kernel packs
+_OVER_LIMIT = f"an exponent exceeds {_LIMIT} = 2^{EXPONENT_BITS} - 1, the Groebner limit"
 
 
 class Work:
     """The reduction steps a budget scope allows, and the work done in it."""
 
-    __slots__ = ("budget", "pairs", "divisions", "steps")
+    __slots__ = ("budget", "pairs", "divisions", "steps", "formed", "coprime", "chain", "zeros")
 
     def __init__(self, budget):
         self.budget = budget
         self.pairs = 0  # S-pairs reduced
         self.divisions = 0  # runs of the division loop
         self.steps = 0  # reduction steps taken
+        self.formed = 0  # S-pairs formed
+        self.coprime = 0  # pairs skipped for coprime lead terms
+        self.chain = 0  # pairs skipped by the chain criterion
+        self.zeros = 0  # S-pairs reduced to zero
 
 
 # the work record of the innermost scope
@@ -97,12 +111,66 @@ def _minimalize(exps):
     return out
 
 
-def _lcm(a, b):
-    return tuple(map(max, a, b))
+class _Packing:
+    """A ring's packed monomials: E has exponent i at bit i*w, its guard bit
+    EXPONENT_BITS higher, with w wide enough for a sum of nvars exponents;
+    K has key entry j of m at stride^(m - 1 - j), stride past its spread."""
+
+    def __init__(self, ring):
+        n, key = ring.nvars, ring.order.key
+        w = EXPONENT_BITS + n.bit_length()
+        self.shifts = range(0, n * w, w)
+        self.guard = sum(1 << (s + EXPONENT_BITS) for s in self.shifts)
+        self.ones = sum(1 << s for s in self.shifts)
+        # E * ones holds the exponent sum in field n - 1, carry-free
+        self.top = w * max(n - 1, 0), (1 << w) - 1
+        units = [key(tuple(int(i == j) for j in range(n))) for i in range(n)]
+        m = len(key((0,) * n))
+        stride = max((_LIMIT * sum(abs(u[j]) for u in units) for j in range(m)), default=0)
+        stride = stride.bit_length()
+        self.columns = tuple(
+            sum(c << (stride * (m - 1 - j)) for j, c in enumerate(u)) for u in units
+        )
+
+    def pack(self, e):
+        """(K, E) of the exponent tuple e."""
+        if max(e, default=0) > _LIMIT:
+            raise PreconditionError(_OVER_LIMIT)
+        return sum(map(mul, e, self.columns)), sum(map(lshift, e, self.shifts))
+
+    def unpack(self, E):
+        return tuple((E >> s) & _LIMIT for s in self.shifts)
+
+    def degree(self, E):
+        top, mask = self.top
+        return (E * self.ones >> top) & mask
+
+    def divides(self, a, b):
+        g = self.guard
+        return ((b | g) - a) & g == g
+
+    def lcm(self, a, b):
+        g = self.guard
+        ge = ((a | g) - b) & g  # guard bit set where a's exponent >= b's
+        return b ^ ((a ^ b) & (ge - (ge >> EXPONENT_BITS)))
 
 
-def _sub_exp(a, b):
-    return tuple(map(sub, a, b))
+def _packing(ring):
+    ring._packing = ring._packing or _Packing(ring)
+    return ring._packing
+
+
+def _packed(g):
+    """Nonzero g made monic, cleared and packed, cached on g:
+    (lead K, lead E, L, tail, bound) with monic() = (L*lead + tail) / L,
+    tail a tuple of (K, E, numerator) and bound the E of the tail's lcm."""
+    if not hasattr(g, "_packed"):
+        p = _packing(g.ring)
+        L, nums = g.ring.field.clear(g.monic().terms)
+        (lk, le, _), *tail = [(*p.pack(e), c) for e, c in nums.items()]
+        bound = reduce(p.lcm, (E for _, E, _ in tail), 0)
+        g._packed = lk, le, L, tuple(tail), bound
+    return g._packed
 
 
 def _check_ring(ring, polys):
@@ -122,36 +190,43 @@ def normal_form(f, G, selector=None):
     polys = tuple(G)
     if polys:
         _check_ring(polys[0].ring, (f,) + polys)
-    return _divide(f.ring, *f.ring.field.clear(f.terms), polys, selector)
+    p = _packing(f.ring)
+    den, nums = f.ring.field.clear(f.terms)
+    terms = [(*p.pack(e), c) for e, c in nums.items()]
+    work, exps = {k: c for k, _, c in terms}, {k: E for k, E, _ in terms}
+    reducers = [_packed(g) for g in polys if not g.is_zero()]
+    return _divide(f.ring, den, work, exps, reducers, selector)
 
 
-def _divide(ring, den, work, polys, selector):
-    """Remainder of work/den on division by polys; work maps exponents to numerators."""
+def _divide(ring, den, work, exps, reducers, selector):
+    """Remainder of work/den on division by the packed reducers; work maps
+    each term's K to its numerator and exps maps that K to its E."""
     field = ring.field
     fadd, fmul = field.add, field.mul
+    p = _packing(ring)
+    guard = p.guard
     record = _work.get()
     record.divisions += 1
-    # monic g is (L*lead + tail) / L; the work is numerators over den
-    reducers = [g.cleared() for g in polys if not g.is_zero()]
-    order_key = ring.order.key
-    heap = [(tuple(map(neg, order_key(e))), e) for e in work]
+    heap = [-k for k in work]
     heapq.heapify(heap)
-    remainder = {}
+    remainder = []
     while heap:
-        e = heapq.heappop(heap)[1]
-        if e not in work:  # cancelled after it was pushed
+        k = -heapq.heappop(heap)
+        if k not in work:  # cancelled after it was pushed
             continue
-        c = work.pop(e)
+        c = work.pop(k)
+        e = exps[k]
+        eg = e | guard  # a reducer applies iff (eg - its lead E) keeps every guard bit
         if selector is None:
-            r = next((r for r in reducers if _divides(r[0], e)), None)
+            r = next((r for r in reducers if (eg - r[1]) & guard == guard), None)
         else:
-            candidates = [i for i, r in enumerate(reducers) if _divides(r[0], e)]
+            candidates = [i for i, r in enumerate(reducers) if (eg - r[1]) & guard == guard]
             r = reducers[selector(candidates)] if candidates else None
         if r is None:
             # terms leave largest first, so this one is final
-            remainder[e] = field.fraction(c, den)
+            remainder.append((p.unpack(e), field.fraction(c, den)))
             continue
-        lt, L, tail = r
+        lk, le, L, tail, bound = r
         record.steps += 1
         if record.steps > record.budget:
             raise BudgetExceededError("reduction-step budget exhausted")
@@ -161,48 +236,56 @@ def _divide(ring, den, work, polys, selector):
         s, q = L // h, -(c // h)
         if s != 1:
             den *= s
-            for k in work:
-                work[k] = fmul(work[k], s)
-        shift = _sub_exp(e, lt)
-        for ge, gc in tail:
-            ne = tuple(map(add, ge, shift))
-            if ne not in work:
-                heapq.heappush(heap, (tuple(map(neg, order_key(ne))), ne))
-                work[ne] = fmul(gc, q)
+            for t in work:
+                work[t] = fmul(work[t], s)
+        sk, se = k - lk, e - le
+        if (bound + se) & guard:
+            raise PreconditionError(_OVER_LIMIT)
+        for tk, te, tc in tail:
+            nk = tk + sk
+            if nk not in work:
+                heapq.heappush(heap, -nk)
+                work[nk] = fmul(tc, q)
+                exps[nk] = te + se
             else:
-                t = fadd(work[ne], fmul(gc, q))
+                t = fadd(work[nk], fmul(tc, q))
                 if t:
-                    work[ne] = t
+                    work[nk] = t
                 else:
-                    del work[ne]
-    return ring.poly_from_dict(remainder)
+                    del work[nk]
+    return Polynomial(ring, tuple(remainder))
 
 
 def _s_pair(f, g):
-    """S-polynomial of monic f and g as (den, numerators), from their cleared tails.
+    """S-polynomial of monic f and g as (den, numerators by K, E by K), from
+    their packed tails.
 
     With den = lcm(L_f, L_g), each tail is shifted to the lcm of the leads and
     scaled by +-den/L; the leads cancel by construction.
     """
-    (ef, lf, tf), (eg, lg, tg) = f.cleared(), g.cleared()
-    m, den = _lcm(ef, eg), lf // gcd(lf, lg) * lg
+    p = _packing(f.ring)
+    (kf, ef, lf, tf, bf), (kg, eg, lg, tg, bg) = _packed(f), _packed(g)
+    m, den = p.lcm(ef, eg), lf // gcd(lf, lg) * lg
+    km = p.pack(p.unpack(m))[0]
     fadd, fmul = f.ring.field.add, f.ring.field.mul
-    work = {}
-    for lt, q, tail in ((ef, den // lf, tf), (eg, -(den // lg), tg)):
-        shift = _sub_exp(m, lt)
-        for e, c in tail:
-            ne = tuple(map(add, e, shift))
-            t = fadd(work.pop(ne), fmul(c, q)) if ne in work else fmul(c, q)
+    work, exps = {}, {}
+    for k, e, q, tail, bound in ((kf, ef, den // lf, tf, bf), (kg, eg, -(den // lg), tg, bg)):
+        sk, se = km - k, m - e
+        if (bound + se) & p.guard:
+            raise PreconditionError(_OVER_LIMIT)
+        for tk, te, c in tail:
+            nk = tk + sk
+            t = fadd(work.pop(nk), fmul(c, q)) if nk in work else fmul(c, q)
             if t:
-                work[ne] = t
-    return den, work
+                work[nk], exps[nk] = t, te + se
+    return den, work, exps
 
 
 def s_polynomial(f, g):
-    lcm = _lcm(f.lead_exp, g.lead_exp)
+    lcm = tuple(map(max, f.lead_exp, g.lead_exp))
     field = f.ring.field
-    mf = f.mul_term(_sub_exp(lcm, f.lead_exp), field.inv(f.lead_coeff))
-    mg = g.mul_term(_sub_exp(lcm, g.lead_exp), field.inv(g.lead_coeff))
+    mf = f.mul_term(tuple(map(sub, lcm, f.lead_exp)), field.inv(f.lead_coeff))
+    mg = g.mul_term(tuple(map(sub, lcm, g.lead_exp)), field.inv(g.lead_coeff))
     return mf - mg
 
 
@@ -224,44 +307,48 @@ def buchberger(gens):
         leads = sorted(_minimalize(g.lead_exp for g in gens), key=ring.order.key)
         return tuple(map(ring.monomial, leads))
 
-    basis, pairs, done = [], [], set()
+    p, record = _packing(ring), _work.get()
+    # packed[i] is basis[i] packed; a pair is (lcm degree, i, j, lcm E)
+    basis, packed, pairs, done = [], [], [], set()
 
     def append(r):
         # (lcm degree, i, j) keys are unique, so popping the least pair is
         # the same choice as a min over every pending pair
-        t, lt = len(basis), r.lead_exp
-        for k, b in enumerate(basis):
-            heapq.heappush(pairs, (sum(_lcm(b.lead_exp, lt)), k, t))
-        basis.append(r.monic())
+        r = r.monic()
+        t, lt = len(basis), _packed(r)[1]
+        for k, b in enumerate(packed):
+            m = p.lcm(b[1], lt)
+            heapq.heappush(pairs, (p.degree(m), k, t, m))
+        record.formed += t
+        basis.append(r)
+        packed.append(_packed(r))
 
-    for g in sorted(gens, key=lambda p: ring.order.key(p.lead_exp)):
+    for g in sorted(gens, key=lambda f: ring.order.key(f.lead_exp)):
         r = normal_form(g, basis)
         if not r.is_zero():
             append(r)
 
     while pairs:
-        _, i, j = heapq.heappop(pairs)
+        _, i, j, m = heapq.heappop(pairs)
         done.add((i, j))
-        fi, fj = basis[i], basis[j]
-        lcm = _lcm(fi.lead_exp, fj.lead_exp)
         # criterion: coprime lead terms reduce to zero
-        if lcm == tuple(map(add, fi.lead_exp, fj.lead_exp)):
+        if m == packed[i][1] + packed[j][1]:
+            record.coprime += 1
             continue
         # chain criterion: some k with lt_k | lcm and both pairs already done
-        skip = False
-        for k in range(len(basis)):
-            if k in (i, j):
-                continue
-            if _divides(basis[k].lead_exp, lcm):
-                pik = (min(i, k), max(i, k))
-                pjk = (min(j, k), max(j, k))
-                if pik in done and pjk in done:
-                    skip = True
-                    break
-        if skip:
+        if any(
+            p.divides(b[1], m)
+            and k != i
+            and k != j
+            and (min(i, k), max(i, k)) in done
+            and (min(j, k), max(j, k)) in done
+            for k, b in enumerate(packed)
+        ):
+            record.chain += 1
             continue
-        _work.get().pairs += 1
-        r = _divide(ring, *_s_pair(fi, fj), basis, None)
+        record.pairs += 1
+        r = _divide(ring, *_s_pair(basis[i], basis[j]), packed, None)
+        record.zeros += r.is_zero()
         if not r.is_zero():
             append(r)
 

@@ -95,6 +95,7 @@ class Ideal:
         self._gb = None
         self._symbolic_powers = {}  # filled by symbolic.symbolic_power
         self._separators = {}  # separator text -> (separator, proven), by symbolic
+        self._jacobian = None  # J_{R/P} of the Jacobian criterion, filled by symbolic
 
     def __repr__(self):
         return f"Ideal({', '.join(str(g) for g in self.gens) or '0'})"

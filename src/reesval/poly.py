@@ -155,7 +155,8 @@ QQ = RationalField()
 #
 # Each order maps an exponent tuple to a sort key; exponents compare by key.
 # Bigger key = bigger monomial. Keys are flat int tuples of one length per
-# ring, so negating every entry reverses the order (the division heap does).
+# ring, linear in the exponent, so groebner packs each key into one int
+# (exponents below 2^24) and its division heap holds the negated ints.
 
 
 class MonomialOrder:
@@ -224,6 +225,7 @@ class PolyRing:
         self.order = order or GrevLex()
         self.nvars = len(names)
         self._index = {n: i for i, n in enumerate(names)}
+        self._packing = None  # groebner's packing constants, filled there
 
     def __eq__(self, other):
         return self is other or (
@@ -305,7 +307,8 @@ class PolyRing:
 class Polynomial:
     """Immutable canonical polynomial: terms sorted strictly descending."""
 
-    __slots__ = ("ring", "terms", "_cleared")
+    # _packed: this polynomial as a reducer in groebner's packed form, set there
+    __slots__ = ("ring", "terms", "_packed")
 
     def __init__(self, ring, terms):
         self.ring = ring
@@ -423,13 +426,6 @@ class Polynomial:
             return self
         inv = f.inv(self.lead_coeff)
         return Polynomial(self.ring, tuple((e, f.mul(c, inv)) for e, c in self.terms))
-
-    def cleared(self):
-        """(lead exp, L, tail), monic() = (L*lead + tail) / L on numerators; cached."""
-        if not hasattr(self, "_cleared"):
-            den, terms = self.ring.field.clear(self.monic().terms)
-            self._cleared = self.lead_exp, den, tuple(terms.items())[1:]
-        return self._cleared
 
     def mul_term(self, exp, coeff):
         f = self.ring.field

@@ -12,8 +12,9 @@ a domain or have no modulus.
 
 Results and proofs are cached on the prime's own Ideal handle, as its
 Groebner basis is, so they live as long as that handle: repeated calls with
-the same handle reuse them, and a re-parsed session starts with none. J_R
-is cached on the algebra, which all its primes share.
+the same handle reuse them, and a re-parsed session starts with none.
+J_{R/P} is cached there too, so each separator tried reuses it; J_R is
+cached on the algebra, which all its primes share.
 """
 
 from __future__ import annotations
@@ -80,7 +81,9 @@ def _prove(P, separator):
         return separator, False
     if alg._jacobian is None:
         alg._jacobian = _jacobian_ideal(alg, (), krull_dim(Ideal(alg, ())))
-    loci = (alg._jacobian, _jacobian_ideal(alg, P.gens, d))
+    if P._jacobian is None:
+        P._jacobian = _jacobian_ideal(alg, P.gens, d)
+    loci = (alg._jacobian, P._jacobian)
     if separator != "auto":
         return separator, all(J.radical_contains(separator) for J in loci)
     for x in alg.ring.gens():

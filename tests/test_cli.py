@@ -189,6 +189,19 @@ def test_unread_argument_error_names_it():
     assert "nmx" in report["commands"][0]["error"]
 
 
+def test_exponent_over_the_limit_is_a_command_error(tmp_path, capsys):
+    text = "ring { vars: x y; order: lex }\nideal I = x^16777216 - y, x*y - 1\ncmd: gb I\n"
+    report, ok = run(parse_session(text))
+    assert not ok
+    assert report["commands"][0]["error"] == (
+        "an exponent exceeds 16777215 = 2^24 - 1, the Groebner limit"
+    )
+    path = tmp_path / "large.session"
+    path.write_text(text)
+    assert main([str(path)]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["power m -1", "closure m -2"])
 def test_negative_power_is_a_command_error(command, tmp_path, capsys):
     text = f"ring {{ vars: x y }}\nideal m = x, y\ncmd: {command}\n"

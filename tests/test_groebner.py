@@ -15,8 +15,8 @@ from reesval import (
     groebner,
     normal_form,
 )
-from reesval.errors import BudgetExceededError
-from reesval.groebner import is_groebner, s_polynomial
+from reesval.errors import BudgetExceededError, PreconditionError
+from reesval.groebner import _divides, is_groebner, s_polynomial
 
 
 def test_twisted_cubic_lex_basis():
@@ -151,21 +151,84 @@ def _random_monic(rng, ring, maxdeg):
 )
 @pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=str)
 def test_s_pair_matches_s_polynomial(field, order, maxdeg):
-    # buchberger builds each S-pair as numerators over den from the cleared
+    # buchberger builds each S-pair as numerators over den from the packed
     # tails; s_polynomial, the route is_groebner takes, checks it
     rng = random.Random(14)
     R = PolyRing(("x", "y", "z"), field, order)
+    packing = groebner._packing(R)
     pairs = [[_random_monic(rng, R, maxdeg) for _ in range(2)] for _ in range(40)]
     dens = set()
     for f, g in pairs:
-        den, work = groebner._s_pair(f, g)
+        den, work, exps = groebner._s_pair(f, g)
         dens.add(den)
-        rebuilt = R.poly_from_dict({e: field.fraction(c, den) for e, c in work.items()})
+        rebuilt = R.poly_from_dict(
+            {packing.unpack(exps[k]): field.fraction(c, den) for k, c in work.items()}
+        )
         assert rebuilt == s_polynomial(f, g)
     # den > 1 is exercised over QQ, and over Fp every L is 1
     assert (max(dens) > 1) == (field == QQ)
     for gens in pairs:
         assert is_groebner(buchberger(gens))
+
+
+@pytest.mark.parametrize("order", [Lex(), GrevLex(), Block(1), Block(2)], ids=repr)
+@pytest.mark.parametrize("nvars", range(1, 7))
+def test_packing_matches_tuple_exponents(order, nvars):
+    # the kernel's packed E and K against the tuple exponents and order
+    # keys they stand for, over exponents up to the limit
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    R = PolyRing(tuple(f"x{i}" for i in range(nvars)), QQ, order)
+    packing = groebner._packing(R)
+    exponent = st.one_of(st.integers(0, 3), st.integers(0, groebner._LIMIT))
+    exps = st.tuples(*[exponent] * nvars)
+
+    def sign(a, b):
+        return (a > b) - (a < b)
+
+    def agrees(a, b):
+        (ka, ea), (kb, eb) = packing.pack(a), packing.pack(b)
+        assert packing.unpack(ea) == a
+        assert sign(ka, kb) == sign(order.key(a), order.key(b))
+        assert packing.divides(ea, eb) == _divides(a, b)
+        assert packing.lcm(ea, eb) == packing.pack(tuple(map(max, a, b)))[1]
+        assert packing.degree(ea) == sum(a)
+
+    # the corners: every exponent at the limit, and one below it
+    top = (groebner._LIMIT,) * nvars
+    agrees(top, (0,) * nvars)
+    agrees(top[1:] + (groebner._LIMIT - 1,), top)
+    settings = hypothesis.settings(derandomize=True, database=None, deadline=None)
+    settings(hypothesis.given(exps, exps)(agrees))()
+
+
+def test_exponent_at_2_20_divides_correctly():
+    R = PolyRing(("x", "y", "z"), QQ, Lex())
+    x, y, z = R.gens()
+    f, g = x**2 - y ** 2**20, x * y - z
+    G = buchberger([f, g])
+    assert is_groebner(G) and y ** (2**20 + 2) - z**2 in G
+    assert normal_form(f, G).is_zero() and normal_form(g, G).is_zero()
+    den, work, exps = groebner._s_pair(f, g)
+    unpack = groebner._packing(R).unpack
+    s = R.poly_from_dict({unpack(exps[k]): QQ.fraction(c, den) for k, c in work.items()})
+    assert s == s_polynomial(f, g) == x * z - y ** (2**20 + 1)
+
+
+def test_exponent_over_the_limit_is_refused():
+    # exponents up to 2^24 - 1 pack; one past it, given or created by a
+    # reduction step, is refused rather than wrapped into its neighbour field
+    R = PolyRing(("x", "y"), QQ, Lex())
+    x, y = R.gens()
+    limit = "16777215 = 2\\^24 - 1"
+    with pytest.raises(PreconditionError, match=limit):
+        buchberger([x ** 2**24 - y, x * y - 1])
+    with pytest.raises(PreconditionError, match=limit):
+        normal_form(x ** 2**24, [x * y - 1])
+    # x^2 -> x*y^m -> y^2m, created in the division
+    assert normal_form(x * y ** (2**23 - 1), [x - y ** 2**23]) == y ** (2**24 - 1)
+    with pytest.raises(PreconditionError, match=limit):
+        normal_form(x**2, [x - y ** 2**23])
 
 
 def test_budget_exhaustion_raises():
@@ -236,25 +299,29 @@ def _count_work(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "system, basis_len, pairs, divisions, least_budget",
+    "system, basis_len, pairs, divisions, least_budget, skips",
     [
-        (_cyclic4, 7, 8, 19, 30),
-        (_katsura3, 7, 8, 19, 95),
-        (lambda: _katsura3(PrimeField(32003)), 7, 8, 19, 95),
+        (_cyclic4, 7, 8, 19, 30, (21, 8, 5, 5)),
+        (_katsura3, 7, 8, 19, 95, (21, 12, 1, 5)),
+        (lambda: _katsura3(PrimeField(32003)), 7, 8, 19, 95, (21, 12, 1, 5)),
     ],
     ids=["cyclic4", "katsura3", "katsura3_fp"],
 )
-def test_pair_order_work_counts(system, basis_len, pairs, divisions, least_budget):
+def test_pair_order_work_counts(system, basis_len, pairs, divisions, least_budget, skips):
     # the chain criterion skips a pair only against pairs already done, so
     # these counts move if buchberger takes its pairs in another order;
     # the budget is one tick per reduction step, so the least budget that
-    # completes pins the number of steps
+    # completes pins the number of steps; skips are the pairs formed, those
+    # skipped as coprime and by the chain criterion, and reductions to zero
     with pytest.raises(BudgetExceededError), groebner.budget(least_budget - 1):
         buchberger(system())
     with groebner.budget(least_budget) as work:
         G = buchberger(system())
     counts = (len(G), work.pairs, work.divisions, work.steps)
     assert counts == (basis_len, pairs, divisions, least_budget)
+    assert (work.formed, work.coprime, work.chain, work.zeros) == skips
+    # every pair formed is skipped or reduced
+    assert work.formed == work.coprime + work.chain + work.pairs
 
 
 @pytest.mark.parametrize(

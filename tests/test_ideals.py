@@ -1,6 +1,6 @@
 import pytest
 
-from reesval import AffineAlgebra, GrevLex, Lex, PolyRing, QQ, groebner
+from reesval import AffineAlgebra, GrevLex, Lex, PolyRing, QQ, groebner, symbolic
 from reesval.cli import parse_session, run
 from reesval.errors import PreconditionError
 from reesval.ideals import Ideal, eliminate, elimination_ring, kernel_of_map
@@ -128,6 +128,26 @@ def test_symbolic_power_work_count(monkeypatch):
     report, ok = run(session)
     assert ok
     assert len(calls) == 11
+
+
+def test_two_separators_share_the_jacobian_ideal(monkeypatch):
+    # tripwire: J_{R/P} is built once per prime handle, however many
+    # separators are proven against it
+    gens = ("y^2 - x*z", "x^2*y - z^2", "x^3 - y*z")
+    session = parse_session(
+        "ring { vars: x y z; field: QQ; order: grevlex; assert: normal domain }\n"
+        f"ideal P = {', '.join(gens)}\n"
+        + "".join(f"cmd: symbolic-power P {n} --separator {s}\n" for s in "xy" for n in (2, 3))
+    )
+    alg = AffineAlgebra(PolyRing(("x", "y", "z"), QQ, GrevLex()))
+    P = Ideal(alg, tuple(map(alg.ring.parse, gens)))
+    jacobian = frozenset(symbolic._jacobian_ideal(alg, P.gens, 1).ambient_gens())
+    calls = _record_calls(monkeypatch, groebner, "buchberger")
+    report, ok = run(session)
+    assert ok
+    inputs = [frozenset(gens) for gens, in calls]
+    assert len(jacobian) == 12 and inputs.count(jacobian) == 1
+    assert len(calls) == 18
 
 
 def test_elimination(poly_xyz):
