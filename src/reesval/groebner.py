@@ -121,9 +121,9 @@ class _Packing:
         w = EXPONENT_BITS + n.bit_length()
         self.shifts = range(0, n * w, w)
         self.guard = sum(1 << (s + EXPONENT_BITS) for s in self.shifts)
-        self.ones = sum(1 << s for s in self.shifts)
         # E * ones holds the exponent sum in field n - 1, carry-free
-        self.top = w * max(n - 1, 0), (1 << w) - 1
+        self.ones = sum(1 << s for s in self.shifts)
+        self.top, self.mask = w * max(n - 1, 0), (1 << w) - 1
         units = [key(tuple(int(i == j) for j in range(n))) for i in range(n)]
         m = len(key((0,) * n))
         stride = max((_LIMIT * sum(abs(u[j]) for u in units) for j in range(m)), default=0)
@@ -142,8 +142,7 @@ class _Packing:
         return tuple((E >> s) & _LIMIT for s in self.shifts)
 
     def degree(self, E):
-        top, mask = self.top
-        return (E * self.ones >> top) & mask
+        return (E * self.ones >> self.top) & self.mask
 
     def divides(self, a, b):
         g = self.guard
@@ -323,7 +322,7 @@ def buchberger(gens):
         basis.append(r)
         packed.append(_packed(r))
 
-    for g in sorted(gens, key=lambda f: ring.order.key(f.lead_exp)):
+    for g in sorted(gens, key=lambda p: ring.order.key(p.lead_exp)):
         r = normal_form(g, basis)
         if not r.is_zero():
             append(r)
