@@ -329,20 +329,14 @@ def buchberger(gens):
 
     while pairs:
         _, i, j, m = heapq.heappop(pairs)
-        done.add((i, j))
+        done.update(((i, j), (j, i)))
         # criterion: coprime lead terms reduce to zero
         if m == packed[i][1] + packed[j][1]:
             record.coprime += 1
             continue
-        # chain criterion: some k with lt_k | lcm and both pairs already done
-        if any(
-            p.divides(b[1], m)
-            and k != i
-            and k != j
-            and (min(i, k), max(i, k)) in done
-            and (min(j, k), max(j, k)) in done
-            for k, b in enumerate(packed)
-        ):
+        # chain criterion: some k with lt_k | lcm and both pairs already
+        # done; (i, i) is never done, so k is neither i nor j
+        if any(p.divides(b[1], m) and {(i, k), (j, k)} <= done for k, b in enumerate(packed)):
             record.chain += 1
             continue
         record.pairs += 1
