@@ -225,7 +225,8 @@ def test_exponent_over_the_limit_is_refused():
         buchberger([x ** 2**24 - y, x * y - 1])
     with pytest.raises(PreconditionError, match=limit):
         normal_form(x ** 2**24, [x * y - 1])
-    # x^2 -> x*y^m -> y^2m, created in the division
+    # created in the division: x*y^(m-1) -> y^(2m-1) is at the limit, and
+    # x^2 -> x*y^m -> y^2m past it
     assert normal_form(x * y ** (2**23 - 1), [x - y ** 2**23]) == y ** (2**24 - 1)
     with pytest.raises(PreconditionError, match=limit):
         normal_form(x**2, [x - y ** 2**23])
