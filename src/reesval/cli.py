@@ -1,13 +1,6 @@
 """Command-line front end: session files in, JSON reports out.
 
-Session grammar (line oriented, # comments):
-
-    ring { vars: x1 x2 x3; field: QQ; mod: x1*x2 + x3^3; order: grevlex;
-           assert: normal domain }
-    ideal m = x1, x2, x3
-    cmd: gb m
-    cmd: check main-a --p p --q m --nmax 3
-
+Session files follow the grammar stated above `parse_session`.
 Reports are deterministic: nothing is random, and timing fields are only
 emitted under --timings, so repeated runs are byte-identical.
 """
@@ -60,46 +53,54 @@ class SessionFile:
     commands: list  # token lists
 
 
+# Session text, '#' starting a comment that runs to the end of its line:
+#   ring  = 'ring' '{' (key ':' value)? (';' (key ':' value)?)* '}', may span lines
+#   ideal = 'ideal' name '=' poly (',' poly)*,  cmd = 'cmd:' word+, one per line
+# Each key appears at most once; its value, each whitespace run read as one
+# space, must match its pattern whole. Defaults: field QQ, no mod, order
+# grevlex, nothing asserted; vars has none. The names in vars, polynomials in
+# mod (split at commas) and words in assert are judged when the ring is built.
+_RING_GRAMMAR = (
+    ("vars", r".*"),
+    ("field", r"QQ|Fp \d+"),
+    ("mod", r".*"),
+    ("order", r"lex|grevlex|block \d+"),
+    ("assert", r".*"),
+)
+
+
 def parse_session(text):
     text = re.sub(r"#[^\n]*", "", text)
-    ring = None
-    ideals = []
-    commands = []
-    # the ring block may span lines; normalize it first
     m = re.search(r"ring\s*\{([^}]*)\}", text, re.S)
     if not m:
         raise PreconditionError("session needs exactly one ring block")
     if re.search(r"ring\s*\{", text[m.end() :]):
         raise PreconditionError("more than one ring block")
-    ring = {"vars": (), "field": "QQ", "mod": [], "order": "grevlex", "assert": []}
-    for piece in m.group(1).split(";"):
-        piece = piece.strip()
-        if not piece:
-            continue
-        if ":" not in piece:
+    patterns, found = dict(_RING_GRAMMAR), {}
+    for piece in filter(None, (p.strip() for p in m.group(1).split(";"))):
+        key, colon, value = piece.partition(":")
+        key, value = key.strip(), " ".join(value.split())
+        if not colon:
             raise PreconditionError(f"bad ring field {piece!r}")
-        key, _, value = piece.partition(":")
-        key, value = key.strip(), value.strip()
-        if key == "vars":
-            ring["vars"] = tuple(value.split())
-        elif key == "field":
-            if value != "QQ" and not re.fullmatch(r"Fp\s+\d+", value):
-                raise PreconditionError(f"unknown field {value!r}")
-            ring["field"] = re.sub(r"\s+", " ", value)
-        elif key == "mod":
-            ring["mod"] = [p.strip() for p in value.split(",") if p.strip()]
-        elif key == "order":
-            if not re.fullmatch(r"lex|grevlex|block\s+\d+", value):
-                raise PreconditionError(f"unknown order {value!r}")
-            ring["order"] = re.sub(r"\s+", " ", value)
-        elif key == "assert":
-            ring["assert"] = value.split()
-        else:
+        if key not in patterns:
             raise PreconditionError(f"unknown ring field {key!r}")
+        if key in found:
+            raise PreconditionError(f"repeated ring key {key!r}")
+        if not re.fullmatch(patterns[key], value):
+            raise PreconditionError(f"unknown {key} {value!r}")
+        found[key] = value
+    ring = {
+        "vars": tuple(found.get("vars", "").split()),
+        "field": found.get("field", "QQ"),
+        "mod": [p.strip() for p in found.get("mod", "").split(",") if p.strip()],
+        "order": found.get("order", "grevlex"),
+        "assert": found.get("assert", "").split(),
+    }
     if not ring["vars"]:
         raise PreconditionError("ring block needs vars")
-    rest = text[: m.start()] + text[m.end() :]
-    defined = set()
+    # the block gives way to its newlines, so every line keeps its file number
+    rest = text[: m.start()] + "\n" * m.group(0).count("\n") + text[m.end() :]
+    ideals, commands, defined = [], [], set()
     for lineno, line in enumerate(rest.splitlines(), 1):
         line = line.strip()
         if not line:
@@ -124,21 +125,17 @@ def parse_session(text):
 
 
 def _build_algebra(ring_spec):
-    order_spec = ring_spec["order"]
-    if order_spec == "lex":
-        order = Lex()
-    elif order_spec.startswith("block"):
-        k, n = int(order_spec.split()[1]), len(ring_spec["vars"])
+    order = ring_spec["order"]
+    if order.startswith("block "):
+        k, n = int(order.removeprefix("block ")), len(ring_spec["vars"])
         if not 0 < k < n:
             raise PreconditionError(f"order block {k} needs 1 <= k < {n} variables")
         order = Block(k)
     else:
-        order = GrevLex()
+        order = Lex() if order == "lex" else GrevLex()
+    field = ring_spec["field"]
     try:  # PrimeField rejects a non-prime p, PolyRing a repeated or unreadable name
-        if ring_spec["field"] == "QQ":
-            fld = QQ
-        else:
-            fld = PrimeField(int(ring_spec["field"].split()[1]))
+        fld = QQ if field == "QQ" else PrimeField(int(field.removeprefix("Fp ")))
         ring = PolyRing(ring_spec["vars"], fld, order)
     except ValueError as exc:
         raise PreconditionError(f"bad ring: {exc}") from None
@@ -375,13 +372,7 @@ def run(session, seed=0, budget=None, fail_fast=False, timings=False):
         results.append(entry)
     report = {
         "version": REPORT_VERSION,
-        "ring": {
-            "vars": list(session.ring["vars"]),
-            "field": session.ring["field"],
-            "mod": list(session.ring["mod"]),
-            "order": session.ring["order"],
-            "assert": list(session.ring["assert"]),
-        },
+        "ring": session.ring,
         "commands": results,
     }
     return report, ok

@@ -14,11 +14,18 @@ that ring by `to_ring`, which matches variables by name.
 
 from __future__ import annotations
 
+import operator
+from functools import reduce
 from itertools import combinations_with_replacement
 
 from . import groebner
 from .errors import NotHomogeneousError, PreconditionError
 from .poly import Block, GrevLex, PolyRing
+
+
+# What an algebra may be asserted to be: "normal" (read by verify), "domain"
+# (symbolic) and "standard_graded" (AffineAlgebra); any other word is refused.
+ASSERTIONS = ("normal", "domain", "standard_graded")
 
 
 class AffineAlgebra:
@@ -28,6 +35,9 @@ class AffineAlgebra:
         self.ring = ring
         self.modulus = tuple(m for m in modulus if not m.is_zero())
         self.asserted = frozenset(asserted)
+        unknown = self.asserted.difference(ASSERTIONS)
+        if unknown:
+            raise PreconditionError(f"unknown assert {' '.join(sorted(unknown))!r}")
         self._modulus_gb = None
         self._jacobian = None  # J_R of the Jacobian criterion, filled by symbolic
         if "standard_graded" in self.asserted:
@@ -145,13 +155,8 @@ class Ideal:
             raise PreconditionError("negative power")
         if n == 0:
             return Ideal(self.algebra, (self.algebra.ring.one,))
-        gens = []
-        for combo in combinations_with_replacement(self.gens, n):
-            p = combo[0]
-            for q in combo[1:]:
-                p = p * q
-            gens.append(p)
-        return Ideal(self.algebra, tuple(gens))
+        gens = combinations_with_replacement(self.gens, n)
+        return Ideal(self.algebra, tuple(reduce(operator.mul, c) for c in gens))
 
     # -- elimination-backed operations ---------------------------------------
 

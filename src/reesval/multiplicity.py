@@ -100,9 +100,7 @@ def _numerator(exps, nvars):
     j = next(i for i, p in enumerate(g) if p)
     pivot = tuple(g[j] if i == j else 0 for i in range(nvars))
     with_pivot = _numerator(exps + [pivot], nvars)
-    colon = _minimalize(
-        [tuple(max(p - q, 0) for p, q in zip(e, pivot)) for e in exps]
-    )
+    colon = [tuple(max(p - q, 0) for p, q in zip(e, pivot)) for e in exps]
     colon_num = _numerator(colon, nvars)
     d0 = sum(pivot)
     out = dict(with_pivot)
@@ -183,6 +181,8 @@ def length_sampler(R, I, f=None, N=5):
     of standard monomials of the reduced Groebner basis, read off the
     Hilbert series of its leading-term ideal.
     """
+    if N < 1:  # an empty table has no multiplicity to read
+        raise PreconditionError(f"N must be at least 1, got {N}")
     extra = (f,) if f is not None else ()
     table = []
     for n in range(1, N + 1):

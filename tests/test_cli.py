@@ -4,8 +4,9 @@ from pathlib import Path
 
 import pytest
 
-from reesval.cli import _Session, main, parse_session, run
+from reesval.cli import _RING_GRAMMAR, _Session, main, parse_session, run
 from reesval.errors import PreconditionError
+from reesval.ideals import ASSERTIONS
 
 PAPER_SESSION = """
 # worked example
@@ -36,12 +37,26 @@ def test_parse_errors():
         parse_session("ideal m = x, y")  # no ring block
     with pytest.raises(PreconditionError):
         parse_session("ring { vars: x }\nring { vars: y }")
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match=r"^unknown field 'GF 9'$"):
         parse_session("ring { vars: x; field: GF 9 }")
+    with pytest.raises(PreconditionError, match=r"^unknown order 'block'$"):
+        parse_session("ring { vars: x; order: block }")
+    with pytest.raises(PreconditionError, match=r"^repeated ring key 'field'$"):
+        parse_session("ring { vars: x; field: Fp  7 ;field: QQ }")
+    with pytest.raises(PreconditionError, match=r"^unknown assert 'domian'$"):
+        run(parse_session("ring { vars: x; assert: normal domian }"))
     with pytest.raises(PreconditionError):
         parse_session("ring { vars: x }\nideal a = x\nideal a = x")
     with pytest.raises(PreconditionError):
         parse_session("ring { vars: x }\nwhat is this")
+
+
+def test_parse_errors_name_the_file_line():
+    ring = "ring { vars: x y;\n       mod: x*y;\n       order: lex }\n"
+    with pytest.raises(PreconditionError, match=r"^line 5: unrecognized line"):
+        parse_session(ring + "ideal m = x, y\nbogus line\n")
+    with pytest.raises(PreconditionError, match=r"^line 6: empty command$"):
+        parse_session("# ring below\n" + ring + "cmd: gb m\ncmd:\n")
 
 
 def test_prime_field_session():
@@ -316,6 +331,8 @@ def test_monomial_commands():
         "ring { vars: x y }\nideal a = 1/0*x\ncmd: gb a\n",
         "ring { vars: 1x y }\nideal m = y\ncmd: gb m\n",
         "ring { vars: x-y }\ncmd: graded-multiplicity\n",
+        "ring { vars: x y; mod: x; mod: y }\nideal m = x, y\ncmd: gb m\n",
+        "ring { vars: x y; assert: normal domian }\nideal m = x, y\ncmd: gb m\n",
         None,
     ],
     ids=[
@@ -331,6 +348,8 @@ def test_monomial_commands():
         "zero-denominator-in-ideal",
         "variable-starts-with-digit",
         "variable-with-minus",
+        "repeated-ring-key",
+        "unknown-assert-word",
         "missing-file",
     ],
 )
@@ -351,6 +370,21 @@ def test_readme_lists_every_command():
     names = set(re.findall(r"`([a-z-]+)", listed))
     methods = {n[4:].replace("_", "-") for n in dir(_Session) if n.startswith("cmd_")}
     assert names == methods
+
+
+def test_readme_gives_the_ring_grammar():
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    keys, words = readme.split("Ring keys: ")[1].split("Assert words: ")
+    words = words.split(".")[0]
+    assert re.findall(r"`(\w+):`", keys) == [key for key, _ in _RING_GRAMMAR]
+    assert tuple(re.findall(r"`(\w+)`", words)) == ASSERTIONS
+
+
+def test_length_table_needs_one_row():
+    text = "ring { vars: x y }\nideal m = x, y\ncmd: length-table m 0"
+    report, ok = run(parse_session(text))
+    assert not ok
+    assert report["commands"][0]["error"] == "N must be at least 1, got 0"
 
 
 def _results(text):

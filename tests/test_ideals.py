@@ -3,7 +3,13 @@ import pytest
 from reesval import AffineAlgebra, GrevLex, Lex, PolyRing, QQ, groebner, symbolic
 from reesval.cli import parse_session, run
 from reesval.errors import PreconditionError
-from reesval.ideals import Ideal, eliminate, elimination_ring, kernel_of_map
+from reesval.ideals import (
+    ASSERTIONS,
+    Ideal,
+    eliminate,
+    elimination_ring,
+    kernel_of_map,
+)
 
 
 def test_containment_and_equality(poly_xy):
@@ -228,6 +234,13 @@ def test_algebras_equal_by_their_ideal():
     C = AffineAlgebra(ring, (x * y + z**3,))
     Ideal(C, (x,)) + Ideal(C, (y,))
     assert C._modulus_gb is None
+
+
+def test_algebra_accepts_only_the_words_the_package_reads():
+    R = PolyRing(("x", "y"), QQ, GrevLex())
+    assert AffineAlgebra(R, (), asserted=ASSERTIONS).asserted == set(ASSERTIONS)
+    with pytest.raises(PreconditionError, match=r"^unknown assert 'domian'$"):
+        AffineAlgebra(R, (), asserted=("normal", "domian"))
 
 
 def test_cross_algebra_operations_rejected(poly_xy, poly_xyz):

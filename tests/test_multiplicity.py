@@ -123,6 +123,12 @@ def test_length_sampler_regular(poly_xy, poly_xyz):
     assert length_sampler(poly_xyz, m, f=x + 1, N=3) == [(1, 0), (2, 0), (3, 0)]
 
 
+def test_length_sampler_refuses_an_empty_table(poly_xy):
+    x, y = poly_xy.ring.gens()
+    with pytest.raises(PreconditionError, match=r"^N must be at least 1, got 0$"):
+        length_sampler(poly_xy, Ideal(poly_xy, (x, y)), N=0)
+
+
 def test_length_sampler_monomial_ideal(poly_xy):
     x, y = poly_xy.ring.gens()
     I = Ideal(poly_xy, (x**2, y**3))
