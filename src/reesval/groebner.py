@@ -97,16 +97,12 @@ def _budgeted(fn):
     return wrapper
 
 
-def _divides(a, b):
-    return all(map(le, a, b))
-
-
 def _minimalize(exps):
     """The exponents no other one divides, each once, by degree then exponent."""
     exps = sorted(set(exps), key=lambda e: (sum(e), e))
     out = []
     for e in exps:
-        if not any(_divides(m, e) for m in out):
+        if not any(all(map(le, m, e)) for m in out):
             out.append(e)
     return out
 
@@ -217,7 +213,11 @@ def _divide(ring, den, work, exps, reducers, selector):
         e = exps[k]
         eg = e | guard  # a reducer applies iff (eg - its lead E) keeps every guard bit
         if selector is None:
-            r = next((r for r in reducers if (eg - r[1]) & guard == guard), None)
+            for r in reducers:
+                if (eg - r[1]) & guard == guard:
+                    break
+            else:
+                r = None
         else:
             candidates = [i for i, r in enumerate(reducers) if (eg - r[1]) & guard == guard]
             r = reducers[selector(candidates)] if candidates else None

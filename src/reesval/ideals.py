@@ -14,10 +14,6 @@ that ring by `to_ring`, which matches variables by name.
 
 from __future__ import annotations
 
-import operator
-from functools import reduce
-from itertools import combinations_with_replacement
-
 from . import groebner
 from .errors import NotHomogeneousError, PreconditionError
 from .poly import Block, GrevLex, PolyRing
@@ -103,6 +99,7 @@ class Ideal:
         self.algebra = algebra
         self.gens = tuple(gens)
         self._gb = None
+        self._powers = []  # layer n: pairs (n-fold product, index of its last factor)
         self._symbolic_powers = {}  # filled by symbolic.symbolic_power
         self._separators = {}  # separator text -> (separator, proven), by symbolic
         self._jacobian = None  # J_{R/P} of the Jacobian criterion, filled by symbolic
@@ -150,13 +147,17 @@ class Ideal:
         return Ideal(self.algebra, tuple(gens))
 
     def power(self, n):
-        """All n-fold products of the generators; I^0 is the unit ideal."""
+        """All n-fold products of the generators in combinations_with_replacement
+        order, each one a product of the cached layer n - 1 times a generator."""
         if n < 0:
             raise PreconditionError("negative power")
-        if n == 0:
-            return Ideal(self.algebra, (self.algebra.ring.one,))
-        gens = combinations_with_replacement(self.gens, n)
-        return Ideal(self.algebra, tuple(reduce(operator.mul, c) for c in gens))
+        layers = self._powers or [((self.algebra.ring.one, 0),)]
+        while len(layers) <= n:
+            layers.append(
+                tuple((p * g, k) for p, i in layers[-1] for k, g in enumerate(self.gens[i:], i))
+            )
+        self._powers = layers
+        return Ideal(self.algebra, tuple(p for p, _ in layers[n]))
 
     # -- elimination-backed operations ---------------------------------------
 

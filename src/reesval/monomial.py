@@ -120,6 +120,8 @@ class NewtonPolyhedron:
 
     def contains(self, exp, n=1):
         """exp in n * NP, by the facet inequalities."""
+        if n < 0:
+            raise PreconditionError("negative power")
         if any(e < 0 for e in exp):
             return False
         return all(
@@ -212,6 +214,8 @@ def membership_oracle_caratheodory(exps, nvars, e, n=1):
     and the leftover e - sum are all nonnegative. Basic solutions of the
     feasibility LP have this shape, so the search is complete.
     """
+    if n < 0:
+        raise PreconditionError("negative power")
     exps = _minimalize(exps)
     if any(x < 0 for x in e):
         return False

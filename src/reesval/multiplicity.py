@@ -2,18 +2,19 @@
 
 Every count reads one source: the cached Groebner basis of an ideal (an
 algebra's is that of its zero ideal), whose leading-term ideal goes
-through a pivot recursion on monomial ideals. A homogeneous ideal has the
-Hilbert function of its initial ideal under any term order
-(Cox-Little-O'Shea, ch. 9 section 3), so graded multiplicity and
-dimension read the ideal's basis in its ring's own order. Local
-multiplicities at the origin go through the associated graded ring of
-the extended Rees presentation, cross-checkable against finite
-differences of a length table.
+through a pivot recursion on monomial ideals that keeps every list of
+generators it passes down minimal. A homogeneous ideal has the Hilbert
+function of its initial ideal under any term order (Cox-Little-O'Shea,
+ch. 9 section 3), so graded multiplicity and dimension read the ideal's
+basis in its ring's own order. Local multiplicities at the origin go
+through the associated graded ring of the extended Rees presentation,
+cross-checkable against finite differences of a length table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from math import comb
 
 from .errors import NotHomogeneousError, PreconditionError
@@ -38,13 +39,8 @@ class HilbertSeries:
         coeffs = list(self.numerator)
         cancelled = 0
         while coeffs and sum(coeffs) == 0:
-            # divide by (1-t): partial sums, top coefficient drops off
-            partial, acc = [], 0
-            for c in coeffs:
-                acc += c
-                partial.append(acc)
-            assert partial[-1] == 0
-            coeffs = partial[:-1]
+            # divide by (1-t): partial sums, the last (the zero sum) drops off
+            coeffs = list(accumulate(coeffs))[:-1]
             while coeffs and coeffs[-1] == 0:
                 coeffs.pop()
             cancelled += 1
@@ -76,42 +72,39 @@ class HilbertSeries:
 
 
 def _numerator(exps, nvars):
-    """Numerator of HS(k[x]/(exps)) over (1-t)^nvars, as a coeff dict."""
-    exps = _minimalize(exps)
+    """Numerator of HS(k[x]/(exps)) over (1-t)^nvars, as a coeff dict, for a
+    minimal list exps: no member divides another."""
     if not exps:
         return {0: 1}
-    if any(sum(e) == 0 for e in exps):
+    if not any(exps[0]):  # the zero exponent, which a minimal list holds alone
         return {}
     mixed = [e for e in exps if sum(1 for p in e if p) > 1]
-    if not mixed:
-        # pure powers: product of (1 - t^a)
+    if not mixed:  # pure powers of distinct variables: the product of (1 - t^a)
         coeffs = {0: 1}
-        for e in exps:
-            a = sum(e)
-            nxt = {}
-            for d, c in coeffs.items():
-                nxt[d] = nxt.get(d, 0) + c
-                nxt[d + a] = nxt.get(d + a, 0) - c
-            coeffs = {d: c for d, c in nxt.items() if c}
-        return coeffs
+        for a in map(sum, exps):
+            for d, c in list(coeffs.items()):  # the old coefficients, shifted by a
+                coeffs[d + a] = coeffs.get(d + a, 0) - c
+        return {d: c for d, c in coeffs.items() if c}
     # pivot: pure power of the first supported variable of the
     # largest-degree mixed generator (deterministic)
     g = max(mixed, key=lambda e: (sum(e), e))
     j = next(i for i, p in enumerate(g) if p)
     pivot = tuple(g[j] if i == j else 0 for i in range(nvars))
-    with_pivot = _numerator(exps + [pivot], nvars)
-    colon = [tuple(max(p - q, 0) for p, q in zip(e, pivot)) for e in exps]
-    colon_num = _numerator(colon, nvars)
-    d0 = sum(pivot)
-    out = dict(with_pivot)
-    for d, c in colon_num.items():
-        out[d + d0] = out.get(d + d0, 0) + c
+    # without the pivot's multiples the list stays minimal: a generator that
+    # divided the pivot would divide g
+    out = _numerator([e for e in exps if e[j] < g[j]] + [pivot], nvars)
+    colon = _minimalize(tuple(max(p - q, 0) for p, q in zip(e, pivot)) for e in exps)
+    for d, c in _numerator(colon, nvars).items():
+        out[d + g[j]] = out.get(d + g[j], 0) + c
     return {d: c for d, c in out.items() if c}
 
 
 def hilbert_series_monomial(nvars, exps):
     """Hilbert series of k[x1..x_nvars]/(x^e for e in exps)."""
-    num = _numerator(list(exps), nvars)
+    exps = set(exps)
+    if any(len(e) != nvars for e in exps):
+        raise PreconditionError(f"an exponent is not of length nvars = {nvars}")
+    num = _numerator(_minimalize(exps), nvars)
     top = max(num) if num else 0
     coeffs = tuple(num.get(i, 0) for i in range(top + 1))
     return HilbertSeries(numerator=coeffs, nvars=nvars)

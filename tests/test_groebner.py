@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import permutations
 from math import gcd
 
 import pytest
@@ -16,7 +17,7 @@ from reesval import (
     normal_form,
 )
 from reesval.errors import BudgetExceededError, PreconditionError
-from reesval.groebner import _divides, is_groebner, s_polynomial
+from reesval.groebner import is_groebner, s_polynomial
 
 
 def test_twisted_cubic_lex_basis():
@@ -190,7 +191,7 @@ def test_packing_matches_tuple_exponents(order, nvars):
         (ka, ea), (kb, eb) = packing.pack(a), packing.pack(b)
         assert packing.unpack(ea) == a
         assert sign(ka, kb) == sign(order.key(a), order.key(b))
-        assert packing.divides(ea, eb) == _divides(a, b)
+        assert packing.divides(ea, eb) == all(x <= y for x, y in zip(a, b))
         assert packing.lcm(ea, eb) == packing.pack(tuple(map(max, a, b)))[1]
         assert packing.degree(ea) == sum(a)
 
@@ -200,6 +201,30 @@ def test_packing_matches_tuple_exponents(order, nvars):
     agrees(top[1:] + (groebner._LIMIT - 1,), top)
     settings = hypothesis.settings(derandomize=True, database=None, deadline=None)
     settings(hypothesis.given(exps, exps)(agrees))()
+
+
+def test_minimalize_matches_its_definition():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    def divides(a, b):
+        return all(x <= y for x, y in zip(a, b))
+
+    @hypothesis.settings(derandomize=True, database=None, deadline=None)
+    @hypothesis.given(
+        st.integers(min_value=1, max_value=4).flatmap(
+            lambda n: st.lists(st.tuples(*[st.integers(min_value=0, max_value=3)] * n))
+        )
+    )
+    def minimal(exps):
+        out = groebner._minimalize(iter(exps))
+        assert set(out) <= set(exps)
+        # no member divides another (nor repeats), and each input has a divisor
+        assert not any(divides(a, b) for a, b in permutations(out, 2))
+        assert all(any(divides(m, e) for m in out) for e in exps)
+        assert out == sorted(out, key=lambda e: (sum(e), e))
+
+    minimal()
 
 
 def test_exponent_at_2_20_divides_correctly():

@@ -1,6 +1,11 @@
+import random
+from functools import reduce
+from itertools import combinations_with_replacement
+from operator import mul
+
 import pytest
 
-from reesval import AffineAlgebra, GrevLex, Lex, PolyRing, QQ, groebner, symbolic
+from reesval import AffineAlgebra, GrevLex, Lex, PolyRing, PrimeField, QQ, groebner, symbolic
 from reesval.cli import parse_session, run
 from reesval.errors import PreconditionError
 from reesval.ideals import (
@@ -10,6 +15,7 @@ from reesval.ideals import (
     elimination_ring,
     kernel_of_map,
 )
+from reesval.poly import Polynomial
 
 
 def test_containment_and_equality(poly_xy):
@@ -30,6 +36,38 @@ def test_power(poly_xy):
     assert m.power(0).contains_poly(poly_xy.ring.one)
     with pytest.raises(PreconditionError):
         m.power(-1)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=str)
+def test_power_layers_match_the_products_folded_from_scratch(field):
+    # cross-check: each layer is built from the one below and cached on the
+    # handle; the independent route folds every n-fold product from scratch,
+    # in combinations_with_replacement order, with n asked in a shuffled order
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    R = PolyRing(("x", "y"), field, GrevLex())
+    if field == QQ:
+        coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+    else:
+        coeffs = st.integers(min_value=0, max_value=field.p - 1)
+    exps = st.tuples(*[st.integers(min_value=0, max_value=2)] * 2)
+    polys = st.dictionaries(exps, coeffs, max_size=3).map(
+        lambda terms: R.poly_from_dict({e: field.coerce(c) for e, c in terms.items()})
+    )
+
+    def agrees(gens, seed):
+        I = Ideal(AffineAlgebra(R), gens)
+        for n in random.Random(seed).sample(range(5), 5):
+            folded = combinations_with_replacement(gens, n)
+            power = I.power(n)
+            assert power.gens == tuple(reduce(mul, c, R.one) for c in folded), (gens, n)
+            assert power is not I.power(n) and power.algebra is I.algebra
+
+    x, y = R.gens()
+    agrees((), 0)
+    agrees((R.zero, x, x, y - 1), 1)  # a zero generator and a repeated one
+    settings = hypothesis.settings(derandomize=True, database=None, deadline=None)
+    settings(hypothesis.given(st.lists(polys, max_size=4), st.integers(0, 99))(agrees))()
 
 
 def test_intersection(poly_xy):
@@ -119,6 +157,17 @@ def test_saturation_is_one_groebner_computation(poly_xy, monkeypatch):
     calls = _record_calls(monkeypatch, groebner, "buchberger")
     I.saturate(x)
     assert len(calls) == 1
+
+
+def test_power_work_count(poly_xy, monkeypatch):
+    # tripwire: Polynomial.__mul__ calls behind I^1..I^6 of (x^2, y^3, xy) on
+    # one handle, each product one multiplication of a product one layer down
+    x, y = poly_xy.ring.gens()
+    I = Ideal(poly_xy, (x**2, y**3, x * y))
+    calls = _record_calls(monkeypatch, Polynomial, "__mul__")
+    for n in range(1, 7):
+        I.power(n)
+    assert len(calls) == 83
 
 
 def test_symbolic_power_work_count(monkeypatch):

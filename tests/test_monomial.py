@@ -190,6 +190,18 @@ def test_caratheodory_examples():
         assert membership_oracle_caratheodory(gens, 2, g, 1)
 
 
+def test_both_membership_routes_refuse_a_negative_power():
+    gens = [(2, 0), (0, 3), (1, 1)]
+    np_ = newton_polyhedron(_exps_ideal(gens, 2))
+    with pytest.raises(PreconditionError, match="negative power"):
+        np_.contains((0, 0), -1)
+    with pytest.raises(PreconditionError, match="negative power"):
+        membership_oracle_caratheodory(gens, 2, (0, 0), -1)
+    # 0 * NP is the orthant, by either route
+    for e in [(0, 0), (3, 0), (1, 2)]:
+        assert np_.contains(e, 0) and membership_oracle_caratheodory(gens, 2, e, 0)
+
+
 def test_facets_agree_with_caratheodory_randomized():
     rng = random.Random(90)
     for _ in range(20):

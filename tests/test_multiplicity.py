@@ -37,6 +37,44 @@ def test_hilbert_series_edge_cases():
     assert unit.multiplicity == 0 and unit.dim == -1
 
 
+def test_hilbert_series_refuses_exponents_of_the_wrong_length():
+    for exps in ([(2, 0, 1)], [(1, 0), (2,)]):
+        with pytest.raises(PreconditionError, match="length"):
+            hilbert_series_monomial(2, exps)
+
+
+def _standard_monomials(nvars, exps, d):
+    """Monomials of degree d that no x^e, e in exps, divides."""
+    return sum(
+        1
+        for m in product(range(d + 1), repeat=nvars)
+        if sum(m) == d and not any(all(a <= b for a, b in zip(e, m)) for e in exps)
+    )
+
+
+def test_non_minimal_inputs_vs_direct_enumeration():
+    # the series minimalizes its input once: repeats, multiples of other
+    # exponents, the zero exponent and the empty list must count the same
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(derandomize=True, database=None, deadline=None)
+    @hypothesis.given(st.data())
+    def agrees(data):
+        nvars = data.draw(st.integers(min_value=1, max_value=3))
+        exp = st.tuples(*[st.integers(min_value=0, max_value=3)] * nvars)
+        exps = data.draw(st.lists(exp, max_size=5))
+        for e in data.draw(st.lists(st.sampled_from(exps), max_size=3)) if exps else ():
+            exps += [e, tuple(a + b for a, b in zip(e, data.draw(exp)))]
+        if data.draw(st.integers(min_value=0, max_value=4)) == 0:
+            exps.append((0,) * nvars)
+        exps = data.draw(st.permutations(exps))
+        got = hilbert_series_monomial(nvars, exps).coefficients(8)
+        assert got == [_standard_monomials(nvars, exps, d) for d in range(9)], exps
+
+    agrees()
+
+
 def test_pivot_recursion_vs_direct_enumeration():
     rng = random.Random(7)
     for _ in range(20):
@@ -47,15 +85,7 @@ def test_pivot_recursion_vs_direct_enumeration():
         ]
         exps = [e for e in exps if sum(e) > 0] or [(1,) * nvars]
         hs = hilbert_series_monomial(nvars, exps)
-        got = hs.coefficients(10)
-        for d in range(11):
-            direct = sum(
-                1
-                for m in product(range(d + 1), repeat=nvars)
-                if sum(m) == d
-                and not any(all(a <= b for a, b in zip(e, m)) for e in exps)
-            )
-            assert got[d] == direct
+        assert hs.coefficients(10) == [_standard_monomials(nvars, exps, d) for d in range(11)]
 
 
 def test_multiplicity_graded_examples():
