@@ -172,6 +172,11 @@ def test_s_pair_matches_s_polynomial(field, order, maxdeg):
         assert is_groebner(buchberger(gens))
 
 
+def _tuple_divides(a, b):
+    """x^a divides x^b, read off the exponent tuples."""
+    return all(x <= y for x, y in zip(a, b))
+
+
 @pytest.mark.parametrize("order", [Lex(), GrevLex(), Block(1), Block(2)], ids=repr)
 @pytest.mark.parametrize("nvars", range(1, 7))
 def test_packing_matches_tuple_exponents(order, nvars):
@@ -191,7 +196,7 @@ def test_packing_matches_tuple_exponents(order, nvars):
         (ka, ea), (kb, eb) = packing.pack(a), packing.pack(b)
         assert packing.unpack(ea) == a
         assert sign(ka, kb) == sign(order.key(a), order.key(b))
-        assert packing.divides(ea, eb) == all(x <= y for x, y in zip(a, b))
+        assert packing.divides(ea, eb) == _tuple_divides(a, b)
         assert packing.lcm(ea, eb) == packing.pack(tuple(map(max, a, b)))[1]
         assert packing.degree(ea) == sum(a)
 
@@ -207,9 +212,6 @@ def test_minimalize_matches_its_definition():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
 
-    def divides(a, b):
-        return all(x <= y for x, y in zip(a, b))
-
     @hypothesis.settings(derandomize=True, database=None, deadline=None)
     @hypothesis.given(
         st.integers(min_value=1, max_value=4).flatmap(
@@ -220,8 +222,8 @@ def test_minimalize_matches_its_definition():
         out = groebner._minimalize(iter(exps))
         assert set(out) <= set(exps)
         # no member divides another (nor repeats), and each input has a divisor
-        assert not any(divides(a, b) for a, b in permutations(out, 2))
-        assert all(any(divides(m, e) for m in out) for e in exps)
+        assert not any(_tuple_divides(a, b) for a, b in permutations(out, 2))
+        assert all(any(_tuple_divides(m, e) for m in out) for e in exps)
         assert out == sorted(out, key=lambda e: (sum(e), e))
 
     minimal()
