@@ -39,9 +39,9 @@ def test_power(poly_xy):
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=str)
-def test_power_layers_match_the_products_folded_from_scratch(field):
+def test_power_layers_match_the_products_folded_directly(field):
     # cross-check: each layer is built from the one below and cached on the
-    # handle; the independent route folds every n-fold product from scratch,
+    # handle; the independent route folds every n-fold product on its own,
     # in combinations_with_replacement order, with n asked in a shuffled order
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
