@@ -481,3 +481,71 @@ def test_closure_multiplicity_is_not_a_flag(args, flag):
     assert entry["error"] == (
         f"bad arguments: got an unexpected keyword argument '{flag}'"
     )
+
+
+def test_graded_commands_on_the_cubic_cone():
+    check, mult = _results(
+        "ring { vars: X0 X1 X2 X3; mod: X0*X1*X2 + X3^3;\n"
+        "       assert: standard_graded normal domain }\n"
+        "cmd: check order-ideal-graded --F X3\ncmd: graded-multiplicity\n"
+    )
+    assert check == {
+        "check": "order-ideal-theorem-graded",
+        "inputs": {"F": "X3"},
+        "n_range": [1, 1],
+        "verdicts": {"1": "pass"},
+        "relied_on": ["S normal domain", "domain", "normal", "standard_graded"],
+        "details": {"e(S)": 3, "ord": 1, "e(S/F)": 3},
+        "passed": True,
+    }
+    assert mult == {"e": 3}
+
+
+def test_power_command():
+    (power,) = _results(PAPER_RING + "cmd: power m 2\n")
+    assert power == {
+        "generators": ["x3^2", "x2*x3", "x1*x3", "x2^2", "x1*x2", "x1^2"]
+    }
+
+
+def test_block_order_session_eliminates_the_first_block():
+    (gb,) = _results(
+        "ring { vars: t x y; order: block 1 }\n"
+        "ideal I = x - t^2, y - t^3\ncmd: gb I\n"
+    )
+    assert gb == {"basis": ["x^3 - y^2", "t*y - x^2", "t*x - y", "t^2 - x"]}
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("ring { vars: x y; field }\n", "bad ring field 'field'"),
+        ("ring { vars: x; colour: red }\n", "unknown ring field 'colour'"),
+        ("ring { field: QQ }\n", "ring block needs vars"),
+        ("ring { vars: x }\nideal = x\n", "line 2: bad ideal definition"),
+    ],
+)
+def test_session_parse_error_message(text, error, tmp_path, capsys):
+    path = tmp_path / "s.session"
+    path.write_text(text)
+    assert main([str(path)]) == 2
+    assert capsys.readouterr() == ("", f"parse error: {error}\n")
+
+
+@pytest.mark.parametrize(
+    "command, error",
+    [
+        ("ord m x --nmax", "flag --nmax needs a value"),
+        ("translate-origin 1", "one coordinate per variable"),
+        ("check bogus", "unknown check 'bogus'"),
+    ],
+)
+def test_command_error_message(command, error):
+    s = parse_session(f"ring {{ vars: x y }}\nideal m = x, y\ncmd: {command}\n")
+    report, ok = run(s)
+    assert not ok
+    assert report["commands"][0] == {
+        "name": command.split()[0],
+        "args": command.split()[1:],
+        "error": error,
+    }

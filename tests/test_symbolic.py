@@ -316,3 +316,20 @@ def test_symbolic_order_along_height_screen(paper_ring, paper_m):
     not_height_one = Ideal(alg, (u, y1, y2))
     with pytest.raises(PreconditionError):
         symbolic_order_along(not_height_one, u)
+
+
+def test_explicit_separator_is_unproven_without_a_domain_assertion():
+    # the Jacobian criterion needs the modulus prime, so a ring with a
+    # modulus and no `assert: domain` proves no separator
+    ring = PolyRing(("x", "y", "z"), QQ, GrevLex())
+    x, y, z = ring.gens()
+    P = Ideal(AffineAlgebra(ring, (x * y - z**2,)), (x, z))
+    power, cert = symbolic_power(P, 2, separator=y)
+    assert power.gens == (x, z**2)
+    assert cert == {
+        "separator": "y",
+        "saturation_steps": 1,
+        "radical_ok": True,
+        "proven": False,
+        "status": "upper bound candidate",
+    }

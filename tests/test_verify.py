@@ -19,6 +19,7 @@ from reesval import (
 )
 from reesval.errors import PreconditionError
 from reesval.ideals import Ideal, kernel_of_map
+from reesval import verify
 from reesval.verify import graded_multiplicity_of_closure
 
 
@@ -244,3 +245,151 @@ def test_report_serialization(poly_xyz):
     assert blob["check"] == "local-zariski-nagata"
     assert blob["passed"] == report.passed
     assert set(blob["verdicts"]) == {"1", "2"}
+
+
+def _fixture_reports(poly_xyz, paper_ring, paper_m, paper_setup):
+    """Each check on the fixture its tests above use, keyed by report name."""
+    x, y, z = poly_xyz.ring.gens()
+    plane_p, plane_m = Ideal(poly_xyz, (x, y)), Ideal(poly_xyz, (x, y, z))
+    x1, x2, x3 = paper_ring.ring.gens()
+    pres, primes, p = paper_setup
+    hring = PolyRing(("X0", "X1", "X2", "X3"), QQ, GrevLex())
+    X0, X1, X2, X3 = hring.gens()
+    S = AffineAlgebra(
+        hring, (X0 * X1 * X2 + X3**3,), asserted=("standard_graded", "normal", "domain")
+    )
+    fs = [x1, x2, x3, x3**2, x1 + x3, x1 * x2]
+    return {
+        "local-zariski-nagata": lambda: check_local_zariski_nagata(plane_p, plane_m, 4),
+        "main-theorem-a": lambda: check_main_theorem_A(p, paper_m, 3),
+        "uniform-izumi-multiplicity": lambda: check_uniform_izumi_multiplicity(
+            paper_m, fs
+        ),
+        "order-ideal-theorem": lambda: check_order_ideal_theorem_presentation(
+            paper_m, x1, pres, list(primes)
+        ),
+        "order-ideal-theorem-graded": lambda: check_order_ideal_theorem_graded(S, X3),
+        "izumi-valuation-bound": lambda: check_izumi_valuation_bound(
+            pres, list(primes), [x1, x3, x1**2], E=2
+        ),
+        "fixed-power-lemma": lambda: check_fixed_power_lemma(
+            plane_p, plane_m, E=1, e=1, tmax=3
+        ),
+        "improved-chevalley": lambda: check_improved_chevalley(
+            p, paper_m, 3, A=1, B=1, C=3, E=2, e=2
+        ),
+    }
+
+
+PAPER_ASSERTED = ["domain", "normal"]
+PINNED_REPORTS = {
+    "local-zariski-nagata": {
+        "inputs": {"p": ["x", "y"], "q": ["x", "y", "z"]},
+        "n_range": [1, 4],
+        "verdicts": {"1": "pass", "2": "pass", "3": "pass", "4": "pass"},
+        "relied_on": ["p prime", "q prime"],
+        "details": {},
+    },
+    "main-theorem-a": {
+        "inputs": {"p": ["x1", "x3"], "q": ["x1", "x2", "x3"], "e(S)": 3},
+        "n_range": [1, 3],
+        "verdicts": {"1": "pass", "2": "pass", "3": "pass"},
+        "relied_on": ["p prime", "q prime", "closure normal"] + PAPER_ASSERTED,
+        "details": {"e(S)": 3},
+    },
+    "uniform-izumi-multiplicity": {
+        "inputs": {
+            "q": ["x1", "x2", "x3"],
+            "C": 3,
+            "fs": ["x1", "x2", "x3", "x3^2", "x1 + x3", "x1*x2"],
+        },
+        "n_range": [0, 5],
+        "verdicts": {str(i): "pass" for i in range(6)},
+        "relied_on": ["q prime"] + PAPER_ASSERTED,
+        "details": {
+            "x1": {"e": 3, "ord": 1, "bound": 3},
+            "x2": {"e": 3, "ord": 1, "bound": 3},
+            "x3": {"e": 2, "ord": 1, "bound": 3},
+            "x3^2": {"e": 4, "ord": 2, "bound": 6},
+            "x1 + x3": {"e": 2, "ord": 1, "bound": 3},
+            "x1*x2": {"e": 6, "ord": 3, "bound": 9},
+        },
+    },
+    "order-ideal-theorem": {
+        "inputs": {"f": "x1", "I": ["x1", "x2", "x3"]},
+        "n_range": [1, 7],
+        "verdicts": {"1": "pass"},
+        "relied_on": ["presentation normal", "Q_i prime"] + PAPER_ASSERTED,
+        "details": {
+            "nu": [2, 1],
+            "d": [1, 1],
+            "e_sampler": 3,
+            "table": [(1, 1), (2, 3), (3, 6), (4, 9), (5, 12), (6, 15), (7, 18)],
+            "sum": 3,
+        },
+    },
+    "order-ideal-theorem-graded": {
+        "inputs": {"F": "X3"},
+        "n_range": [1, 1],
+        "verdicts": {"1": "pass"},
+        "relied_on": ["S normal domain"] + PAPER_ASSERTED + ["standard_graded"],
+        "details": {"e(S)": 3, "ord": 1, "e(S/F)": 3},
+    },
+    "izumi-valuation-bound": {
+        "inputs": {"E": 2, "fs": ["x1", "x3", "x1^2"]},
+        "n_range": [0, 2],
+        "verdicts": {"0": "pass", "1": "pass", "2": "pass"},
+        "relied_on": ["presentation normal", "Q_i prime"],
+        "details": {"x1": [2, 1], "x3": [1, 1], "x1^2": [4, 2]},
+    },
+    "fixed-power-lemma": {
+        "inputs": {"E": 1, "e": 1, "p": ["x", "y"]},
+        "n_range": [1, 3],
+        "verdicts": {"1": "pass", "2": "pass", "3": "pass"},
+        "relied_on": ["p prime", "powers of m integrally closed"],
+        "details": {},
+    },
+    "improved-chevalley": {
+        "inputs": {
+            "p": ["x1", "x3"],
+            "q": ["x1", "x2", "x3"],
+            "constants": {"A": 1, "B": 1, "C": 3, "E": 2, "e": 2},
+        },
+        "n_range": [1, 3],
+        "verdicts": {"1": "pass"},
+        "relied_on": ["p prime", "q prime"] + PAPER_ASSERTED,
+        "details": {"t": 1, "C_emp": 3, "formula_constant": 192},
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_REPORTS))
+def test_report_on_its_fixture_is_pinned(
+    name, poly_xyz, paper_ring, paper_m, paper_setup
+):
+    report = _fixture_reports(poly_xyz, paper_ring, paper_m, paper_setup)[name]()
+    expected = {"check": name, **PINNED_REPORTS[name], "passed": True}
+    assert report.to_dict() == expected
+
+
+def test_pins_cover_every_check():
+    assert len(PINNED_REPORTS) == len(
+        [name for name in dir(verify) if name.startswith("check_")]
+    )
+
+
+def test_izumi_multiplicity_reports_budget_for_an_unconfirmed_order(
+    paper_ring, paper_m
+):
+    # x1^13 is still in the 12th symbolic power of m, where the ord sweep stops
+    x1 = paper_ring.ring.gen("x1")
+    report = check_uniform_izumi_multiplicity(paper_m, [x1**13, x1])
+    assert report.to_dict() == {
+        "check": "uniform-izumi-multiplicity",
+        "inputs": {"q": ["x1", "x2", "x3"], "C": 3, "fs": ["x1^13", "x1"]},
+        "n_range": [0, 1],
+        "verdicts": {"0": "budget", "1": "pass"},
+        "relied_on": ["q prime"] + PAPER_ASSERTED,
+        "details": {"x1": {"e": 3, "ord": 1, "bound": 3}},
+        "passed": False,
+    }
