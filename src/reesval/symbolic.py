@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .errors import PreconditionError
+from .errors import BudgetExceededError, PreconditionError
 from .ideals import Ideal
 from .multiplicity import krull_dim
 from .poly import Polynomial
@@ -162,13 +162,20 @@ def ord_at(P, f, nmax=DEFAULT_NMAX):
     return nmax, False
 
 
+def _order_along(Q, g):
+    """ord_at(Q, g) for Q a height-1 prime; the height is screened by dimension."""
+    if krull_dim(Ideal(Q.algebra, ())) - 1 != krull_dim(Q):
+        raise PreconditionError("Q does not have height 1 in the algebra")
+    return ord_at(Q, g)
+
+
 def symbolic_order_along(Q, g):
     """Valuation of g read off as the Q-symbolic order, Q a height-1 prime.
 
-    The height-1 hypothesis is screened by dimension; the powers use the
-    proven "auto" separator. The sweep stops at DEFAULT_NMAX.
+    The powers use the proven "auto" separator. The sweep stops at
+    DEFAULT_NMAX; an order it does not confirm raises BudgetExceededError.
     """
-    ambient_dim = krull_dim(Ideal(Q.algebra, ()))
-    if krull_dim(Q) != ambient_dim - 1:
-        raise PreconditionError("Q does not have height 1 in the algebra")
-    return ord_at(Q, g)[0]
+    order, confirmed = _order_along(Q, g)
+    if not confirmed:
+        raise BudgetExceededError(f"order of g along Q exceeds {DEFAULT_NMAX}")
+    return order

@@ -1,14 +1,17 @@
 """Theorem harness: each desk-checkable statement becomes a parameterized
-sweep that emits a pass/fail report.
+sweep that emits a report.
 
-No check ever claims a proof. A passing report means "verified for the
-swept range on this fixture", and every assertion the verdict leans on
-(normality, primality of named ideals) is echoed in the report.
+No check ever claims a proof. By one rule (_verdict) each verdict is "pass"
+or "fail" as the statement holds on the swept range of the fixture, or
+"budget" when the evidence ran out. Every report (_report) echoes each
+assertion its verdict leans on: its claims, then the words asserted of its ring.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
+from itertools import permutations
 
 from .errors import PreconditionError
 from .ideals import AffineAlgebra, Ideal
@@ -21,8 +24,9 @@ from .multiplicity import (
     multiplicity_from_table,
     multiplicity_graded,
 )
+from .poly import Polynomial
 from .rings import homogenize_ideal, lift_to_rees
-from .symbolic import exact_power, ord_at, sweep_range, symbolic_order_along
+from .symbolic import _order_along, exact_power, ord_at, sweep_range
 
 CHEVALLEY_C_CAP = 8  # largest C_emp tried; past it the verdict is "budget"
 ORDER_IDEAL_N = 7  # length-table depth of the order-ideal check
@@ -34,7 +38,7 @@ class CheckReport:
     inputs: dict
     n_range: tuple
     verdicts: dict  # n -> "pass" | "fail" | "budget"
-    relied_on: tuple = ()
+    relied_on: tuple
     details: dict = field(default_factory=dict)
 
     @property
@@ -51,6 +55,33 @@ class CheckReport:
             "details": self.details,
             "passed": self.passed,
         }
+
+
+def _verdict(holds):
+    """pass if holds, fail if not, budget if holds is None: the evidence ran out."""
+    return "budget" if holds is None else ("pass" if holds else "fail")
+
+
+def _sweep(name, bound, holds):
+    """The verdict of holds(n) for each n in sweep_range(name, bound)."""
+    return {n: _verdict(holds(n)) for n in sweep_range(name, bound)}
+
+
+def _text(value):
+    """An Ideal as the text of its generators, polynomials as text."""
+    if isinstance(value, Ideal):
+        value = value.gens
+    if isinstance(value, (list, tuple)):
+        return [str(f) for f in value]
+    return str(value) if isinstance(value, Polynomial) else value
+
+
+def _report(name, claims, algebra, inputs, **fields):
+    """The one constructor of CheckReport: each input shown by _text, and
+    relied_on the claims followed by the words asserted of algebra."""
+    inputs = {key: _text(value) for key, value in inputs.items()}
+    relied_on = claims + tuple(sorted(algebra.asserted))
+    return CheckReport(name, inputs, relied_on=relied_on, **fields)
 
 
 def _require_fs(fs):
@@ -71,8 +102,8 @@ def verify_exceptional_certificate(pres, primes, multiplicities):
     """Check candidate exceptional primes Q_i of a presentation, with
     multiplicities m_i: valid iff u lies in every Q_i and the intersection of
     the symbolic powers Q_i^(m_i) equals (u). Each power saturates by the
-    proven automatic separator. Primality of the Q_i and normality of the presentation are assertions,
-    not conclusions."""
+    proven automatic separator. Primality of the Q_i and normality of the
+    presentation are assertions, not conclusions."""
     if not primes or len(primes) != len(multiplicities):
         raise PreconditionError(
             "a certificate needs one or more primes, each with a multiplicity: "
@@ -87,54 +118,41 @@ def verify_exceptional_certificate(pres, primes, multiplicities):
         if not Q.contains_poly(u):
             return False
         pieces.append(exact_power(Q, m))
-    total = pieces[0]
-    for p in pieces[1:]:
-        total = total.intersect(p)
-    return total.equals(Ideal(alg, (u,)))
+    return reduce(Ideal.intersect, pieces).equals(Ideal(alg, (u,)))
 
 
 def check_local_zariski_nagata(p, q, nmax):
     """p^(n) inside q^(n) for nonsingular-fixture primes p inside q."""
+    sweep_range("nmax", nmax)  # an empty sweep is refused before any work
     if not q.contains_ideal(p):
         raise PreconditionError("p is not contained in q")
-    verdicts = {}
-    for n in sweep_range("nmax", nmax):
+
+    def holds(n):
         pn = exact_power(p, n)
-        qn = exact_power(q, n)
-        verdicts[n] = "pass" if qn.contains_ideal(pn) else "fail"
-    return CheckReport(
-        name="local-zariski-nagata",
-        inputs={"p": [str(g) for g in p.gens], "q": [str(g) for g in q.gens]},
-        n_range=(1, nmax),
-        verdicts=verdicts,
-        relied_on=("p prime", "q prime") + tuple(sorted(p.algebra.asserted)),
+        return exact_power(q, n).contains_ideal(pn)
+
+    return _report(
+        "local-zariski-nagata", ("p prime", "q prime"), p.algebra, {"p": p, "q": q},
+        n_range=(1, nmax), verdicts=_sweep("nmax", nmax, holds),
     )
 
 
 def check_main_theorem_A(p, q, nmax):
     """p^(e(S)n+1) inside q^(n), and the chain p^(2e(S)n) inside p^(e(S)n+1),
     where S is the projective closure of p's ring and all powers are symbolic."""
-    sweep = sweep_range("nmax", nmax)
+    sweep_range("nmax", nmax)  # an empty sweep is refused before any work
     eS, _ = graded_multiplicity_of_closure(p.algebra)
-    verdicts = {}
-    for n in sweep:
+
+    def holds(n):
         big = exact_power(p, eS * n + 1)
         qn = exact_power(q, n)
         chain = exact_power(p, 2 * eS * n)
-        ok = qn.contains_ideal(big) and big.contains_ideal(chain)
-        verdicts[n] = "pass" if ok else "fail"
-    return CheckReport(
-        name="main-theorem-a",
-        inputs={
-            "p": [str(g) for g in p.gens],
-            "q": [str(g) for g in q.gens],
-            "e(S)": eS,
-        },
-        n_range=(1, nmax),
-        verdicts=verdicts,
-        relied_on=("p prime", "q prime", "closure normal")
-        + tuple(sorted(p.algebra.asserted)),
-        details={"e(S)": eS},
+        return qn.contains_ideal(big) and big.contains_ideal(chain)
+
+    return _report(
+        "main-theorem-a", ("p prime", "q prime", "closure normal"), p.algebra,
+        {"p": p, "q": q, "e(S)": eS}, n_range=(1, nmax),
+        verdicts=_sweep("nmax", nmax, holds), details={"e(S)": eS},
     )
 
 
@@ -145,37 +163,29 @@ def check_uniform_izumi_multiplicity(q, fs):
     _require_fs(fs)
     R = q.algebra
     C, _ = graded_multiplicity_of_closure(R)
-    verdicts = {}
-    details = {}
+    verdicts, details = {}, {}
     for i, f in enumerate(fs):
         e_f = local_multiplicity_via_gr(R, f)
         order, confirmed = ord_at(q, f)
-        if not confirmed:
-            verdicts[i] = "budget"
-            continue
-        verdicts[i] = "pass" if e_f <= C * order else "fail"
-        details[str(f)] = {"e": e_f, "ord": order, "bound": C * order}
-    return CheckReport(
-        name="uniform-izumi-multiplicity",
-        inputs={"q": [str(g) for g in q.gens], "C": C, "fs": [str(f) for f in fs]},
-        n_range=(0, len(fs) - 1),
-        verdicts=verdicts,
-        relied_on=("q prime",) + tuple(sorted(R.asserted)),
-        details=details,
+        if confirmed:
+            details[str(f)] = {"e": e_f, "ord": order, "bound": C * order}
+        verdicts[i] = _verdict(e_f <= C * order if confirmed else None)
+    return _report(
+        "uniform-izumi-multiplicity", ("q prime",), R, {"q": q, "C": C, "fs": fs},
+        n_range=(0, len(fs) - 1), verdicts=verdicts, details=details,
     )
 
 
 def valuation_data_from_presentation(pres, primes):
-    """(nu functions as orders along each prime, d_nu list) for a
-    presentation with certified exceptional primes Q_i.
-
-    d_nu = graded multiplicity of the presentation modulo Q_i.
-    """
+    """(nu, d) for a presentation with certified exceptional primes Q_i:
+    nu(i, f) is the order of f's lift along Q_i, None where its sweep does
+    not confirm it, and d[i] the graded multiplicity of the presentation
+    modulo Q_i."""
     d = [graded_invariants(Q)[0] for Q in primes]
 
     def nu(i, f):
-        g = lift_to_rees(pres, f)
-        return symbolic_order_along(primes[i], g)
+        order, confirmed = _order_along(primes[i], lift_to_rees(pres, f))
+        return order if confirmed else None
 
     return nu, d
 
@@ -187,24 +197,16 @@ def check_order_ideal_theorem_presentation(I, f, pres, primes):
     R = I.algebra
     nu, d = valuation_data_from_presentation(pres, primes)
     values = [nu(i, f) for i in range(len(primes))]
-    rhs = sum(v * di for v, di in zip(values, d))
+    rhs = None if None in values else sum(v * di for v, di in zip(values, d))
     dim = krull_dim(Ideal(R, (f,)))
     table = length_sampler(R, I, f=f, N=ORDER_IDEAL_N)
     e_lhs, stabilized = multiplicity_from_table(table, dim)
-    verdict = "budget" if not stabilized else ("pass" if e_lhs == rhs else "fail")
-    return CheckReport(
-        name="order-ideal-theorem",
-        inputs={"f": str(f), "I": [str(g) for g in I.gens]},
-        n_range=(1, ORDER_IDEAL_N),
-        verdicts={1: verdict},
-        relied_on=("presentation normal", "Q_i prime") + tuple(sorted(R.asserted)),
-        details={
-            "nu": values,
-            "d": d,
-            "e_sampler": e_lhs,
-            "table": table,
-            "sum": rhs,
-        },
+    ran_out = rhs is None or not stabilized
+    return _report(
+        "order-ideal-theorem", ("presentation normal", "Q_i prime"), R,
+        {"f": f, "I": I}, n_range=(1, ORDER_IDEAL_N),
+        verdicts={1: _verdict(None if ran_out else e_lhs == rhs)},
+        details={"nu": values, "d": d, "e_sampler": e_lhs, "table": table, "sum": rhs},
     )
 
 
@@ -218,13 +220,9 @@ def check_order_ideal_theorem_graded(S, F):
         raise PreconditionError("F must be homogeneous")
     order = min(sum(e) for e, _ in F.terms)
     e_quot, _dim = graded_invariants(Ideal(S, (F,)))
-    verdict = "pass" if e_quot == eS * order else "fail"
-    return CheckReport(
-        name="order-ideal-theorem-graded",
-        inputs={"F": str(F)},
-        n_range=(1, 1),
-        verdicts={1: verdict},
-        relied_on=("S normal domain",) + tuple(sorted(S.asserted)),
+    return _report(
+        "order-ideal-theorem-graded", ("S normal domain",), S, {"F": F},
+        n_range=(1, 1), verdicts={1: _verdict(e_quot == eS * order)},
         details={"e(S)": eS, "ord": order, "e(S/F)": e_quot},
     )
 
@@ -235,43 +233,32 @@ def check_izumi_valuation_bound(pres, primes, fs, E):
     if len(primes) < 2:
         raise PreconditionError("need at least two exceptional primes")
     nu, _d = valuation_data_from_presentation(pres, primes)
-    verdicts = {}
-    details = {}
+    verdicts, details = {}, {}
     for k, f in enumerate(fs):
         values = [nu(i, f) for i in range(len(primes))]
-        ok = all(
-            values[i] <= E * values[j]
-            for i in range(len(values))
-            for j in range(len(values))
-            if i != j
-        )
-        verdicts[k] = "pass" if ok else "fail"
+        pairs = permutations(values, 2)
+        holds = None if None in values else all(a <= E * b for a, b in pairs)
+        verdicts[k] = _verdict(holds)
         details[str(f)] = values
-    return CheckReport(
-        name="izumi-valuation-bound",
-        inputs={"E": E, "fs": [str(f) for f in fs]},
-        n_range=(0, len(fs) - 1),
-        verdicts=verdicts,
-        relied_on=("presentation normal", "Q_i prime"),
-        details=details,
+    return _report(
+        "izumi-valuation-bound", ("presentation normal", "Q_i prime"), pres.algebra,
+        {"E": E, "fs": fs}, n_range=(0, len(fs) - 1),
+        verdicts=verdicts, details=details,
     )
 
 
 def check_fixed_power_lemma(p, m, E, e, tmax):
     """p^(E*t*e^2) inside m^t for t <= tmax (powers of m taken integrally
     closed by fixture assertion)."""
-    verdicts = {}
-    for t in sweep_range("tmax", tmax):
+
+    def holds(t):
         lhs = exact_power(p, E * t * e * e)
-        rhs = m.power(t)
-        verdicts[t] = "pass" if rhs.contains_ideal(lhs) else "fail"
-    return CheckReport(
-        name="fixed-power-lemma",
-        inputs={"E": E, "e": e, "p": [str(g) for g in p.gens]},
-        n_range=(1, tmax),
-        verdicts=verdicts,
-        relied_on=("p prime", "powers of m integrally closed")
-        + tuple(sorted(p.algebra.asserted)),
+        return m.power(t).contains_ideal(lhs)
+
+    return _report(
+        "fixed-power-lemma", ("p prime", "powers of m integrally closed"), p.algebra,
+        {"E": E, "e": e, "p": p}, n_range=(1, tmax),
+        verdicts=_sweep("tmax", tmax, holds),
     )
 
 
@@ -284,12 +271,10 @@ def check_improved_chevalley(p, q, nmax, *, A, B, C, E, e):
     E: Izumi bound, e: max local multiplicity.
     """
     sweep = sweep_range("nmax", nmax)
-    t = 0
-    for tp in reversed(sweep):
-        if exact_power(q, tp).contains_ideal(p):
-            t = tp
+    for t in reversed(sweep):
+        if exact_power(q, t).contains_ideal(p):
             break
-    if t == 0:
+    else:
         raise PreconditionError("p is not contained in q")
     c_emp = None
     for c in range(1, CHEVALLEY_C_CAP + 1):
@@ -300,17 +285,11 @@ def check_improved_chevalley(p, q, nmax, *, A, B, C, E, e):
             c_emp = c
             break
     formula = C * E * (A + 1) ** 2 * e * e * (B + 1)
-    ok = c_emp is not None and formula >= c_emp
-    return CheckReport(
-        name="improved-chevalley",
-        inputs={
-            "p": [str(g) for g in p.gens],
-            "q": [str(g) for g in q.gens],
-            "constants": {"A": A, "B": B, "C": C, "E": E, "e": e},
-        },
+    return _report(
+        "improved-chevalley", ("p prime", "q prime"), p.algebra,
+        {"p": p, "q": q, "constants": {"A": A, "B": B, "C": C, "E": E, "e": e}},
         n_range=(1, nmax),
-        verdicts={1: "pass" if ok else ("budget" if c_emp is None else "fail")},
-        relied_on=("p prime", "q prime") + tuple(sorted(p.algebra.asserted)),
+        verdicts={1: _verdict(None if c_emp is None else formula >= c_emp)},
         details={"t": t, "C_emp": c_emp, "formula_constant": formula},
     )
 

@@ -16,7 +16,7 @@ from reesval import (
 )
 from reesval import symbolic
 from reesval.cli import main, parse_session, run
-from reesval.errors import PreconditionError
+from reesval.errors import BudgetExceededError, PreconditionError
 from reesval.ideals import Ideal, kernel_of_map
 
 
@@ -307,6 +307,13 @@ def test_symbolic_order_along_paper_values(paper_ring, paper_m):
     assert symbolic_order_along(Q2, g) == 1
     assert symbolic_order_along(Q1, u) == 1
     assert symbolic_order_along(Q2, u) == 1
+
+
+def test_symbolic_order_along_refuses_an_unconfirmed_order(poly_xy):
+    # x^30 is still in (x)^(12), where the sweep stops
+    x, _ = poly_xy.ring.gens()
+    with pytest.raises(BudgetExceededError, match="exceeds 12"):
+        symbolic_order_along(Ideal(poly_xy, (x,)), x**30)
 
 
 def test_symbolic_order_along_height_screen(paper_ring, paper_m):

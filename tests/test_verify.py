@@ -74,14 +74,17 @@ def test_empty_sweeps_are_refused(poly_xyz, bound):
     x, y, z = poly_xyz.ring.gens()
     p = Ideal(poly_xyz, (x, y))
     m = Ideal(poly_xyz, (x, y, z))
-    with pytest.raises(PreconditionError, match="nmax must be at least 1"):
-        check_local_zariski_nagata(p, m, bound)
-    with pytest.raises(PreconditionError, match="nmax must be at least 1"):
-        check_main_theorem_A(p, m, bound)
-    with pytest.raises(PreconditionError, match="nmax must be at least 1"):
-        check_improved_chevalley(p, m, bound, A=0, B=0, C=1, E=1, e=1)
-    with pytest.raises(PreconditionError, match="tmax must be at least 1"):
-        check_fixed_power_lemma(p, m, E=1, e=1, tmax=bound)
+    # each is refused before any Groebner work
+    with groebner.budget(0) as work:
+        with pytest.raises(PreconditionError, match="nmax must be at least 1"):
+            check_local_zariski_nagata(p, m, bound)
+        with pytest.raises(PreconditionError, match="nmax must be at least 1"):
+            check_main_theorem_A(p, m, bound)
+        with pytest.raises(PreconditionError, match="nmax must be at least 1"):
+            check_improved_chevalley(p, m, bound, A=0, B=0, C=1, E=1, e=1)
+        with pytest.raises(PreconditionError, match="tmax must be at least 1"):
+            check_fixed_power_lemma(p, m, E=1, e=1, tmax=bound)
+    assert work.divisions == 0
 
 
 def test_main_theorem_a_sweep(paper_ring, paper_m, paper_setup):
@@ -339,7 +342,8 @@ PINNED_REPORTS = {
         "inputs": {"E": 2, "fs": ["x1", "x3", "x1^2"]},
         "n_range": [0, 2],
         "verdicts": {"0": "pass", "1": "pass", "2": "pass"},
-        "relied_on": ["presentation normal", "Q_i prime"],
+        # the words asserted of the presentation, as every other check echoes
+        "relied_on": ["presentation normal", "Q_i prime"] + PAPER_ASSERTED,
         "details": {"x1": [2, 1], "x3": [1, 1], "x1^2": [4, 2]},
     },
     "fixed-power-lemma": {
@@ -393,3 +397,28 @@ def test_izumi_multiplicity_reports_budget_for_an_unconfirmed_order(
         "details": {"x1": {"e": 3, "ord": 1, "bound": 3}},
         "passed": False,
     }
+
+
+def test_unconfirmed_valuations_give_budget(paper_ring, paper_setup):
+    # nu(x1^k) = (2k, k) and each order sweep stops at DEFAULT_NMAX = 12, so
+    # neither value of x1^13 confirms (the true 26, 13 would fail E = 1) and
+    # only the second of x1^7 does
+    pres, primes, _ = paper_setup
+    x1 = paper_ring.ring.gen("x1")
+    high = check_izumi_valuation_bound(pres, list(primes), [x1**13], E=1)
+    assert high.verdicts == {0: "budget"}
+    assert high.details == {"x1^13": [None, None]}
+    mixed = check_izumi_valuation_bound(pres, list(primes), [x1**7], E=1)
+    assert mixed.verdicts == {0: "budget"}
+    assert mixed.details == {"x1^7": [None, 7]}
+
+
+def test_order_ideal_check_sums_no_unconfirmed_valuation(
+    paper_ring, paper_m, paper_setup
+):
+    pres, primes, _ = paper_setup
+    x1 = paper_ring.ring.gen("x1")
+    report = check_order_ideal_theorem_presentation(paper_m, x1**7, pres, list(primes))
+    assert report.verdicts == {1: "budget"}
+    assert report.details["nu"] == [None, 7]
+    assert report.details["sum"] is None
