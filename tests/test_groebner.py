@@ -259,6 +259,17 @@ def test_exponent_over_the_limit_is_refused():
         normal_form(x**2, [x - y ** 2**23])
 
 
+def test_a_sum_that_is_a_multiple_of_p_leaves_no_term():
+    # over Fp(7), reducing 2x^2 by x^2 + 4y leaves y with 1 + 4*(-2) = -7:
+    # that term is zero, so it takes no step, though y + 1 would reduce it
+    R = PolyRing(("x", "y", "z"), PrimeField(7), Lex())
+    x, y, z = R.gens()
+    with groebner.budget(10) as work:
+        r = normal_form(2 * x**2 + y + 3 * z, [x**2 + 4 * y, y + 1])
+    assert r.terms == (((0, 0, 1), 3),)
+    assert work.steps == 1
+
+
 def test_budget_exhaustion_raises():
     R = PolyRing(("x", "y", "z"), QQ, GrevLex())
     x, y, z = R.gens()
