@@ -357,9 +357,12 @@ def run(session, seed=0, budget=None, fail_fast=False, timings=False):
                 result = _call(method, pos, flags)
             entry["result"] = result
             if name == "check":
-                entry["verdict"] = "pass" if result["passed"] else "fail"
-                if not result["passed"]:
-                    ok = False
+                # the rule of verify._verdict: any fail, else any budget, else pass
+                verdicts = result["verdicts"].values()
+                entry["verdict"] = next(
+                    (v for v in ("fail", "budget") if v in verdicts), "pass"
+                )
+                ok = ok and result["passed"]
         except ReesvalError as exc:
             entry["error"] = str(exc)
             ok = False

@@ -7,22 +7,23 @@ unit ideal's basis is exactly (1,).
 
 Pair selection is fixed (normal strategy: minimal lcm degree first,
 lexicographic tie-break on pair indices) so output is deterministic.
-Inside this module a monomial is two ints (Bachmann-Schoenemann, ISSAC
-1998; Monagan-Pearce, CASC 2007): E, each exponent in its own field under
-a guard bit, and K, the order key, whose entries are linear in the
-exponent (lex, grevlex, block) and sit in fields wider than their spread.
-So a product of monomials adds K and E, comparing K compares keys, and a
-divides b iff ((E_b | G) - E_a) & G == G for the guard bits G. Exponents
-stay below 2^EXPONENT_BITS; a larger one, given or created, is refused
-with PreconditionError. Pairs come off a heap keyed by (lcm degree, i, j)
-and division takes terms off a heap of -K, largest first, so neither
-rescans what it has ranked and the remainder comes back sorted.
-Over QQ, division runs on integer numerators over one common denominator,
-with each reducer cleared and packed once, cached on it (Fp: residues
-over 1). Buchberger forms each S-pair on integer numerators straight from
-the two packed reducers and divides it in the same loop as normal_form;
-s_polynomial, on tuple exponents in field arithmetic, is the independent
-route is_groebner takes.
+Inside this module a monomial is one int X = K*2^SH + E (Bachmann-
+Schoenemann, ISSAC 1998; Monagan-Pearce, CASC 2007). E, the low SH bits,
+holds each exponent in its own field under a guard bit; K is the order
+key, whose entries are linear in the exponent (lex, grevlex, block) and
+sit in fields wider than their spread. So a product of monomials adds X,
+comparing X compares keys, and a divides b iff ((X_b | G) - X_a) & G == G
+for the guard bits G. Exponents stay below 2^EXPONENT_BITS; a larger one,
+given or created, is refused with PreconditionError. Pairs come off a heap
+keyed by (lcm degree, i, j) and division takes terms off a heap of -X,
+largest first, so neither rescans what it has ranked and the remainder
+comes back sorted. Division combines plain-int numerators over one common
+denominator (over 1 on Fp), each reducer cleared and packed once, cached
+on it; a term leaving the heap is read through field.residue (mod p on
+Fp), and one whose residue is 0 is dropped without a step. Buchberger
+forms each S-pair straight from the two packed reducers and divides it in
+the same loop as normal_form; s_polynomial, on tuple exponents in field
+arithmetic, is the independent route is_groebner takes.
 A monomial ideal skips the loop: its reduced basis is its minimal
 generators (Cox-Little-O'Shea, ch. 2 section 4), so it spends no steps.
 A reduction-step budget converts runaway inputs into a clean
@@ -39,7 +40,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from functools import reduce, wraps
 from math import gcd
-from operator import le, lshift, mul, sub
+from operator import le, mul, sub
 
 from .errors import BudgetExceededError, PreconditionError, RingMismatchError
 from .poly import Polynomial
@@ -108,14 +109,16 @@ def _minimalize(exps):
 
 
 class _Packing:
-    """A ring's packed monomials: E has exponent i at bit i*w, its guard bit
-    EXPONENT_BITS higher, with w wide enough for a sum of nvars exponents;
-    K has key entry j of m at stride^(m - 1 - j), stride past its spread."""
+    """A ring's packed monomials X = K*2^SH + E, with SH = nvars*w: E has
+    exponent i at bit i*w, its guard bit EXPONENT_BITS higher, with w wide
+    enough for a sum of nvars exponents; K has key entry j of m at
+    stride^(m - 1 - j), stride past its spread."""
 
     def __init__(self, ring):
         n, key = ring.nvars, ring.order.key
         w = EXPONENT_BITS + n.bit_length()
         self.shifts = range(0, n * w, w)
+        self.emask = (1 << n * w) - 1  # X & emask is E
         self.guard = sum(1 << (s + EXPONENT_BITS) for s in self.shifts)
         # E * ones holds the exponent sum in field n - 1, carry-free
         self.ones = sum(1 << s for s in self.shifts)
@@ -124,30 +127,30 @@ class _Packing:
         m = len(key((0,) * n))
         stride = max((_LIMIT * sum(abs(u[j]) for u in units) for j in range(m)), default=0)
         stride = stride.bit_length()
+        # X is linear in the exponent: column i is the X of variable i
         self.columns = tuple(
-            sum(c << (stride * (m - 1 - j)) for j, c in enumerate(u)) for u in units
+            (sum(c << (stride * (m - 1 - j)) for j, c in enumerate(u)) << n * w) + (1 << s)
+            for u, s in zip(units, self.shifts)
         )
 
     def pack(self, e):
-        """(K, E) of the exponent tuple e."""
+        """X of the exponent tuple e."""
         if max(e, default=0) > _LIMIT:
             raise PreconditionError(_OVER_LIMIT)
-        return sum(map(mul, e, self.columns)), sum(map(lshift, e, self.shifts))
+        return sum(map(mul, e, self.columns))
 
     def unpack(self, E):
+        """The exponent tuple of E, or of any X whose E it is."""
         return tuple((E >> s) & _LIMIT for s in self.shifts)
 
     def degree(self, E):
         return (E * self.ones >> self.top) & self.mask
 
-    def divides(self, a, b):
-        g = self.guard
-        return ((b | g) - a) & g == g
-
     def lcm(self, a, b):
+        """E of the lcm of the monomials whose X (or E) are a and b."""
         g = self.guard
         ge = ((a | g) - b) & g  # guard bit set where a's exponent >= b's
-        return b ^ ((a ^ b) & (ge - (ge >> EXPONENT_BITS)))
+        return (b ^ ((a ^ b) & (ge - (ge >> EXPONENT_BITS)))) & self.emask
 
 
 def _packing(ring):
@@ -157,14 +160,14 @@ def _packing(ring):
 
 def _packed(g):
     """Nonzero g made monic, cleared and packed, cached on g:
-    (lead K, lead E, L, tail, bound) with monic() = (L*lead + tail) / L,
-    tail a tuple of (K, E, numerator) and bound the E of the tail's lcm."""
+    (lead X, L, tail, bound) with monic() = (L*lead + tail) / L,
+    tail a tuple of (X, numerator) and bound the E of the tail's lcm."""
     if not hasattr(g, "_packed"):
         p = _packing(g.ring)
         L, nums = g.ring.field.clear(g.monic().terms)
-        (lk, le, _), *tail = [(*p.pack(e), c) for e, c in nums.items()]
-        bound = reduce(p.lcm, (E for _, E, _ in tail), 0)
-        g._packed = lk, le, L, tuple(tail), bound
+        (lead, _), *tail = [(p.pack(e), c) for e, c in nums.items()]
+        bound = reduce(p.lcm, (X for X, _ in tail), 0)
+        g._packed = lead, L, tuple(tail), bound
     return g._packed
 
 
@@ -187,45 +190,43 @@ def normal_form(f, G, selector=None):
         _check_ring(polys[0].ring, (f,) + polys)
     p = _packing(f.ring)
     den, nums = f.ring.field.clear(f.terms)
-    terms = [(*p.pack(e), c) for e, c in nums.items()]
-    work, exps = {k: c for k, _, c in terms}, {k: E for k, E, _ in terms}
+    work = {p.pack(e): c for e, c in nums.items()}
     reducers = [_packed(g) for g in polys if not g.is_zero()]
-    return _divide(f.ring, den, work, exps, reducers, selector)
+    return _divide(f.ring, den, work, reducers, selector)
 
 
-def _divide(ring, den, work, exps, reducers, selector):
+def _divide(ring, den, work, reducers, selector):
     """Remainder of work/den on division by the packed reducers; work maps
-    each term's K to its numerator and exps maps that K to its E."""
-    field = ring.field
-    fadd, fmul = field.add, field.mul
-    p = _packing(ring)
-    guard = p.guard
+    each term's X to its numerator."""
+    field, p = ring.field, _packing(ring)
+    residue, guard = field.residue, p.guard
     record = _work.get()
     record.divisions += 1
-    heap = [-k for k in work]
+    # a term enters work once and leaves it when popped, so every heap
+    # entry is in work: a step only adds terms below the one it reduces
+    heap = [-x for x in work]
     heapq.heapify(heap)
     remainder = []
     while heap:
-        k = -heapq.heappop(heap)
-        if k not in work:  # cancelled after it was pushed
+        x = -heapq.heappop(heap)
+        c = residue(work.pop(x))
+        if not c:  # cancelled after it was pushed
             continue
-        c = work.pop(k)
-        e = exps[k]
-        eg = e | guard  # a reducer applies iff (eg - its lead E) keeps every guard bit
+        xg = x | guard  # a reducer applies iff (xg - its lead X) keeps every guard bit
         if selector is None:
             for r in reducers:
-                if (eg - r[1]) & guard == guard:
+                if (xg - r[0]) & guard == guard:
                     break
             else:
                 r = None
         else:
-            candidates = [i for i, r in enumerate(reducers) if (eg - r[1]) & guard == guard]
+            candidates = [i for i, r in enumerate(reducers) if (xg - r[0]) & guard == guard]
             r = reducers[selector(candidates)] if candidates else None
         if r is None:
             # terms leave largest first, so this one is final
-            remainder.append((p.unpack(e), field.fraction(c, den)))
+            remainder.append((p.unpack(x), field.fraction(c, den)))
             continue
-        lk, le, L, tail, bound = r
+        lead, L, tail, bound = r
         record.steps += 1
         if record.steps > record.budget:
             raise BudgetExceededError("reduction-step budget exhausted")
@@ -236,48 +237,39 @@ def _divide(ring, den, work, exps, reducers, selector):
         if s != 1:
             den *= s
             for t in work:
-                work[t] = fmul(work[t], s)
-        sk, se = k - lk, e - le
-        if (bound + se) & guard:
+                work[t] *= s
+        shift = x - lead
+        if (bound + shift) & guard:
             raise PreconditionError(_OVER_LIMIT)
-        for tk, te, tc in tail:
-            nk = tk + sk
-            if nk not in work:
-                heapq.heappush(heap, -nk)
-                work[nk] = fmul(tc, q)
-                exps[nk] = te + se
+        for tx, tc in tail:
+            nx = tx + shift
+            if nx in work:
+                work[nx] += tc * q
             else:
-                t = fadd(work[nk], fmul(tc, q))
-                if t:
-                    work[nk] = t
-                else:
-                    del work[nk]
+                heapq.heappush(heap, -nx)
+                work[nx] = tc * q
     return Polynomial(ring, tuple(remainder))
 
 
 def _s_pair(f, g):
-    """S-polynomial of monic f and g as (den, numerators by K, E by K), from
-    their packed tails.
+    """S-polynomial of monic f and g as (den, numerators by X), from their
+    packed tails.
 
     With den = lcm(L_f, L_g), each tail is shifted to the lcm of the leads and
     scaled by +-den/L; the leads cancel by construction.
     """
     p = _packing(f.ring)
-    (kf, ef, lf, tf, bf), (kg, eg, lg, tg, bg) = _packed(f), _packed(g)
-    m, den = p.lcm(ef, eg), lf // gcd(lf, lg) * lg
-    km = p.pack(p.unpack(m))[0]
-    fadd, fmul = f.ring.field.add, f.ring.field.mul
-    work, exps = {}, {}
-    for k, e, q, tail, bound in ((kf, ef, den // lf, tf, bf), (kg, eg, -(den // lg), tg, bg)):
-        sk, se = km - k, m - e
-        if (bound + se) & p.guard:
+    (xf, lf, tf, bf), (xg, lg, tg, bg) = _packed(f), _packed(g)
+    xm, den = p.pack(p.unpack(p.lcm(xf, xg))), lf // gcd(lf, lg) * lg
+    work = {}
+    for x, q, tail, bound in ((xf, den // lf, tf, bf), (xg, -(den // lg), tg, bg)):
+        shift = xm - x
+        if (bound + shift) & p.guard:
             raise PreconditionError(_OVER_LIMIT)
-        for tk, te, c in tail:
-            nk = tk + sk
-            t = fadd(work.pop(nk), fmul(c, q)) if nk in work else fmul(c, q)
-            if t:
-                work[nk], exps[nk] = t, te + se
-    return den, work, exps
+        for tx, c in tail:
+            nx = tx + shift
+            work[nx] = work.get(nx, 0) + c * q
+    return den, work
 
 
 def s_polynomial(f, g):
@@ -314,9 +306,9 @@ def buchberger(gens):
         # (lcm degree, i, j) keys are unique, so popping the least pair is
         # the same choice as a min over every pending pair
         r = r.monic()
-        t, lt = len(basis), _packed(r)[1]
+        t, lt = len(basis), _packed(r)[0]
         for k, b in enumerate(packed):
-            m = p.lcm(b[1], lt)
+            m = p.lcm(b[0], lt)
             heapq.heappush(pairs, (p.degree(m), k, t, m))
         record.formed += t
         basis.append(r)
@@ -331,12 +323,16 @@ def buchberger(gens):
         _, i, j, m = heapq.heappop(pairs)
         done.update(((i, j), (j, i)))
         # criterion: coprime lead terms reduce to zero
-        if m == packed[i][1] + packed[j][1]:
+        if m == (packed[i][0] + packed[j][0]) & p.emask:
             record.coprime += 1
             continue
         # chain criterion: some k with lt_k | lcm and both pairs already
         # done; (i, i) is never done, so k is neither i nor j
-        if any(p.divides(b[1], m) and {(i, k), (j, k)} <= done for k, b in enumerate(packed)):
+        mg, g = m | p.guard, p.guard
+        if any(
+            (mg - b[0]) & g == g and (i, k) in done and (j, k) in done
+            for k, b in enumerate(packed)
+        ):
             record.chain += 1
             continue
         record.pairs += 1

@@ -29,8 +29,8 @@ from .errors import PreconditionError, RingMismatchError
 
 # ---------------------------------------------------------------------------
 # coefficient fields
-# Division works on numerators over one denominator: clear(terms) gives them,
-# add/mul combine them (integers over QQ), fraction(n, den) maps one back.
+# Division adds and multiplies int numerators over one denominator: clear(terms)
+# gives them, residue(n) reduces one (mod p over Fp), fraction(n, den) maps it back.
 
 
 class RationalField:
@@ -48,6 +48,7 @@ class RationalField:
     zero = Fraction(0)
     one = Fraction(1)
     add, mul, neg = operator.add, operator.mul, operator.neg
+    residue = operator.pos
     fraction = Fraction
 
     def inv(self, a):
@@ -107,6 +108,7 @@ class PrimeField:
         self.name = f"Fp({p})"
         self.zero = 0
         self.one = 1 % p
+        self.residue = p.__rmod__
 
     def coerce(self, x):
         if isinstance(x, int):
@@ -386,14 +388,13 @@ class Polynomial:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            f = self.ring.field
-            c0 = f.coerce(other)
-            if c0 == f.zero:
-                return self.ring.zero
-            return Polynomial(
-                self.ring, tuple((e, f.mul(c, c0)) for e, c in self.terms)
-            )
+            other = self.ring.monomial((0,) * self.ring.nvars, other)
         self._check(other)
+        # a one-term factor shifts the other's terms and keeps their order
+        if len(other.terms) == 1:
+            return self.mul_term(*other.terms[0])
+        if len(self.terms) == 1:
+            return other.mul_term(*self.terms[0])
         f = self.ring.field
         d = {}
         for e1, c1 in self.terms:

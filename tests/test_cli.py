@@ -445,6 +445,15 @@ def test_chevalley_constants_reach_the_report():
     assert same["passed"] and same["details"]["C_emp"] == 1
 
 
+def test_a_budget_check_reads_as_budget():
+    # the entry verdict follows verify's rule: any fail gives fail, else any
+    # budget gives budget; a budget entry has not passed, so the run is not ok
+    report, ok = run(parse_session(PAPER_RING + "cmd: check izumi-mult --q m --fs x1^13;x1\n"))
+    (entry,) = report["commands"]
+    assert entry["result"]["verdicts"] == {"0": "budget", "1": "pass"}
+    assert entry["verdict"] == "budget" and not ok
+
+
 def test_theorem_a_and_izumi_read_e_of_the_closure():
     main_a = _paper_check("main-a --p p --q m --nmax 1")["result"]
     assert main_a == {

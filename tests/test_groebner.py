@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 from itertools import permutations
 from math import gcd
+from operator import add, sub
 
 import pytest
 
@@ -160,10 +161,10 @@ def test_s_pair_matches_s_polynomial(field, order, maxdeg):
     pairs = [[_random_monic(rng, R, maxdeg) for _ in range(2)] for _ in range(40)]
     dens = set()
     for f, g in pairs:
-        den, work, exps = groebner._s_pair(f, g)
+        den, work = groebner._s_pair(f, g)
         dens.add(den)
         rebuilt = R.poly_from_dict(
-            {packing.unpack(exps[k]): field.fraction(c, den) for k, c in work.items()}
+            {packing.unpack(X & packing.emask): field.fraction(c, den) for X, c in work.items()}
         )
         assert rebuilt == s_polynomial(f, g)
     # den > 1 is exercised over QQ, and over Fp every L is 1
@@ -180,12 +181,15 @@ def _tuple_divides(a, b):
 @pytest.mark.parametrize("order", [Lex(), GrevLex(), Block(1), Block(2)], ids=repr)
 @pytest.mark.parametrize("nvars", range(1, 7))
 def test_packing_matches_tuple_exponents(order, nvars):
-    # the kernel's packed E and K against the tuple exponents and order
-    # keys they stand for, over exponents up to the limit
+    # the kernel's packed X = K*2^SH + E against the tuple exponents and
+    # order keys it stands for, over exponents up to the limit; grevlex and
+    # block keys have negative entries, and the difference of two X, as in
+    # the order and divisibility tests, has K of either sign
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     R = PolyRing(tuple(f"x{i}" for i in range(nvars)), QQ, order)
     packing = groebner._packing(R)
+    guard, emask = packing.guard, packing.emask
     exponent = st.one_of(st.integers(0, 3), st.integers(0, groebner._LIMIT))
     exps = st.tuples(*[exponent] * nvars)
 
@@ -193,16 +197,27 @@ def test_packing_matches_tuple_exponents(order, nvars):
         return (a > b) - (a < b)
 
     def agrees(a, b):
-        (ka, ea), (kb, eb) = packing.pack(a), packing.pack(b)
-        assert packing.unpack(ea) == a
-        assert sign(ka, kb) == sign(order.key(a), order.key(b))
-        assert packing.divides(ea, eb) == _tuple_divides(a, b)
-        assert packing.lcm(ea, eb) == packing.pack(tuple(map(max, a, b)))[1]
-        assert packing.degree(ea) == sum(a)
+        xa, xb = packing.pack(a), packing.pack(b)
+        assert packing.unpack(xa & emask) == a
+        assert sign(xa - xb, 0) == sign(order.key(a), order.key(b))
+        divides = ((xb | guard) - xa) & guard == guard
+        assert divides == _tuple_divides(a, b)
+        if divides:
+            # the shift that moves a onto b
+            assert xb - xa == packing.pack(tuple(map(sub, b, a)))
+        # a product packs as the sum, and one past the limit sets a guard bit
+        product = tuple(map(add, a, b))
+        if max(product, default=0) <= groebner._LIMIT:
+            assert xa + xb == packing.pack(product)
+        else:
+            assert (xa + xb) & guard
+        assert packing.lcm(xa, xb) == packing.pack(tuple(map(max, a, b))) & emask
+        assert packing.degree(xa & emask) == sum(a)
 
     # the corners: every exponent at the limit, and one below it
     top = (groebner._LIMIT,) * nvars
     agrees(top, (0,) * nvars)
+    agrees((0,) * nvars, top)
     agrees(top[1:] + (groebner._LIMIT - 1,), top)
     settings = hypothesis.settings(derandomize=True, database=None, deadline=None)
     settings(hypothesis.given(exps, exps)(agrees))()
@@ -236,9 +251,11 @@ def test_exponent_at_2_20_divides_correctly():
     G = buchberger([f, g])
     assert is_groebner(G) and y ** (2**20 + 2) - z**2 in G
     assert normal_form(f, G).is_zero() and normal_form(g, G).is_zero()
-    den, work, exps = groebner._s_pair(f, g)
-    unpack = groebner._packing(R).unpack
-    s = R.poly_from_dict({unpack(exps[k]): QQ.fraction(c, den) for k, c in work.items()})
+    den, work = groebner._s_pair(f, g)
+    packing = groebner._packing(R)
+    s = R.poly_from_dict(
+        {packing.unpack(X & packing.emask): QQ.fraction(c, den) for X, c in work.items()}
+    )
     assert s == s_polynomial(f, g) == x * z - y ** (2**20 + 1)
 
 
