@@ -210,7 +210,7 @@ def _divide(ring, den, work, reducers, selector):
     while heap:
         x = -heapq.heappop(heap)
         c = residue(work.pop(x))
-        if not c:  # cancelled after it was pushed
+        if not c:  # cancelled (over Fp, a multiple of p): no step
             continue
         xg = x | guard  # a reducer applies iff (xg - its lead X) keeps every guard bit
         if selector is None:

@@ -448,7 +448,8 @@ def test_chevalley_constants_reach_the_report():
 def test_a_budget_check_reads_as_budget():
     # the entry verdict follows verify's rule: any fail gives fail, else any
     # budget gives budget; a budget entry has not passed, so the run is not ok
-    report, ok = run(parse_session(PAPER_RING + "cmd: check izumi-mult --q m --fs x1^13;x1\n"))
+    session = parse_session(PAPER_RING + "cmd: check izumi-mult --q m --fs x1^13;x1\n")
+    report, ok = run(session)
     (entry,) = report["commands"]
     assert entry["result"]["verdicts"] == {"0": "budget", "1": "pass"}
     assert entry["verdict"] == "budget" and not ok
