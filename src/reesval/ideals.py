@@ -101,6 +101,7 @@ class Ideal:
         self._gb = None
         self._powers = []  # layer n: pairs (n-fold product, index of its last factor)
         self._symbolic_powers = {}  # filled by symbolic.symbolic_power
+        self._ordinary_powers = {}  # n -> the handle of I^n whose basis symbolic reads
         self._separators = {}  # separator text -> (separator, proven), by symbolic
         self._jacobian = None  # J_{R/P} of the Jacobian criterion, filled by symbolic
 
@@ -202,17 +203,19 @@ class Ideal:
         gens.append(tring.one - t * f.to_ring(tring))
         return eliminate(gens, ring)
 
-    def saturate(self, f):
+    def saturate(self, f, source=None):
         """(I : f^infinity) by one elimination; returns (ideal, depth).
 
         The depth is the least k with f^k * (I : f^infinity) inside I, found
         by normal forms against the basis of I; it equals the number of
         colons by f before the chain I, I:f, I:f^2, ... stabilizes. At depth
-        0 the ideal returned is self.
+        0 the ideal returned is self. The elimination runs on source when
+        one is given: any ideal between I and I : f^infinity has the same
+        saturation, whose reduced basis is unique, so only the work changes.
         """
         if self.algebra.reduce(f).is_zero():
             raise PreconditionError("colon by zero")
-        sat = self._saturation_gens(f)
+        sat = (self if source is None else source)._saturation_gens(f)
         depth, power = 0, self.algebra.ring.one
         pending = [g for g in sat if not self.contains_poly(g)]
         while pending:

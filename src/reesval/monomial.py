@@ -212,7 +212,10 @@ def membership_oracle_caratheodory(exps, nvars, e, n=1):
     of coordinates where the combination is tight, weights solving the
     square system sum = n and matching e on A, accepted when the weights
     and the leftover e - sum are all nonnegative. Basic solutions of the
-    feasibility LP have this shape, so the search is complete.
+    feasibility LP have this shape, so the search is complete. Nonnegative
+    weights summing to n put coordinate j of the sum between n times the
+    least and the largest g_j over S, so S is skipped when the least
+    already exceeds e_j, and A when e_j exceeds the largest for a j in A.
     """
     if n < 0:
         raise PreconditionError("negative power")
@@ -221,8 +224,13 @@ def membership_oracle_caratheodory(exps, nvars, e, n=1):
         return False
     for k in range(1, min(len(exps), nvars + 1) + 1):
         for subset in combinations(exps, k):
+            columns = list(zip(*subset))
+            if any(n * min(c) > x for c, x in zip(columns, e)):
+                continue
             for tight in combinations(range(nvars), k - 1):
-                rows = [[1] * k] + [[g[j] for g in subset] for j in tight]
+                if any(e[j] > n * max(columns[j]) for j in tight):
+                    continue
+                rows = [[1] * k] + [columns[j] for j in tight]
                 sol = _solve(rows, [n] + [e[j] for j in tight])
                 if sol is None or any(x < 0 for x in sol[0]):
                     continue

@@ -8,7 +8,8 @@ function of its initial ideal under any term order (Cox-Little-O'Shea,
 ch. 9 section 3), so graded multiplicity and dimension read the ideal's
 basis in its ring's own order. Local multiplicities at the origin go
 through the associated graded ring of the extended Rees presentation,
-cross-checkable against finite differences of a length table.
+cross-checkable against finite differences of a length table, which
+refuses a quotient with a point other than the origin.
 """
 
 from __future__ import annotations
@@ -168,11 +169,15 @@ def local_multiplicity_via_gr(R, f=None):
 
 
 def length_sampler(R, I, f=None, N=5):
-    """Lengths of R/(I^n + (f) + modulus) for n = 1..N.
+    """Lengths of R/(I^n + (f) + modulus) for n = 1..N, at the origin.
 
     Every sampled quotient must be zero-dimensional; lengths are counts
     of standard monomials of the reduced Groebner basis, read off the
-    Hilbert series of its leading-term ideal.
+    Hilbert series of its leading-term ideal. Such a length sums the
+    lengths at every point, so a quotient with a point other than the
+    origin is refused: every variable must lie in rad(I + (f) + modulus).
+    That is tested once, at n = 1, on the basis already built: a variable
+    lies in the radical of a quotient of length L iff its L-th power is 0.
     """
     if N < 1:  # an empty table has no multiplicity to read
         raise PreconditionError(f"N must be at least 1, got {N}")
@@ -183,6 +188,8 @@ def length_sampler(R, I, f=None, N=5):
         hs = hilbert_series_monomial(R.ring.nvars, [g.lead_exp for g in J.gb()])
         if hs.dim > 0:
             raise PreconditionError("quotient is not zero-dimensional")
+        if n == 1 and not all(J.contains_poly(x**hs.multiplicity) for x in R.ring.gens()):
+            raise PreconditionError("quotient has a point other than the origin")
         table.append((n, hs.multiplicity))
     return table
 
@@ -206,7 +213,9 @@ def multiplicity_from_table(table, dim):
 
 
 def local_multiplicity_via_table(R, I, f=None, N=6):
-    """Sampler route to the local multiplicity; refuses unstabilized tables."""
+    """Sampler route to the local multiplicity at the origin; refuses
+    unstabilized tables and, through the sampler, quotients with another
+    point."""
     extra = (f,) if f is not None else ()
     dim = krull_dim(Ideal(R, extra))
     table = length_sampler(R, I, f=f, N=max(N, dim + 4))

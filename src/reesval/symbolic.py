@@ -10,10 +10,20 @@ c = nvars - dim R/P, and J_R the same for P = 0 (Eisenbud, Commutative
 Algebra, Cor. 16.20); both need the modulus M prime, so R must be asserted
 a domain or have no modulus.
 
+The symbolic powers form a graded family, P^(a) * P^(b) inside P^(a+b),
+so a cached lower power gives a smaller ideal with the same saturation.
+Write A_m = (P^m : s^infinity), the cached result for every separator s,
+proven or not. If s^a * g lies in P^k and s^b * h in P^(n-k), then
+s^(a+b) * g * h lies in P^n, so P^n lies in A_k * P^(n-k) and in
+A_k * A_(n-k), and both lie in A_n. Saturating any ideal between P^n and
+A_n gives A_n, whose reduced basis the elimination returns: the result is
+the same, generator for generator, whichever of them is saturated.
+
 Results and proofs are cached on the prime's own Ideal handle, as its
 Groebner basis is, so they live as long as that handle: repeated calls with
 the same handle reuse them, and a re-parsed session starts with none.
-J_{R/P} is cached there too, so each separator tried reuses it; J_R is
+J_{R/P} is cached there too, so each separator tried reuses it, and so is
+the handle of P^n, whose basis every separator's depth reads; J_R is
 cached on the algebra, which all its primes share.
 """
 
@@ -105,6 +115,10 @@ def symbolic_power(P, n, separator="auto"):
     radical-membership check on the result and whether the separator is
     proven; a result that fails either gives "upper bound candidate",
     never an error.
+
+    The elimination saturates P^(k) * P^(n-k) for the largest k < n cached
+    on P by the same separator, else P^n (see the module docstring); the
+    saturation exponent is always the depth of P^n's saturation.
     """
     if n < 0:
         raise PreconditionError("negative symbolic power")
@@ -121,11 +135,26 @@ def symbolic_power(P, n, separator="auto"):
     if str(separator) not in P._separators:
         P._separators[str(separator)] = _prove(P, separator)
     separator, proven = P._separators[str(separator)]
-    Pn = P.power(n)
-    result, steps = (Pn, 0) if separator is None else Pn.saturate(separator)
+    Pn = P._ordinary_powers.setdefault(n, P.power(n))
+    if separator is None:
+        result, steps = Pn, 0
+    else:
+        result, steps = Pn.saturate(separator, _lower_product(P, key))
     radical_ok = all(P.radical_contains(g) for g in result.gens)
     P._symbolic_powers[key] = result, _certificate(separator, steps, radical_ok, proven)
     return P._symbolic_powers[key]
+
+
+def _lower_product(P, key):
+    """P^(k) * P^(n-k) for the largest k < n, k >= 2, cached on P under the
+    same separator text, the cofactor the cached P^(n-k) or else the
+    ordinary power; None when no such k is cached."""
+    n, text = key
+    k = max((k for k in range(2, n) if (k, text) in P._symbolic_powers), default=None)
+    if k is None:
+        return None
+    cofactor = P._symbolic_powers.get((n - k, text))
+    return P._symbolic_powers[k, text][0].product(cofactor[0] if cofactor else P.power(n - k))
 
 
 def _certificate(separator, steps, radical_ok, proven):

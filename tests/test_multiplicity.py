@@ -19,6 +19,7 @@ from reesval import (
     multiplicity_from_table,
     multiplicity_graded,
 )
+from reesval.cli import parse_session, run
 from reesval.errors import NotHomogeneousError, PreconditionError
 from reesval.ideals import Ideal
 from reesval.multiplicity import graded_invariants
@@ -174,6 +175,24 @@ def test_length_sampler_rejects_positive_dimension(poly_xy, paper_ring):
     x1 = paper_ring.ring.gen("x1")
     with pytest.raises(PreconditionError, match="not zero-dimensional"):
         length_sampler(paper_ring, Ideal(paper_ring, (x1,)), N=2)
+
+
+def test_table_refuses_a_point_other_than_the_origin(poly_xy):
+    # (x^2 - x, y) meets the origin and (1, 0); its lengths (2, 6, 12, 20)
+    # add both points, so their difference 2 is not the multiplicity 1 at
+    # the origin, and every reader of the table refuses it
+    x, y = poly_xy.ring.gens()
+    I = Ideal(poly_xy, (x**2 - x, y))
+    with pytest.raises(PreconditionError, match="^quotient has a point other than the origin$"):
+        local_multiplicity_via_table(poly_xy, I)
+    report, ok = run(parse_session("ring { vars: x y }\nideal I = x^2 - x, y\ncmd: length-table I 4"))
+    assert not ok
+    assert report["commands"][0]["error"] == "quotient has a point other than the origin"
+    # f = x cuts the point (1, 0) away and leaves the origin alone; x - 1
+    # cuts the origin away and leaves (1, 0)
+    assert length_sampler(poly_xy, I, f=x, N=3) == [(1, 1), (2, 2), (3, 3)]
+    with pytest.raises(PreconditionError, match="point other than the origin"):
+        length_sampler(poly_xy, I, f=x - 1, N=2)
 
 
 def test_table_paper_ring_f_x1(paper_ring, paper_m):

@@ -14,7 +14,7 @@ from reesval import (
     symbolic_order_along,
     symbolic_power,
 )
-from reesval import symbolic
+from reesval import groebner, symbolic
 from reesval.cli import main, parse_session, run
 from reesval.errors import BudgetExceededError, PreconditionError
 from reesval.ideals import Ideal, kernel_of_map
@@ -218,6 +218,32 @@ def test_symbolic_powers_are_cached_on_the_prime_handle(paper_ring):
     first, _ = symbolic_power(P, 2)
     assert symbolic_power(P, 2)[0] is first
     assert symbolic_power(Ideal(paper_ring, P.gens), 2)[0] is not first
+
+
+def test_cached_lower_powers_give_the_direct_saturation(paper_ring):
+    # scrambled requests on one handle, each against a new handle that has
+    # nothing cached below n and so saturates P^n itself
+    x1, x3 = paper_ring.ring.gen("x1"), paper_ring.ring.gen("x3")
+    alg, curve = curve_345()
+    x, y, _ = alg.ring.gens()
+    requests = [(Ideal(paper_ring, (x1, x3)), "auto", n) for n in (4, 6, 7, 12, 10, 18)]
+    requests += [(curve, s, n) for n in (5, 2, 8, 3) for s in (x, y)]
+    for P, separator, n in requests:
+        got, cert = symbolic_power(P, n, separator=separator)
+        want, want_cert = symbolic_power(Ideal(P.algebra, P.gens), n, separator=separator)
+        assert got.gb() == want.gb(), (str(separator), n)
+        assert got.gens == want.gens and cert == want_cert, (str(separator), n)
+
+
+def test_curve_sweep_work_counts():
+    # tripwire: S-pairs reduced and reduction steps behind P^(2)..P^(8) of
+    # the curve prime by x on one handle, certificates included
+    alg, P = curve_345()
+    x = alg.ring.gen("x")
+    with groebner.budget(groebner.DEFAULT_BUDGET) as work:
+        for n in range(2, 9):
+            symbolic_power(P, n, separator=x)
+    assert (work.pairs, work.steps) == (563, 3830)
 
 
 def test_containment_chain(paper_ring):
