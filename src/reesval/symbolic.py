@@ -13,11 +13,12 @@ a domain or have no modulus.
 The symbolic powers form a graded family, P^(a) * P^(b) inside P^(a+b),
 so a cached lower power gives a smaller ideal with the same saturation.
 Write A_m = (P^m : s^infinity), the cached result for every separator s,
-proven or not. If s^a * g lies in P^k and s^b * h in P^(n-k), then
-s^(a+b) * g * h lies in P^n, so P^n lies in A_k * P^(n-k) and in
-A_k * A_(n-k), and both lie in A_n. Saturating any ideal between P^n and
-A_n gives A_n, whose reduced basis the elimination returns: the result is
-the same, generator for generator, whichever of them is saturated.
+proven or not. For g in A_k and h in A_(n-k), some s^a * g lies in P^k
+and s^b * h in P^(n-k), so s^(a+b) * g * h lies in P^n. Hence P^n lies
+in A_k * P^(n-k), which lies in A_k * A_(n-k), which lies in A_n.
+Saturating any ideal between P^n and A_n gives A_n, whose reduced basis
+the elimination returns: the result is the same, generator for
+generator, whichever of them is saturated.
 
 Results and proofs are cached on the prime's own Ideal handle, as its
 Groebner basis is, so they live as long as that handle: repeated calls with
