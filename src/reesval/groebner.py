@@ -20,10 +20,15 @@ largest first, so neither rescans what it has ranked and the remainder
 comes back sorted. Division combines plain-int numerators over one common
 denominator (over 1 on Fp), each reducer cleared and packed once, cached
 on it; a term leaving the heap is read through field.residue (mod p on
-Fp), and one whose residue is 0 is dropped without a step. Buchberger
-forms each S-pair straight from the two packed reducers and divides it in
-the same loop as normal_form; s_polynomial, on tuple exponents in field
-arithmetic, is the independent route is_groebner takes.
+Fp), and one whose residue is 0 is dropped without a step. Division
+reduces a term by its first dividing reducer and remembers, per monomial,
+that reducer's index, or how many reducers it has ruled out. Within one
+Buchberger run the reducer list only grows at its end, so a first
+reducer stays first: one memo serves the whole S-pair loop, one the
+final inter-reduction, and each picks the reducer a fresh scan would.
+Buchberger forms each S-pair straight from the two packed reducers and
+divides it in the same loop as normal_form; s_polynomial, on tuple
+exponents in field arithmetic, is the independent route is_groebner takes.
 A monomial ideal skips the loop: its reduced basis is its minimal
 generators (Cox-Little-O'Shea, ch. 2 section 4), so it spends no steps.
 A reduction-step budget converts runaway inputs into a clean
@@ -192,12 +197,18 @@ def normal_form(f, G, selector=None):
     den, nums = f.ring.field.clear(f.terms)
     work = {p.pack(e): c for e, c in nums.items()}
     reducers = [_packed(g) for g in polys if not g.is_zero()]
-    return _divide(f.ring, den, work, reducers, selector)
+    return _divide(f.ring, den, work, reducers, selector, {})
 
 
-def _divide(ring, den, work, reducers, selector):
+def _divide(ring, den, work, reducers, selector, first):
     """Remainder of work/den on division by the packed reducers; work maps
-    each term's X to its numerator."""
+    each term's X to its numerator.
+
+    first is the memo of the default choice: X -> index of its first
+    dividing reducer, or ~n when none of reducers[:n] divides X. It is
+    valid for as long as reducers only grows at its end, so a caller may
+    share it across divisions by one such list, and no longer.
+    """
     field, p = ring.field, _packing(ring)
     residue, guard = field.residue, p.guard
     record = _work.get()
@@ -214,11 +225,15 @@ def _divide(ring, den, work, reducers, selector):
             continue
         xg = x | guard  # a reducer applies iff (xg - its lead X) keeps every guard bit
         if selector is None:
-            for r in reducers:
-                if (xg - r[0]) & guard == guard:
-                    break
-            else:
-                r = None
+            k = first.get(x, -1)
+            if k < 0:  # scan only the reducers appended since the last miss
+                for k in range(~k, len(reducers)):
+                    if (xg - reducers[k][0]) & guard == guard:
+                        break
+                else:
+                    k = ~len(reducers)
+                first[x] = k
+            r = reducers[k] if k >= 0 else None
         else:
             candidates = [i for i, r in enumerate(reducers) if (xg - r[0]) & guard == guard]
             r = reducers[selector(candidates)] if candidates else None
@@ -243,11 +258,12 @@ def _divide(ring, den, work, reducers, selector):
             raise PreconditionError(_OVER_LIMIT)
         for tx, tc in tail:
             nx = tx + shift
-            if nx in work:
-                work[nx] += tc * q
-            else:
+            wc = work.get(nx)
+            if wc is None:
                 heapq.heappush(heap, -nx)
                 work[nx] = tc * q
+            else:
+                work[nx] = wc + tc * q
     return Polynomial(ring, tuple(remainder))
 
 
@@ -319,6 +335,7 @@ def buchberger(gens):
         if not r.is_zero():
             append(r)
 
+    first = {}  # packed only grows at its end, so one memo serves every S-pair
     while pairs:
         _, i, j, m = heapq.heappop(pairs)
         done.update(((i, j), (j, i)))
@@ -336,7 +353,7 @@ def buchberger(gens):
             record.chain += 1
             continue
         record.pairs += 1
-        r = _divide(ring, *_s_pair(basis[i], basis[j]), packed, None)
+        r = _divide(ring, *_s_pair(basis[i], basis[j]), packed, None, first)
         record.zeros += r.is_zero()
         if not r.is_zero():
             append(r)
@@ -349,11 +366,14 @@ def _reduce_basis(ring, basis):
     # no two leads are equal, since each new member is a remainder
     leads = set(_minimalize(g.lead_exp for g in basis))
     minimal = [g for g in basis if g.lead_exp in leads]
-    # inter-reduce tails
+    # inter-reduce tails against all of minimal: a lead divides no term below
+    # it, so g's own never applies to g's tail and the reducers are those of
+    # normal_form(g, the others); the list is fixed, so one memo serves all
+    reducers, first = [_packed(g) for g in minimal], {}
     reduced = []
-    for i, g in enumerate(minimal):
-        others = minimal[:i] + minimal[i + 1 :]
-        reduced.append(normal_form(g, others).monic())
+    for g, (_, L, tail, _) in zip(minimal, reducers):
+        r = _divide(ring, L, dict(tail), reducers, None, first)
+        reduced.append(Polynomial(ring, g.terms[:1] + r.terms))
     reduced.sort(key=lambda p: ring.order.key(p.lead_exp))
     return tuple(reduced)
 

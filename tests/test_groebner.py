@@ -276,6 +276,28 @@ def test_exponent_over_the_limit_is_refused():
         normal_form(x**2, [x - y ** 2**23])
 
 
+def test_first_reducer_memo_rescans_what_was_appended_after_a_miss():
+    # one memo serves divisions by a reducer list that only grows: a miss
+    # records how many reducers it ruled out, so a reducer appended later
+    # is still tried on that monomial
+    R = PolyRing(("x", "y"), QQ, GrevLex())
+    x, y = R.gens()
+    packing = groebner._packing(R)
+    reducers, first = [groebner._packed(x - 1)], {}
+
+    def divide(f):
+        den, nums = R.field.clear(f.terms)
+        work = {packing.pack(e): c for e, c in nums.items()}
+        return groebner._divide(R, den, work, reducers, None, first)
+
+    with groebner.budget(10):
+        assert divide(y**2) == y**2  # x - 1 divides no term of y^2
+        assert first == {packing.pack((0, 2)): ~1}
+        reducers.append(groebner._packed(y + 1))
+        assert divide(x * y**2) == R.one  # x*y^2 -> y^2 -> -y -> 1
+    assert first[packing.pack((0, 2))] == 1
+
+
 def test_a_sum_that_is_a_multiple_of_p_leaves_no_term():
     # over Fp(7), reducing 2x^2 by x^2 + 4y leaves y with 1 + 4*(-2) = -7:
     # that term is zero, so it takes no step, though y + 1 would reduce it
