@@ -212,6 +212,8 @@ class Ideal:
         0 the ideal returned is self. The elimination runs on source when
         one is given: any ideal between I and I : f^infinity has the same
         saturation, whose reduced basis is unique, so only the work changes.
+        Under grevlex that basis is the one the elimination returns, so the
+        ideal returned carries it and never recomputes it.
         """
         if self.algebra.reduce(f).is_zero():
             raise PreconditionError("colon by zero")
@@ -221,7 +223,13 @@ class Ideal:
         while pending:
             depth, power = depth + 1, power * f
             pending = [g for g in pending if not self.contains_poly(power * g)]
-        return (Ideal(self.algebra, sat), depth) if depth else (self, 0)
+        if not depth:
+            return self, 0
+        result = Ideal(self.algebra, sat)
+        if self.algebra.ring.order == GrevLex():
+            # eliminate reads sat in grevlex, so it is already the reduced basis
+            result._gb = sat
+        return result, depth
 
     def radical_contains(self, f):
         """f in rad(I): at once when f in I, else iff I : f^infinity = (1)."""
