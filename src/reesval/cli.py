@@ -26,10 +26,10 @@ from .monomial import (
     newton_polyhedron,
 )
 from .multiplicity import (
+    _read_at_origin,
     krull_dim,
     length_sampler,
     local_multiplicity_via_gr,
-    multiplicity_from_table,
     multiplicity_graded,
 )
 from .poly import Block, GrevLex, Lex, PolyRing, PrimeField, QQ
@@ -247,7 +247,7 @@ class _Session:
         f = self.poly(f) if f is not None else None
         table = length_sampler(self.algebra, self.ideal(ideal), f=f, N=_int(N))
         dim = krull_dim(Ideal(self.algebra, (f,) if f is not None else ()))
-        e, stabilized = multiplicity_from_table(table, dim)
+        e, stabilized = _read_at_origin(table, dim)
         return {
             "table": [[n, l] for n, l in table],
             "dim": dim,

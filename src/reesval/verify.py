@@ -17,11 +17,11 @@ from .errors import PreconditionError
 from .ideals import AffineAlgebra, Ideal
 from .monomial import rees_valuations_monomial
 from .multiplicity import (
+    _read_at_origin,
     graded_invariants,
     krull_dim,
     length_sampler,
     local_multiplicity_via_gr,
-    multiplicity_from_table,
     multiplicity_graded,
 )
 from .poly import Polynomial
@@ -200,7 +200,7 @@ def check_order_ideal_theorem_presentation(I, f, pres, primes):
     rhs = None if None in values else sum(v * di for v, di in zip(values, d))
     dim = krull_dim(Ideal(R, (f,)))
     table = length_sampler(R, I, f=f, N=ORDER_IDEAL_N)
-    e_lhs, stabilized = multiplicity_from_table(table, dim)
+    e_lhs, stabilized = _read_at_origin(table, dim)
     ran_out = rhs is None or not stabilized
     return _report(
         "order-ideal-theorem", ("presentation normal", "Q_i prime"), R,

@@ -23,6 +23,8 @@ from reesval.cli import parse_session, run
 from reesval.errors import NotHomogeneousError, PreconditionError
 from reesval.ideals import Ideal
 from reesval.multiplicity import graded_invariants
+from reesval.rings import extended_rees_presentation
+from reesval.verify import check_order_ideal_theorem_presentation
 
 
 def test_hilbert_series_staircase_dims():
@@ -193,6 +195,29 @@ def test_table_refuses_a_point_other_than_the_origin(poly_xy):
     assert length_sampler(poly_xy, I, f=x, N=3) == [(1, 1), (2, 2), (3, 3)]
     with pytest.raises(PreconditionError, match="point other than the origin"):
         length_sampler(poly_xy, I, f=x - 1, N=2)
+
+
+def test_table_refuses_a_dimension_above_the_one_at_the_origin():
+    # R = Q[x,y,z]/(x(z-1), y(z-1)) is the z-axis and the plane z = 1; only
+    # the axis meets the origin, where e = 1, but dim R = 2 and the second
+    # differences of the lengths (1, 2, 3, ...) settle at 0. Every reader
+    # that takes the Krull dimension as the local one refuses that reading
+    x, y, z = PolyRing(("x", "y", "z"), QQ, GrevLex()).gens()
+    R = AffineAlgebra(x.ring, (x * (z - 1), y * (z - 1)))
+    m = Ideal(R, (x, y, z))
+    assert local_multiplicity_via_gr(R) == 1 and krull_dim(Ideal(R, ())) == 2
+    refused = "^length table reads e = 0 in dimension 2: the dimension at the origin is smaller$"
+    with pytest.raises(PreconditionError, match=refused):
+        local_multiplicity_via_table(R, m)
+    # R/(z(z-1)) keeps the plane but is a point at the origin; with no
+    # exceptional prime the check goes straight to its table
+    pres = extended_rees_presentation(R, m)
+    with pytest.raises(PreconditionError, match=refused):
+        check_order_ideal_theorem_presentation(m, z * (z - 1), pres, [])
+    text = "ring { vars: x y z; mod: x*z - x, y*z - y }\nideal m = x, y, z\ncmd: length-table m 5"
+    report, ok = run(parse_session(text))
+    assert not ok
+    assert report["commands"][0]["error"] == refused[1:-1]
 
 
 def test_table_paper_ring_f_x1(paper_ring, paper_m):
