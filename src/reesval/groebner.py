@@ -59,10 +59,13 @@ _OVER_LIMIT = f"an exponent exceeds {_LIMIT} = 2^{EXPONENT_BITS} - 1, the Groebn
 class Work:
     """The reduction steps a budget scope allows, and the work done in it."""
 
-    __slots__ = ("budget", "pairs", "divisions", "steps", "formed", "coprime", "chain", "zeros")
+    __slots__ = (
+        "budget", "calls", "pairs", "divisions", "steps", "formed", "coprime", "chain", "zeros"
+    )
 
     def __init__(self, budget):
         self.budget = budget
+        self.calls = 0  # buchberger calls
         self.pairs = 0  # S-pairs reduced
         self.divisions = 0  # runs of the division loop
         self.steps = 0  # reduction steps taken
@@ -305,6 +308,8 @@ def buchberger(gens):
     term, the basis is the monic minimal generators, found with no
     reduction steps. The zero ideal's basis is ().
     """
+    record = _work.get()
+    record.calls += 1
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         return ()
@@ -314,7 +319,7 @@ def buchberger(gens):
         leads = sorted(_minimalize(g.lead_exp for g in gens), key=ring.order.key)
         return tuple(map(ring.monomial, leads))
 
-    p, record = _packing(ring), _work.get()
+    p = _packing(ring)
     # packed[i] is basis[i] packed; a pair is (lcm degree, i, j, lcm E)
     basis, packed, pairs, done = [], [], [], set()
 

@@ -204,9 +204,10 @@ def test_symbolic_power_work_count(monkeypatch):
         "cmd: symbolic-power P 3 --separator x\n"
     )
     calls = _record_calls(monkeypatch, groebner, "buchberger")
-    report, ok = run(session)
+    with groebner.budget(groebner.DEFAULT_BUDGET) as work:
+        report, ok = run(session)
     assert ok
-    assert len(calls) == 9
+    assert len(calls) == work.calls == 9
 
 
 def test_two_separators_share_the_jacobian_ideal(monkeypatch):
@@ -222,12 +223,13 @@ def test_two_separators_share_the_jacobian_ideal(monkeypatch):
     P = Ideal(alg, tuple(map(alg.ring.parse, gens)))
     jacobian = frozenset(symbolic._jacobian_ideal(alg, P.gens, 1).ambient_gens())
     calls = _record_calls(monkeypatch, groebner, "buchberger")
-    report, ok = run(session)
+    with groebner.budget(groebner.DEFAULT_BUDGET) as work:
+        report, ok = run(session)
     assert ok
     inputs = [frozenset(gens) for gens, in calls]
     assert len(jacobian) == 12 and inputs.count(jacobian) == 1
     assert [inputs.count(frozenset(P.power(n).gens)) for n in (2, 3)] == [1, 1]
-    assert len(calls) == 12
+    assert len(calls) == work.calls == 12
 
 
 def test_elimination(poly_xyz):

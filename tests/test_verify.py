@@ -143,8 +143,9 @@ def test_order_ideal_theorem_presentation_work_count(
         groebner, "buchberger", lambda gens: calls.append(frozenset(gens)) or real(gens)
     )
     x1 = paper_ring.ring.gen("x1")
-    assert check_order_ideal_theorem_presentation(paper_m, x1, pres, list(primes)).passed
-    assert len(calls) == len(set(calls)) == 20
+    with groebner.budget(groebner.DEFAULT_BUDGET) as work:
+        assert check_order_ideal_theorem_presentation(paper_m, x1, pres, list(primes)).passed
+    assert len(calls) == len(set(calls)) == work.calls == 20
 
 
 def test_order_ideal_theorem_graded_route():
