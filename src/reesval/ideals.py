@@ -227,7 +227,6 @@ class Ideal:
             return self, 0
         result = Ideal(self.algebra, sat)
         if self.algebra.ring.order == GrevLex():
-            # eliminate reads sat in grevlex, so it is already the reduced basis
             result._gb = sat
         return result, depth
 
