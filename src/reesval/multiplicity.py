@@ -2,8 +2,8 @@
 
 Every count reads one source: the cached Groebner basis of an ideal (an
 algebra's is that of its zero ideal), whose leading-term ideal goes
-through a pivot recursion on monomial ideals that keeps every list of
-generators it passes down minimal. A homogeneous ideal has the Hilbert
+through one recursion that slices a monomial ideal on its last variable
+and never minimalizes. A homogeneous ideal has the Hilbert
 function of its initial ideal under any term order (Cox-Little-O'Shea,
 ch. 9 section 3), so graded multiplicity and dimension read the ideal's
 basis in its ring's own order. Local multiplicities at the origin go
@@ -21,7 +21,6 @@ from itertools import accumulate
 from math import comb
 
 from .errors import NotHomogeneousError, PreconditionError
-from .groebner import _minimalize
 from .ideals import AffineAlgebra, Ideal
 from .rings import associated_graded, extended_rees_presentation
 
@@ -75,31 +74,32 @@ class HilbertSeries:
 
 
 def _numerator(exps, nvars):
-    """Numerator of HS(k[x]/(exps)) over (1-t)^nvars, as a coeff dict, for a
-    minimal list exps: no member divides another."""
+    """Numerator of HS(k[x]/(exps)) over (1-t)^nvars, as a coeff dict, for
+    any list exps, minimal or not. Slices on the last variable: in x_n-degree
+    d the quotient is k[x']/I_d, I_d generated by the exponents with last
+    entry <= d, that entry dropped. With c_0 < ... < c_r the last entries and
+    N_i the numerator of I_{c_i} over (1-t)^(nvars-1), N_{-1} = 1, c_{-1} = 0:
+    N = sum of (t^c_{i-1} - t^c_i) N_{i-1}, plus t^c_r N_r."""
     if not exps:
         return {0: 1}
-    if not any(exps[0]):  # the zero exponent, which a minimal list holds alone
-        return {}
-    mixed = [e for e in exps if sum(1 for p in e if p) > 1]
-    if not mixed:  # pure powers of distinct variables: the product of (1 - t^a)
-        coeffs = {0: 1}
-        for a in map(sum, exps):
-            for d, c in list(coeffs.items()):  # the old coefficients, shifted by a
-                coeffs[d + a] = coeffs.get(d + a, 0) - c
-        return {d: c for d, c in coeffs.items() if c}
-    # pivot: pure power of the first supported variable of the
-    # largest-degree mixed generator (deterministic)
-    g = max(mixed, key=lambda e: (sum(e), e))
-    j = next(i for i, p in enumerate(g) if p)
-    pivot = tuple(g[j] if i == j else 0 for i in range(nvars))
-    # without the pivot's multiples the list stays minimal: a generator that
-    # divided the pivot would divide g
-    out = _numerator([e for e in exps if e[j] < g[j]] + [pivot], nvars)
-    colon = _minimalize(tuple(max(p - q, 0) for p, q in zip(e, pivot)) for e in exps)
-    for d, c in _numerator(colon, nvars).items():
-        out[d + g[j]] = out.get(d + g[j], 0) + c
-    return {d: c for d, c in out.items() if c}
+    if nvars <= 1:  # 1 - t^a, a the least exponent; the unit ideal when a = 0
+        a = min(map(sum, exps))
+        return {0: 1, a: -1} if a else {}
+    slices = {}
+    for e in exps:
+        slices.setdefault(e[-1], []).append(e[:-1])
+    out, below, low, gens = {}, {0: 1}, 0, []
+    for c in sorted(slices):
+        for d, v in below.items():
+            out[d + low] = out.get(d + low, 0) + v
+            out[d + c] = out.get(d + c, 0) - v
+        gens += slices[c]
+        below, low = _numerator(gens, nvars - 1), c
+        if not below:  # a unit slice: every later slice is one too
+            break
+    for d, v in below.items():
+        out[d + low] = out.get(d + low, 0) + v
+    return {d: v for d, v in out.items() if v}
 
 
 def hilbert_series_monomial(nvars, exps):
@@ -107,7 +107,7 @@ def hilbert_series_monomial(nvars, exps):
     exps = set(exps)
     if any(len(e) != nvars for e in exps):
         raise PreconditionError(f"an exponent is not of length nvars = {nvars}")
-    num = _numerator(_minimalize(exps), nvars)
+    num = _numerator(exps, nvars)
     top = max(num) if num else 0
     coeffs = tuple(num.get(i, 0) for i in range(top + 1))
     return HilbertSeries(numerator=coeffs, nvars=nvars)
