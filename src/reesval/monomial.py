@@ -222,7 +222,9 @@ def membership_oracle_caratheodory(exps, nvars, e, n=1):
     exps = _minimalize(exps)
     if any(x < 0 for x in e):
         return False
-    for k in range(1, min(len(exps), nvars + 1) + 1):
+    if any(all(x >= n * g for x, g in zip(e, gen)) for gen in exps):
+        return True  # one generator: its weight is n, so e >= n * gen
+    for k in range(2, min(len(exps), nvars + 1) + 1):
         for subset in combinations(exps, k):
             columns = list(zip(*subset))
             if any(n * min(c) > x for c, x in zip(columns, e)):

@@ -14,6 +14,7 @@ from reesval import (
     gaussian_extension,
     integral_closure_power,
     membership_oracle_caratheodory,
+    monomial,
     monomial_multiplicity,
     newton_polyhedron,
     rees_valuations_monomial,
@@ -188,6 +189,17 @@ def test_caratheodory_examples():
     assert not membership_oracle_caratheodory(gens, 2, (1, 1), 1)
     for g in gens:
         assert membership_oracle_caratheodory(gens, 2, g, 1)
+
+
+def test_caratheodory_settles_one_generator_without_a_solve(monkeypatch):
+    # e >= n * g for one generator g is a hit before any square system
+    def no_solve(*args):
+        raise AssertionError("solved a system")
+
+    monkeypatch.setattr(monomial, "_solve", no_solve)
+    gens = [(2, 0), (0, 3), (1, 1)]
+    assert membership_oracle_caratheodory(gens, 2, (2, 5), 2)
+    assert membership_oracle_caratheodory(gens, 2, (7, 0), 3)
 
 
 def test_both_membership_routes_refuse_a_negative_power():
