@@ -60,12 +60,14 @@ class Work:
     """The reduction steps a budget scope allows, and the work done in it."""
 
     __slots__ = (
-        "budget", "calls", "pairs", "divisions", "steps", "formed", "coprime", "chain", "zeros"
+        "budget", "calls", "largest", "pairs", "divisions", "steps", "formed", "coprime",
+        "chain", "zeros",
     )
 
     def __init__(self, budget):
         self.budget = budget
         self.calls = 0  # buchberger calls
+        self.largest = 0  # length of the largest basis a buchberger call returned
         self.pairs = 0  # S-pairs reduced
         self.divisions = 0  # runs of the division loop
         self.steps = 0  # reduction steps taken
@@ -317,6 +319,7 @@ def buchberger(gens):
     _check_ring(ring, gens)
     if all(len(g.terms) == 1 for g in gens):
         leads = sorted(_minimalize(g.lead_exp for g in gens), key=ring.order.key)
+        record.largest = max(record.largest, len(leads))
         return tuple(map(ring.monomial, leads))
 
     p = _packing(ring)
@@ -363,7 +366,9 @@ def buchberger(gens):
         if not r.is_zero():
             append(r)
 
-    return _reduce_basis(ring, basis)
+    reduced = _reduce_basis(ring, basis)
+    record.largest = max(record.largest, len(reduced))
+    return reduced
 
 
 def _reduce_basis(ring, basis):

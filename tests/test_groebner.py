@@ -421,6 +421,29 @@ def test_work_record_matches_counted_calls(system, budget_n, monkeypatch):
     assert (work.pairs, work.divisions, work.steps) == (counts["s"], counts["div"], budget_n)
 
 
+@pytest.mark.parametrize(
+    "system",
+    [_cyclic4, _katsura3, lambda: _katsura3(PrimeField(32003)), _monomial_cube],
+    ids=["cyclic4", "katsura3", "katsura3_fp", "monomial_cube"],
+)
+def test_work_record_keeps_the_largest_basis(system, monkeypatch):
+    # largest is the longest basis a buchberger call in the scope returned,
+    # through the general loop and through the monomial path alike
+    lengths, real = [], groebner.buchberger
+
+    def counting(gens):
+        G = real(gens)
+        lengths.append(len(G))
+        return G
+
+    monkeypatch.setattr(groebner, "buchberger", counting)
+    with groebner.budget(groebner.DEFAULT_BUDGET) as work:
+        for gens in (system()[:2], system(), system()[1:]):
+            groebner.buchberger(gens)
+    assert work.calls == len(lengths) == 3
+    assert work.largest == max(lengths)
+
+
 def test_monomial_basis_work_counts():
     # a monomial ideal's reduced basis is its minimal generators: no pair
     # is formed, nothing is divided and no reduction step is drawn
