@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from math import comb
 
 from .errors import NotHomogeneousError, PreconditionError
 from .ideals import AffineAlgebra, Ideal
@@ -63,13 +62,10 @@ class HilbertSeries:
 
     def coefficients(self, upto):
         """Dimensions of the graded pieces in degrees 0..upto."""
-        # expand numerator * sum binom(n-1+k, k) t^k
-        out = [0] * (upto + 1)
-        for i, c in enumerate(self.numerator):
-            if c == 0 or i > upto:
-                continue
-            for k in range(upto - i + 1):
-                out[i + k] += c * comb(self.nvars - 1 + k, k)
+        # dividing by (1-t) takes partial sums, nvars times; none at nvars = 0
+        out = (list(self.numerator) + [0] * (upto + 1))[: upto + 1]
+        for _ in range(self.nvars):
+            out = list(accumulate(out))
         return out
 
 
