@@ -71,7 +71,7 @@ class HilbertSeries:
 
 def _numerator(exps, nvars):
     """Numerator of HS(k[x]/(exps)) over (1-t)^nvars, as a coeff dict, for
-    any list exps, minimal or not. Slices on the last variable: in x_n-degree
+    any collection exps, minimal or not. Slices on the last variable: in x_n-degree
     d the quotient is k[x']/I_d, I_d generated by the exponents with last
     entry <= d, that entry dropped. With c_0 < ... < c_r the last entries and
     N_i the numerator of I_{c_i} over (1-t)^(nvars-1), N_{-1} = 1, c_{-1} = 0:
