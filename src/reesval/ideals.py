@@ -5,11 +5,12 @@ An Ideal handle holds generators inside an AffineAlgebra and denotes
 generators. Bases are the plain tuples `groebner.buchberger` returns, so
 the unit ideal is the one whose basis is (1,), and two algebras are equal
 when their rings and reduced modulus bases are. Intersections, colons,
-saturations, radical membership, kernels, Rees presentations and the
-projective-closure check each write their relations in
+saturations, radical membership and kernels each write their relations in
 `elimination_ring(front, target)`, which puts the variables to drop first
-under a block order, and call `eliminate`. Polynomials enter and leave
-that ring by `to_ring`, which matches variables by name.
+under a block order, and call `eliminate`; this module is the only one that
+does. Rees presentations and the projective-closure check reach it through
+one saturation each. Polynomials enter and leave that ring by `to_ring`,
+which matches variables by name.
 """
 
 from __future__ import annotations

@@ -1,8 +1,9 @@
 """Homogenization, extended Rees presentations and the projective-closure
-check, each one elimination over the affine algebras of `ideals`. Base,
-auxiliary and presentation variables are matched by name (`to_ring`,
-`substitute`); the homogenizing X0 is the one variable read by position,
-as the first of its ring.
+check, each one saturation by a variable (`Ideal._saturation_gens`) over
+the affine algebras of `ideals`; no elimination ring is built here. Base
+and presentation variables are matched by name (`to_ring`, `substitute`);
+the homogenizing X0 is the one variable read by position, as the first of
+its ring.
 
 Normality / primality of user-supplied algebras and primes are ASSERTED,
 never decided here; operations that rely on an assertion echo it in their
@@ -14,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import PreconditionError
-from .ideals import AffineAlgebra, Ideal, eliminate, elimination_ring
+from .ideals import AffineAlgebra, Ideal
 from .poly import GrevLex, PolyRing
 
 
@@ -45,11 +46,7 @@ def homogenize_ideal(P):
     hring = PolyRing(ring.fresh_names("X0") + ring.names, ring.field, GrevLex())
     halg = AffineAlgebra(hring)
     hgens = [homogenize_poly(g, hring) for g in P.gens if not g.is_zero()]
-    if not hgens:
-        return Ideal(halg, ())
-    ideal = Ideal(halg, tuple(hgens))
-    sat, _ = ideal.saturate(hring.gens()[0])
-    return sat
+    return Ideal(halg, Ideal(halg, hgens)._saturation_gens(hring.gens()[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -107,13 +104,14 @@ class ReesPresentation:
 def extended_rees_presentation(R, I):
     """Present R[I*T, T^{-1}] by generators and relations.
 
-    The kernel is computed by eliminating T from (P, y_i - f_i*T, u*T - 1).
-    T, the y_i and u take the first of name, name_, ... that R's ring does
-    not use.
+    u -> T^{-1} is a unit of R[T, T^{-1}], so the kernel of y_i -> f_i*T is
+    the saturation (P + (u*y_i - f_i)) : u^infinity in k[x, y, u]. The y_i
+    and u take the first of name, name_, ... that R's ring does not use.
     When I is generated by exactly the ring variables (maximal at the origin)
-    the base variables are eliminated too, realizing the algebra on (y, u),
-    with y_j standing for the j-th ring variable in whatever order I lists
-    them; otherwise they are retained with grading weight 0.
+    x_j = u*y_j and T = u^{-1} identify k[x, T, T^{-1}] with k[y, u, u^{-1}],
+    so the kernel is P(x_j := u*y_j) : u^infinity in k[y, u], with y_j
+    standing for the j-th ring variable in whatever order I lists them;
+    otherwise the base variables are retained with grading weight 0.
     """
     ring = R.ring
     raw = tuple(I.gens)
@@ -123,21 +121,18 @@ def extended_rees_presentation(R, I):
     gens = [R.reduce(g) for g in raw]
     if all(g.is_zero() for g in gens):
         raise PreconditionError("extended Rees presentation needs a nonzero ideal")
-    t = len(gens)
-    aux = ring.fresh_names("_T", *(f"y{i+1}" for i in range(t)), "u")
-    T_name, y_names, u_name = aux[0], aux[1:-1], aux[-1]
-
-    # eliminate T, and the base variables too in the variable case
+    aux = ring.fresh_names(*(f"y{i+1}" for i in range(len(gens))), "u")
+    y_names, u_name = aux[:-1], aux[-1]
     retained = () if variable_case else ring.names
     pres_ring = PolyRing(retained + y_names + (u_name,), ring.field)
-    dropped = (T_name,) + (ring.names if variable_case else ())
-    ering = elimination_ring(dropped, pres_ring)
-    T = ering.gen(T_name)
-    rel = [m.to_ring(ering) for m in R.modulus]
-    for name, g in zip(y_names, gens):
-        rel.append(ering.gen(name) - g.to_ring(ering) * T)
-    rel.append(ering.gen(u_name) * T - ering.one)
-    kernel = eliminate(rel, pres_ring)
+    u = pres_ring.gen(u_name)
+    if variable_case:
+        images = _lift_images(ring.names, y_names, u)
+        rel = [m.substitute(pres_ring, images) for m in R.modulus]
+    else:
+        rel = [m.to_ring(pres_ring) for m in R.modulus]
+        rel += [u * pres_ring.gen(y) - g.to_ring(pres_ring) for y, g in zip(y_names, gens)]
+    kernel = Ideal(AffineAlgebra(pres_ring), rel)._saturation_gens(u)
     algebra = AffineAlgebra(
         pres_ring, kernel, asserted=R.asserted - {"standard_graded"}
     )
@@ -183,9 +178,13 @@ def lift_to_rees(pres, f):
     if pres.retained:
         raise PreconditionError("lift supported only when I is generated by the variables")
     ring = pres.algebra.ring
-    u = ring.gen(pres.u_name)
-    images = {x: u * ring.gen(y) for x, y in zip(pres.base.ring.names, pres.y_names)}
+    images = _lift_images(pres.base.ring.names, pres.y_names, ring.gen(pres.u_name))
     return f.substitute(ring, images)
+
+
+def _lift_images(x_names, y_names, u):
+    """x_j -> u*y_j: k[x, T, T^{-1}] read in k[y, u, u^{-1}], T = u^{-1}."""
+    return {x: u * u.ring.gen(y) for x, y in zip(x_names, y_names)}
 
 
 # ---------------------------------------------------------------------------
@@ -196,23 +195,17 @@ def check_projective_closure_iso(P, H):
     """Verify k[X0, x] -> S[X1/X0, ...] has kernel exactly P extended.
 
     P is the affine modulus ideal (in k[x]), H its homogenization (in
-    k[X0, X], X0 first, as homogenize_ideal builds it). The kernel is one
-    elimination of t and the projective variables from the graph ideal
-    plus 1 - t*X0, which saturates by X0.
+    k[X0, X], X0 first, as homogenize_ideal builds it). X_j -> X0*x_j maps
+    S onto the chart, where X0 is a unit, so the kernel is the saturation
+    (H(X0, X0*x)) : X0^infinity in k[X0, x].
     """
     affine_ring = P.algebra.ring
     x0_name = H.algebra.ring.names[0]
     chart = AffineAlgebra(PolyRing((x0_name,) + affine_ring.names, affine_ring.field))
-    # t and X1..Xn (as _x1.._xn) go first, then the chart's X0, x1..xn
-    aux = H.algebra.ring.fresh_names("_t", *(f"_{v}" for v in affine_ring.names))
-    bring = elimination_ring(aux, chart.ring)
-    X0 = bring.gen(x0_name)
-    rename = {v: bring.gen(h) for v, h in zip(affine_ring.names, aux[1:])}
-    gens = [g.substitute(bring, rename) for g in H.gens]
-    for v, h in rename.items():
-        gens.append(bring.gen(v) * X0 - h)
-    gens.append(bring.one - bring.gen(aux[0]) * X0)
-    kernel = Ideal(chart, eliminate(gens, chart.ring))
+    X0 = chart.ring.gen(x0_name)
+    images = {v: X0 * chart.ring.gen(v) for v in affine_ring.names}
+    dehomogenized = Ideal(chart, [g.substitute(chart.ring, images) for g in H.gens])
+    kernel = Ideal(chart, dehomogenized._saturation_gens(X0))
     # expected: P extended to k[X0, x]
     expected = Ideal(chart, tuple(g.to_ring(chart.ring) for g in P.gens))
     return kernel.equals(expected)

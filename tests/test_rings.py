@@ -12,7 +12,8 @@ from reesval import (
     verify_exceptional_certificate,
 )
 from reesval.errors import NotHomogeneousError, PreconditionError
-from reesval.ideals import Ideal
+from reesval.ideals import Ideal, kernel_of_map
+from reesval.poly import PrimeField
 from reesval.rings import check_projective_closure_iso, homogenize_poly
 
 
@@ -63,6 +64,18 @@ def test_projective_closure_names_avoid_ring_variables():
     assert check_projective_closure_iso(P, H)
 
 
+def test_closure_check_refuses_the_closure_of_another_ideal(paper_ring):
+    ring = paper_ring.ring
+    x1, x2, x3 = ring.gens()
+    affine = AffineAlgebra(ring)
+    P = Ideal(affine, paper_ring.modulus)
+    for other in [(x1 * x2 - x3**3,), (x1 * x2 + x3**3, x1), (x1,)]:
+        Q = Ideal(affine, other)
+        assert check_projective_closure_iso(Q, homogenize_ideal(Q))
+        assert not check_projective_closure_iso(P, homogenize_ideal(Q))
+        assert not check_projective_closure_iso(Q, homogenize_ideal(P))
+
+
 def test_extended_rees_presentation_paper_example(paper_ring, paper_m):
     pres = extended_rees_presentation(paper_ring, paper_m)
     ring = pres.algebra.ring
@@ -85,6 +98,59 @@ def test_presentation_of_nonmaximal_ideal_keeps_base_vars(poly_xy):
     # y1 ~ x^2 T, y2 ~ y^3 T: the relation y^3*y1 - x^2*y2 must be in the kernel
     rel = ring.gen("y") ** 3 * ring.gen("y1") - ring.gen("x") ** 2 * ring.gen("y2")
     assert Ideal(pres.algebra, ()).algebra.reduce(rel).is_zero()
+
+
+def _rees_kernel_by_graph(pres):
+    """Kernel of k[retained x, y, u] -> R[T, Ti]/(T*Ti - 1) by x -> x,
+    y_i -> f_i*T, u -> Ti, from the graph ideal; R's variables are renamed
+    apart from the presentation's in the target."""
+    base, source = pres.base.ring, pres.algebra.ring
+    taken = PolyRing(dict.fromkeys(source.names + base.names), base.field)
+    names = taken.fresh_names(*(f"b{n}" for n in base.names), "T", "Ti")
+    target = PolyRing(names, base.field, GrevLex())
+    rename = dict(zip(base.names, target.gens()))
+    T, Ti = target.gens()[-2:]
+    modulus = [m.substitute(target, rename) for m in pres.base.modulus]
+    laurent = AffineAlgebra(target, modulus + [T * Ti - target.one])
+    images = dict(rename)
+    for y, f in zip(pres.y_names, pres.ideal_gens):
+        images[y] = f.substitute(target, rename) * T
+    images[pres.u_name] = Ti
+    return kernel_of_map(source.names, laurent, [images[n] for n in source.names])
+
+
+def _cross_check_cases():
+    """(id, algebra, ideal): the ideal of the variables in and out of order
+    and two ideals that keep the base variables, over QQ and Fp(7), with
+    and without a modulus."""
+    cases = []
+    for field in (QQ, PrimeField(7)):
+        ring = PolyRing(("x", "y"), field, GrevLex())
+        x, y = ring.gens()
+        moduli = {"free": (), "cusp": (x**2 - y**3,), "node": (x**2 - y**2 + y**3,)}
+        for mod_name, modulus in moduli.items():
+            R = AffineAlgebra(ring, modulus)
+            for ideal_name, gens in [
+                ("xy", (x, y)),
+                ("yx", (y, x)),
+                ("x2-y3", (x**2, y**3)),
+                ("x2-xy+y", (x**2, x * y + y)),
+            ]:
+                cases.append((f"{field}-{mod_name}-{ideal_name}", R, Ideal(R, gens)))
+    return cases
+
+
+@pytest.mark.parametrize("case", _cross_check_cases(), ids=lambda case: case[0])
+def test_presentation_is_the_kernel_of_the_graph_map(case):
+    _, R, I = case
+    pres = extended_rees_presentation(R, I)
+    assert bool(pres.retained) == (I.gens[0] not in R.ring.gens())
+    assert pres.algebra.modulus_gb() == _rees_kernel_by_graph(pres).gb()
+
+
+def test_presentation_of_the_paper_ring_is_the_kernel_of_the_graph_map(paper_ring, paper_m):
+    pres = extended_rees_presentation(paper_ring, paper_m)
+    assert pres.algebra.modulus_gb() == _rees_kernel_by_graph(pres).gb()
 
 
 def test_associated_graded_paper_example(paper_ring, paper_m):
