@@ -212,14 +212,14 @@ def membership_oracle_caratheodory(exps, nvars, e, n=1):
     of coordinates where the combination is tight, weights solving the
     square system sum = n and matching e on A, accepted when the weights
     and the leftover e - sum are all nonnegative. Basic solutions of the
-    feasibility LP have this shape, so the search is complete. Nonnegative
+    feasibility LP have this shape, so the search is complete for any
+    generating list, redundant or repeated entries included. Nonnegative
     weights summing to n put coordinate j of the sum between n times the
     least and the largest g_j over S, so S is skipped when the least
     already exceeds e_j, and A when e_j exceeds the largest for a j in A.
     """
     if n < 0:
         raise PreconditionError("negative power")
-    exps = _minimalize(exps)
     if any(x < 0 for x in e):
         return False
     if any(all(x >= n * g for x, g in zip(e, gen)) for gen in exps):
