@@ -36,6 +36,7 @@ from .poly import Block, GrevLex, Lex, PolyRing, PrimeField, QQ
 from .rings import extended_rees_presentation
 from .symbolic import DEFAULT_NMAX, ord_at, symbolic_power
 from .verify import (
+    _check_verdict,
     check_improved_chevalley,
     check_local_zariski_nagata,
     check_main_theorem_A,
@@ -357,11 +358,7 @@ def run(session, seed=0, budget=None, fail_fast=False, timings=False):
                 result = _call(method, pos, flags)
             entry["result"] = result
             if name == "check":
-                # the rule of verify._verdict: any fail, else any budget, else pass
-                verdicts = result["verdicts"].values()
-                entry["verdict"] = next(
-                    (v for v in ("fail", "budget") if v in verdicts), "pass"
-                )
+                entry["verdict"] = _check_verdict(result["verdicts"].values())
                 ok = ok and result["passed"]
         except ReesvalError as exc:
             entry["error"] = str(exc)

@@ -3,7 +3,8 @@ sweep that emits a report.
 
 No check ever claims a proof. By one rule (_verdict) each verdict is "pass"
 or "fail" as the statement holds on the swept range of the fixture, or
-"budget" when the evidence ran out. Every report (_report) echoes each
+"budget" when the evidence ran out; by another (_check_verdict) the whole
+check fails if any verdict fails, else is "budget" if any ran out. Every report (_report) echoes each
 assertion its verdict leans on: its claims, then the words asserted of its ring.
 """
 
@@ -43,7 +44,7 @@ class CheckReport:
 
     @property
     def passed(self):
-        return all(v == "pass" for v in self.verdicts.values())
+        return _check_verdict(self.verdicts.values()) == "pass"
 
     def to_dict(self):
         return {
@@ -60,6 +61,11 @@ class CheckReport:
 def _verdict(holds):
     """pass if holds, fail if not, budget if holds is None: the evidence ran out."""
     return "budget" if holds is None else ("pass" if holds else "fail")
+
+
+def _check_verdict(verdicts):
+    """The verdict of a whole check: fail if any n fails, else budget if any ran out."""
+    return next((v for v in ("fail", "budget") if v in verdicts), "pass")
 
 
 def _sweep(name, bound, holds):

@@ -423,3 +423,19 @@ def test_order_ideal_check_sums_no_unconfirmed_valuation(
     assert report.verdicts == {1: "budget"}
     assert report.details["nu"] == [None, 7]
     assert report.details["sum"] is None
+
+
+@pytest.mark.parametrize(
+    "verdicts, whole",
+    [
+        ((), "pass"),
+        (("pass", "pass"), "pass"),
+        (("pass", "budget"), "budget"),
+        (("budget", "fail", "pass"), "fail"),
+        (("fail", "budget"), "fail"),
+    ],
+)
+def test_one_rule_gives_the_check_verdict_and_passed(verdicts, whole):
+    report = verify.CheckReport("c", {}, (0, 0), dict(enumerate(verdicts)), ())
+    assert verify._check_verdict(report.verdicts.values()) == whole
+    assert report.passed == (whole == "pass")
