@@ -127,8 +127,7 @@ def extended_rees_presentation(R, I):
     pres_ring = PolyRing(retained + y_names + (u_name,), ring.field)
     u = pres_ring.gen(u_name)
     if variable_case:
-        images = _lift_images(ring.names, y_names, u)
-        rel = [m.substitute(pres_ring, images) for m in R.modulus]
+        rel = [_lift(m, pres_ring) for m in R.modulus]
     else:
         rel = [m.to_ring(pres_ring) for m in R.modulus]
         rel += [u * pres_ring.gen(y) - g.to_ring(pres_ring) for y, g in zip(y_names, gens)]
@@ -177,14 +176,14 @@ def lift_to_rees(pres, f):
     """
     if pres.retained:
         raise PreconditionError("lift supported only when I is generated by the variables")
-    ring = pres.algebra.ring
-    images = _lift_images(pres.base.ring.names, pres.y_names, ring.gen(pres.u_name))
-    return f.substitute(ring, images)
+    return _lift(f.to_ring(pres.base.ring), pres.algebra.ring)
 
 
-def _lift_images(x_names, y_names, u):
-    """x_j -> u*y_j: k[x, T, T^{-1}] read in k[y, u, u^{-1}], T = u^{-1}."""
-    return {x: u * u.ring.gen(y) for x, y in zip(x_names, y_names)}
+def _lift(f, ring):
+    """f(x_j := u*y_j) for f in k[x_1..x_n] and ring k[y_1..y_n, u]: x^e
+    goes to y^e * u^|e|, reading k[x, T, T^{-1}] in k[y, u, u^{-1}] with
+    T = u^{-1}."""
+    return ring.poly_from_dict({e + (sum(e),): c for e, c in f.terms})
 
 
 # ---------------------------------------------------------------------------
