@@ -4,8 +4,9 @@ sweep that emits a report.
 No check ever claims a proof. By one rule (_verdict) each verdict is "pass"
 or "fail" as the statement holds on the swept range of the fixture, or
 "budget" when the evidence ran out; by another (_check_verdict) the whole
-check fails if any verdict fails, else is "budget" if any ran out. Every report (_report) echoes each
-assertion its verdict leans on: its claims, then the words asserted of its ring.
+check fails if any verdict fails, else is "budget" if any ran out. Every
+report (_report) echoes each assertion its verdict leans on: its claims,
+then the words asserted of its ring.
 """
 
 from __future__ import annotations
