@@ -8,8 +8,8 @@ when their rings and reduced modulus bases are. Intersections, colons,
 saturations, radical membership and kernels each write their relations in
 `elimination_ring(front, target)`, which puts the variables to drop first
 under a block order, and call `eliminate`; this module is the only one that
-does. Rees presentations and the projective-closure check reach it through
-one saturation each. Polynomials enter and leave that ring by `to_ring`,
+does. Rees presentations and projective closures reach it through one
+saturation each. Polynomials enter and leave that ring by `to_ring`,
 which matches variables by name.
 """
 

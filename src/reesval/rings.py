@@ -1,9 +1,8 @@
-"""Homogenization, extended Rees presentations and the projective-closure
-check, each one saturation by a variable (`Ideal._saturation_gens`) over
-the affine algebras of `ideals`; no elimination ring is built here. Base
-and presentation variables are matched by name (`to_ring`, `substitute`);
-the homogenizing X0 is the one variable read by position, as the first of
-its ring.
+"""Projective closures and extended Rees presentations, each one saturation
+by a variable (`Ideal._saturation_gens`) over the affine algebras of
+`ideals`; no elimination ring is built here. Base and presentation
+variables are matched by name (`to_ring`); the homogenizing X0 is the one
+variable read by position, as the first of its ring.
 
 Normality / primality of user-supplied algebras and primes are ASSERTED,
 never decided here; operations that rely on an assertion echo it in their
@@ -69,36 +68,6 @@ class ReesPresentation:
     u_name: str
     retained: tuple  # names of base variables kept in the presentation
     weights: tuple
-
-    def grading_weight(self, f):
-        """Degree under self.weights of an element homogeneous for them; None if mixed."""
-        degs = {
-            sum(w * p for w, p in zip(self.weights, e)) for e, _ in f.terms
-        }
-        if len(degs) != 1:
-            return None
-        return degs.pop()
-
-    def back_substitution_holds(self):
-        """Check each modulus generator dies under y_i -> f_i*T, u -> T^{-1}.
-
-        T^{-1} is realized as a fresh variable Ti with the relation T*Ti = 1;
-        vanishing in the Laurent ring is membership in (base modulus, T*Ti - 1).
-        """
-        base_ring = self.base.ring
-        names = base_ring.names + base_ring.fresh_names("_T", "_Ti")
-        ring = PolyRing(names, base_ring.field, GrevLex())
-        T, Ti = ring.gens()[-2:]
-        rel = [m.to_ring(ring) for m in self.base.modulus]
-        rel.append(T * Ti - ring.one)
-        laurent = Ideal(AffineAlgebra(ring), rel)
-        # the retained base variables map to themselves
-        images = {y: g.to_ring(ring) * T for y, g in zip(self.y_names, self.ideal_gens)}
-        images[self.u_name] = Ti
-        return all(
-            laurent.contains_poly(m.substitute(ring, images))
-            for m in self.algebra.modulus
-        )
 
 
 def extended_rees_presentation(R, I):
@@ -184,27 +153,3 @@ def _lift(f, ring):
     goes to y^e * u^|e|, reading k[x, T, T^{-1}] in k[y, u, u^{-1}] with
     T = u^{-1}."""
     return ring.poly_from_dict({e + (sum(e),): c for e, c in f.terms})
-
-
-# ---------------------------------------------------------------------------
-# projective-closure chart identity
-
-
-def check_projective_closure_iso(P, H):
-    """Verify k[X0, x] -> S[X1/X0, ...] has kernel exactly P extended.
-
-    P is the affine modulus ideal (in k[x]), H its homogenization (in
-    k[X0, X], X0 first, as homogenize_ideal builds it). X_j -> X0*x_j maps
-    S onto the chart, where X0 is a unit, so the kernel is the saturation
-    (H(X0, X0*x)) : X0^infinity in k[X0, x].
-    """
-    affine_ring = P.algebra.ring
-    x0_name = H.algebra.ring.names[0]
-    chart = AffineAlgebra(PolyRing((x0_name,) + affine_ring.names, affine_ring.field))
-    X0 = chart.ring.gen(x0_name)
-    images = {v: X0 * chart.ring.gen(v) for v in affine_ring.names}
-    dehomogenized = Ideal(chart, [g.substitute(chart.ring, images) for g in H.gens])
-    kernel = Ideal(chart, dehomogenized._saturation_gens(X0))
-    # expected: P extended to k[X0, x]
-    expected = Ideal(chart, tuple(g.to_ring(chart.ring) for g in P.gens))
-    return kernel.equals(expected)

@@ -193,8 +193,13 @@ def ord_at(P, f, nmax=DEFAULT_NMAX):
 
 
 def _order_along(Q, g):
-    """ord_at(Q, g) for Q a height-1 prime; the height is screened by dimension."""
-    if krull_dim(Ideal(Q.algebra, ())) - 1 != krull_dim(Q):
+    """ord_at(Q, g) for Q a height-1 prime. The height is screened by
+    ht Q = dim A - dim A/Q, exact in a domain (Eisenbud, Commutative
+    Algebra, Cor. 13.4), so an algebra with a modulus must be asserted one."""
+    alg = Q.algebra
+    if alg.modulus and "domain" not in alg.asserted:
+        raise PreconditionError("no height screen: the algebra is not asserted a domain")
+    if krull_dim(Ideal(alg, ())) - 1 != krull_dim(Q):
         raise PreconditionError("Q does not have height 1 in the algebra")
     return ord_at(Q, g)
 

@@ -1,8 +1,12 @@
+import random
+
 import pytest
 
 from reesval import (
     AffineAlgebra,
+    Block,
     GrevLex,
+    Lex,
     PolyRing,
     QQ,
     associated_graded,
@@ -14,7 +18,7 @@ from reesval import (
 from reesval.errors import NotHomogeneousError, PreconditionError
 from reesval.ideals import Ideal, kernel_of_map
 from reesval.poly import PrimeField
-from reesval.rings import check_projective_closure_iso, homogenize_poly
+from reesval.rings import homogenize_poly
 
 
 def test_reduce_and_properness(paper_ring):
@@ -39,20 +43,37 @@ def test_homogenize_poly_reads_variables_by_name(poly_xy):
     assert homogenize_poly(f, hring) == X**2 * X0 + Y**3 + X0**3
 
 
+def _closure_by_degree_basis(P, H):
+    """Reduced basis of the projective closure of P in H's ring, as the
+    homogenization of P's reduced grevlex basis, which generates it
+    (Cox-Little-O'Shea, ch. 8 section 4, Thm. 4); no saturation."""
+    ring = P.algebra.ring
+    grevlex = AffineAlgebra(PolyRing(ring.names, ring.field, GrevLex()))
+    basis = Ideal(grevlex, [g.to_ring(grevlex.ring) for g in P.gens]).gb()
+    return Ideal(H.algebra, [homogenize_poly(g, H.algebra.ring) for g in basis]).gb()
+
+
 def test_homogenize_ideal_saturates(paper_ring):
     P = Ideal(AffineAlgebra(paper_ring.ring), paper_ring.modulus)
     H = homogenize_ideal(P)
     for g in H.gens:
         assert g.is_homogeneous()
-    hring = H.algebra.ring
-    X0, X1, X2, X3 = hring.gens()
-    assert H.contains_poly(X0 * X1 * X2 + X3**3)
+    assert H.gb() == _closure_by_degree_basis(P, H)
 
 
-def test_projective_closure_chart_identity(paper_ring):
-    P = Ideal(AffineAlgebra(paper_ring.ring), paper_ring.modulus)
+def test_closure_check_rejects_an_unsaturated_homogenization():
+    # the raw homogenization (X0*x - y^2, x*y - X0^2) dehomogenizes to P
+    # but is not saturated: the closure also holds x^2 - X0*y
+    ring = PolyRing(("x", "y"), QQ, GrevLex())
+    x, y = ring.gens()
+    P = Ideal(AffineAlgebra(ring), (x - y**2, x * y - 1))
     H = homogenize_ideal(P)
-    assert check_projective_closure_iso(P, H)
+    hring = H.algebra.ring
+    X0, X, Y = hring.gens()
+    raw = Ideal(H.algebra, [homogenize_poly(g, hring) for g in P.gens])
+    closure = _closure_by_degree_basis(P, H)
+    assert H.gb() == closure and raw.gb() != closure
+    assert H.contains_poly(X**2 - X0 * Y) and not raw.contains_poly(X**2 - X0 * Y)
 
 
 def test_projective_closure_names_avoid_ring_variables():
@@ -61,7 +82,7 @@ def test_projective_closure_names_avoid_ring_variables():
     P = Ideal(AffineAlgebra(ring), (X0 * x - _x**3,))
     H = homogenize_ideal(P)
     assert H.algebra.ring.names == ("X0_", "X0", "x", "_x")
-    assert check_projective_closure_iso(P, H)
+    assert H.gb() == _closure_by_degree_basis(P, H)
 
 
 def test_closure_check_refuses_the_closure_of_another_ideal(paper_ring):
@@ -69,11 +90,37 @@ def test_closure_check_refuses_the_closure_of_another_ideal(paper_ring):
     x1, x2, x3 = ring.gens()
     affine = AffineAlgebra(ring)
     P = Ideal(affine, paper_ring.modulus)
+    HP = homogenize_ideal(P)
     for other in [(x1 * x2 - x3**3,), (x1 * x2 + x3**3, x1), (x1,)]:
         Q = Ideal(affine, other)
-        assert check_projective_closure_iso(Q, homogenize_ideal(Q))
-        assert not check_projective_closure_iso(P, homogenize_ideal(Q))
-        assert not check_projective_closure_iso(Q, homogenize_ideal(P))
+        HQ = homogenize_ideal(Q)
+        assert HQ.gb() == _closure_by_degree_basis(Q, HQ)
+        assert HQ.gb() != _closure_by_degree_basis(P, HQ)
+        assert HP.gb() != _closure_by_degree_basis(Q, HP)
+
+
+def _random_modulus(seed):
+    """Seeded ideal of one to three polynomials of degree <= 3, each two or
+    three terms with coefficients in -3..3, over QQ, Fp(7) or Fp(32003) in
+    2 or 3 variables, under grevlex, lex or Block(1)."""
+    rng = random.Random(seed)
+    field = (QQ, PrimeField(7), PrimeField(32003))[seed % 3]
+    order = (GrevLex(), Lex(), Block(1))[seed // 3 % 3]
+    ring = PolyRing(("x", "y", "z")[: 2 + seed // 9 % 2], field, order)
+    exps = ring.monomials_up_to_degree(3)
+    gens = []
+    for _ in range(rng.randint(1, 3)):
+        picked = rng.sample(exps, rng.randint(2, 3))
+        terms = [ring.monomial(e, rng.choice((-3, -2, -1, 1, 2, 3))) for e in picked]
+        gens.append(sum(terms, ring.zero))
+    return Ideal(AffineAlgebra(ring), gens)
+
+
+def test_closure_agrees_with_the_degree_basis_on_seeded_moduli():
+    for seed in range(60):
+        P = _random_modulus(seed)
+        H = homogenize_ideal(P)
+        assert H.gb() == _closure_by_degree_basis(P, H), seed
 
 
 def test_extended_rees_presentation_paper_example(paper_ring, paper_m):
@@ -83,9 +130,6 @@ def test_extended_rees_presentation_paper_example(paper_ring, paper_m):
     y1, y2, y3, u = ring.gens()
     assert Ideal(pres.algebra, ()).algebra.modulus == (y1 * y2 + u * y3**3,)
     assert pres.weights == (1, 1, 1, -1)
-    assert pres.back_substitution_holds()
-    # the defining relation is homogeneous of weight 2 for the Z-grading
-    assert pres.grading_weight(pres.algebra.modulus[0]) == 2
 
 
 def test_presentation_of_nonmaximal_ideal_keeps_base_vars(poly_xy):
@@ -93,7 +137,6 @@ def test_presentation_of_nonmaximal_ideal_keeps_base_vars(poly_xy):
     I = Ideal(poly_xy, (x**2, y**3))
     pres = extended_rees_presentation(poly_xy, I)
     assert set(("x", "y")) <= set(pres.algebra.ring.names)
-    assert pres.back_substitution_holds()
     ring = pres.algebra.ring
     # y1 ~ x^2 T, y2 ~ y^3 T: the relation y^3*y1 - x^2*y2 must be in the kernel
     rel = ring.gen("y") ** 3 * ring.gen("y1") - ring.gen("x") ** 2 * ring.gen("y2")
@@ -122,7 +165,7 @@ def _rees_kernel_by_graph(pres):
 def _cross_check_cases():
     """(id, algebra, ideal): the ideal of the variables in and out of order
     and two ideals that keep the base variables, over QQ and Fp(7), with
-    and without a modulus."""
+    and without a modulus, and the paper ring's m listed out of order."""
     cases = []
     for field in (QQ, PrimeField(7)):
         ring = PolyRing(("x", "y"), field, GrevLex())
@@ -137,6 +180,10 @@ def _cross_check_cases():
                 ("x2-xy+y", (x**2, x * y + y)),
             ]:
                 cases.append((f"{field}-{mod_name}-{ideal_name}", R, Ideal(R, gens)))
+    paper = PolyRing(("x1", "x2", "x3"), QQ, GrevLex())
+    x1, x2, x3 = paper.gens()
+    R = AffineAlgebra(paper, (x1 * x2 + x3**3,), asserted=("normal", "domain"))
+    cases.append(("paper-x3-x1-x2", R, Ideal(R, (x3, x1, x2))))
     return cases
 
 
@@ -175,7 +222,6 @@ def test_lift_to_rees_with_variables_out_of_order(paper_ring):
     # modulus generator lifts to zero in the presentation
     x1, x2, x3 = paper_ring.ring.gens()
     pres = extended_rees_presentation(paper_ring, Ideal(paper_ring, (x3, x1, x2)))
-    assert pres.back_substitution_holds()
     ring = pres.algebra.ring
     assert lift_to_rees(pres, x1) == ring.gen("u") * ring.gen("y1")
     lifted = lift_to_rees(pres, paper_ring.modulus[0])

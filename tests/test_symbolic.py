@@ -8,6 +8,7 @@ from reesval import (
     GrevLex,
     PolyRing,
     QQ,
+    check_order_ideal_theorem_presentation,
     extended_rees_presentation,
     lift_to_rees,
     ord_at,
@@ -349,6 +350,25 @@ def test_symbolic_order_along_height_screen(paper_ring, paper_m):
     not_height_one = Ideal(alg, (u, y1, y2))
     with pytest.raises(PreconditionError):
         symbolic_order_along(not_height_one, u)
+
+
+def test_height_screen_needs_a_domain_assertion():
+    # R = Q[x,y,z]/(x(z-1), y(z-1)) is the z-axis and the plane z = 1, not
+    # a domain, so dim A - dim A/Q need not be the height of Q
+    x, y, z = PolyRing(("x", "y", "z"), QQ, GrevLex()).gens()
+    R = AffineAlgebra(x.ring, (x * (z - 1), y * (z - 1)))
+    m = Ideal(R, (x, y, z))
+    pres = extended_rees_presentation(R, m)
+    alg = pres.algebra
+    u, y1, y2 = alg.ring.gen("u"), alg.ring.gen("y1"), alg.ring.gen("y2")
+    Q = Ideal(alg, (u, y1, y2))
+    refused = "^no height screen: the algebra is not asserted a domain$"
+    with pytest.raises(PreconditionError, match=refused):
+        symbolic_order_along(Q, u)
+    with pytest.raises(PreconditionError, match=refused):
+        check_order_ideal_theorem_presentation(m, z, pres, [Q])
+    with pytest.raises(PreconditionError, match="not asserted a domain"):
+        ord_at(Q, u)
 
 
 def test_explicit_separator_is_unproven_without_a_domain_assertion():
