@@ -27,9 +27,9 @@ from .multiplicity import (
     krull_dim,
     length_sampler,
     local_multiplicity_via_gr,
-    local_multiplicity_via_table,
     multiplicity_from_table,
     multiplicity_graded,
+    read_length_table,
 )
 from .poly import QQ, Block, GrevLex, Lex, PolyRing, Polynomial, PrimeField
 from .rings import (

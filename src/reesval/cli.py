@@ -26,11 +26,9 @@ from .monomial import (
     newton_polyhedron,
 )
 from .multiplicity import (
-    _read_at_origin,
-    krull_dim,
-    length_sampler,
     local_multiplicity_via_gr,
     multiplicity_graded,
+    read_length_table,
 )
 from .poly import Block, GrevLex, Lex, PolyRing, PrimeField, QQ
 from .rings import extended_rees_presentation
@@ -246,15 +244,10 @@ class _Session:
 
     def cmd_length_table(self, ideal, N, /, *, f=None):
         f = self.poly(f) if f is not None else None
-        table = length_sampler(self.algebra, self.ideal(ideal), f=f, N=_int(N))
-        dim = krull_dim(Ideal(self.algebra, (f,) if f is not None else ()))
-        e, stabilized = _read_at_origin(table, dim)
-        return {
-            "table": [[n, l] for n, l in table],
-            "dim": dim,
-            "e": e,
-            "stabilized": stabilized,
-        }
+        table, dim, e, stabilized = read_length_table(
+            self.algebra, self.ideal(ideal), f=f, N=_int(N)
+        )
+        return {"table": [[n, l] for n, l in table], "dim": dim, "e": e, "stabilized": stabilized}
 
     def cmd_newton(self, ideal, /):
         np_ = newton_polyhedron(self.ideal(ideal))

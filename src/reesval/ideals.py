@@ -204,6 +204,7 @@ class Ideal:
         gens.append(tring.one - t * f.to_ring(tring))
         return eliminate(gens, ring)
 
+    @groebner._budgeted
     def saturate(self, f, source=None):
         """(I : f^infinity) by one elimination; returns (ideal, depth).
 

@@ -9,9 +9,9 @@ ch. 9 section 3), so graded multiplicity and dimension read the ideal's
 basis in its ring's own order. Local multiplicities at the origin go
 through the associated graded ring of the extended Rees presentation,
 cross-checkable against finite differences of a length table, which
-refuses a quotient with a point other than the origin, and whose readers
-refuse a reading of e <= 0, the sign of a Krull dimension larger than
-the local one.
+refuses a quotient with a point other than the origin. One function,
+read_length_table, reads such a table, and refuses a reading of e <= 0,
+the sign of a Krull dimension larger than the local one.
 """
 
 from __future__ import annotations
@@ -210,28 +210,19 @@ def multiplicity_from_table(table, dim):
     return diffs[-1], stabilized
 
 
-def _read_at_origin(table, dim):
-    """multiplicity_from_table with dim a Krull dimension, read as the
-    dimension at the origin. It may be larger: a component of positive
-    dimension away from the origin leaves the local lengths alone, so
-    their dim-th differences settle at 0. A stabilized e <= 0 is refused."""
+def read_length_table(R, I, f=None, N=5):
+    """(table, dim, e, stabilized): the length table of I on R (or R/(f)),
+    read by multiplicity_from_table in dim, the Krull dimension of R/(f).
+    That is read as the dimension at the origin, which may be smaller: a
+    component of positive dimension away from the origin leaves the local
+    lengths alone, so their dim-th differences settle at 0. A stabilized
+    e <= 0 is refused."""
+    table = length_sampler(R, I, f=f, N=N)
+    dim = krull_dim(Ideal(R, (f,) if f is not None else ()))
     e, stabilized = multiplicity_from_table(table, dim)
     if stabilized and e <= 0:
         raise PreconditionError(
             f"length table reads e = {e} in dimension {dim}: "
             "the dimension at the origin is smaller"
         )
-    return e, stabilized
-
-
-def local_multiplicity_via_table(R, I, f=None, N=6):
-    """Sampler route to the local multiplicity at the origin; refuses
-    unstabilized tables, readings of e <= 0 and, through the sampler,
-    quotients with another point."""
-    extra = (f,) if f is not None else ()
-    dim = krull_dim(Ideal(R, extra))
-    table = length_sampler(R, I, f=f, N=max(N, dim + 4))
-    e, stabilized = _read_at_origin(table, dim)
-    if not stabilized:
-        raise PreconditionError("length table did not stabilize; raise N")
-    return e
+    return table, dim, e, stabilized

@@ -19,12 +19,10 @@ from .errors import PreconditionError
 from .ideals import AffineAlgebra, Ideal
 from .monomial import rees_valuations_monomial
 from .multiplicity import (
-    _read_at_origin,
     graded_invariants,
-    krull_dim,
-    length_sampler,
     local_multiplicity_via_gr,
     multiplicity_graded,
+    read_length_table,
 )
 from .poly import Polynomial
 from .rings import homogenize_ideal, lift_to_rees
@@ -205,9 +203,7 @@ def check_order_ideal_theorem_presentation(I, f, pres, primes):
     nu, d = valuation_data_from_presentation(pres, primes)
     values = [nu(i, f) for i in range(len(primes))]
     rhs = None if None in values else sum(v * di for v, di in zip(values, d))
-    dim = krull_dim(Ideal(R, (f,)))
-    table = length_sampler(R, I, f=f, N=ORDER_IDEAL_N)
-    e_lhs, stabilized = _read_at_origin(table, dim)
+    table, _dim, e_lhs, stabilized = read_length_table(R, I, f=f, N=ORDER_IDEAL_N)
     ran_out = rhs is None or not stabilized
     return _report(
         "order-ideal-theorem", ("presentation normal", "Q_i prime"), R,

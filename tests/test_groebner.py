@@ -27,6 +27,8 @@ def test_twisted_cubic_lex_basis():
     G = buchberger([x**2 - y, x**3 - z])
     expected = {x**2 - y, x * y - z, x * z - y**2, y**3 - z**2}
     assert set(G) == expected
+    # the input is not a basis: its S-polynomial z - x*y leaves a remainder
+    assert not is_groebner([x**2 - y, x**3 - z]) and is_groebner(G)
 
 
 def test_basis_is_groebner_and_ideal_membership():

@@ -7,7 +7,7 @@ import pytest
 
 from reesval import AffineAlgebra, GrevLex, Lex, PolyRing, PrimeField, QQ, groebner, symbolic
 from reesval.cli import parse_session, run
-from reesval.errors import PreconditionError
+from reesval.errors import BudgetExceededError, PreconditionError
 from reesval.ideals import (
     ASSERTIONS,
     Ideal,
@@ -181,6 +181,27 @@ def test_saturation_is_one_groebner_computation(poly_xy, monkeypatch):
     calls = _record_calls(monkeypatch, groebner, "buchberger")
     I.saturate(x)
     assert len(calls) == 1
+
+
+def test_saturation_depth_loop_draws_on_one_budget(poly_xyz, monkeypatch):
+    # P^(2) is one power short of a source for P^3: its saturation is not
+    # P^(3), so no power of x carries all of it into P^3 and the depth loop
+    # never ends. Its membership tests share one scope, which runs out
+    x, y, z = poly_xyz.ring.gens()
+    P = Ideal(poly_xyz, (y**2 - x * z, x**2 * y - z**2, x**3 - y * z))
+    source = symbolic.symbolic_power(P, 2, separator=x)[0]
+    monkeypatch.setattr(groebner, "DEFAULT_BUDGET", 20_000)
+    real, tests = Ideal.contains_poly, []
+
+    def tripwire(self, f):
+        tests.append(f)
+        if len(tests) > 2_000:
+            raise AssertionError("the depth loop outran its budget")
+        return real(self, f)
+
+    monkeypatch.setattr(Ideal, "contains_poly", tripwire)
+    with pytest.raises(BudgetExceededError, match="^reduction-step budget exhausted$"):
+        P.power(3).saturate(x, source=source)
 
 
 def test_power_work_count(poly_xy, monkeypatch):

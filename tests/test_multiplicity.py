@@ -14,10 +14,10 @@ from reesval import (
     krull_dim,
     length_sampler,
     local_multiplicity_via_gr,
-    local_multiplicity_via_table,
     multiplicity,
     multiplicity_from_table,
     multiplicity_graded,
+    read_length_table,
 )
 from reesval.cli import parse_session, run
 from reesval.errors import NotHomogeneousError, PreconditionError
@@ -245,7 +245,7 @@ def test_table_refuses_a_point_other_than_the_origin(poly_xy):
     x, y = poly_xy.ring.gens()
     I = Ideal(poly_xy, (x**2 - x, y))
     with pytest.raises(PreconditionError, match="^quotient has a point other than the origin$"):
-        local_multiplicity_via_table(poly_xy, I)
+        read_length_table(poly_xy, I, N=6)
     report, ok = run(parse_session("ring { vars: x y }\nideal I = x^2 - x, y\ncmd: length-table I 4"))
     assert not ok
     assert report["commands"][0]["error"] == "quotient has a point other than the origin"
@@ -267,7 +267,7 @@ def test_table_refuses_a_dimension_above_the_one_at_the_origin():
     assert local_multiplicity_via_gr(R) == 1 and krull_dim(Ideal(R, ())) == 2
     refused = "^length table reads e = 0 in dimension 2: the dimension at the origin is smaller$"
     with pytest.raises(PreconditionError, match=refused):
-        local_multiplicity_via_table(R, m)
+        read_length_table(R, m, N=6)
     # R/(z(z-1)) keeps the plane but is a point at the origin; with no
     # exceptional prime the check goes straight to its table
     pres = extended_rees_presentation(R, m)
@@ -300,8 +300,8 @@ def test_table_too_short(poly_xy):
 def _cross_check(R, I_gens, f=None):
     I = Ideal(R, I_gens)
     via_gr = local_multiplicity_via_gr(R, f)
-    via_table = local_multiplicity_via_table(R, I, f=f)
-    assert via_gr == via_table
+    _table, _dim, via_table, stabilized = read_length_table(R, I, f=f, N=6)
+    assert stabilized and via_gr == via_table
     return via_gr
 
 
