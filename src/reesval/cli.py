@@ -34,7 +34,6 @@ from .poly import Block, GrevLex, Lex, PolyRing, PrimeField, QQ
 from .rings import extended_rees_presentation
 from .symbolic import DEFAULT_NMAX, ord_at, symbolic_power
 from .verify import (
-    _check_verdict,
     check_improved_chevalley,
     check_local_zariski_nagata,
     check_main_theorem_A,
@@ -302,7 +301,7 @@ class _Session:
         method = _method(self, "check_", kind)
         if not method:
             raise PreconditionError(f"unknown check {kind!r}")
-        return _call(method, (), flags).to_dict()
+        return _call(method, (), flags)
 
     def check_zariski_nagata(self, *, p, q, nmax=3):
         return check_local_zariski_nagata(self.ideal(p), self.ideal(q), _int(nmax))
@@ -349,10 +348,11 @@ def run(session, seed=0, budget=None, fail_fast=False, timings=False):
             pos, flags = _split(args)
             with groebner.budget(budget) if budget is not None else nullcontext():
                 result = _call(method, pos, flags)
-            entry["result"] = result
             if name == "check":
-                entry["verdict"] = _check_verdict(result["verdicts"].values())
-                ok = ok and result["passed"]
+                entry["verdict"] = result.verdict
+                ok = ok and result.passed
+                result = result.to_dict()
+            entry["result"] = result
         except ReesvalError as exc:
             entry["error"] = str(exc)
             ok = False

@@ -2,7 +2,8 @@
 
 An Ideal handle holds generators inside an AffineAlgebra and denotes
 (generators + modulus)/modulus; every cached basis includes the modulus
-generators. Bases are the plain tuples `groebner.buchberger` returns, so
+generators, and the algebra's one zero_ideal handle caches the modulus
+basis itself. Bases are the plain tuples `groebner.buchberger` returns, so
 the unit ideal is the one whose basis is (1,), and two algebras are equal
 when their rings and reduced modulus bases are. Intersections, colons,
 saturations, radical membership and kernels each write their relations in
@@ -35,31 +36,25 @@ class AffineAlgebra:
         unknown = self.asserted.difference(ASSERTIONS)
         if unknown:
             raise PreconditionError(f"unknown assert {' '.join(sorted(unknown))!r}")
-        self._modulus_gb = None
-        self._jacobian = None  # J_R of the Jacobian criterion, filled by symbolic
         if "standard_graded" in self.asserted:
             if any(not m.is_homogeneous() for m in self.modulus):
                 raise NotHomogeneousError(
                     "standard_graded asserted but modulus has a non-homogeneous generator"
                 )
-
-    def modulus_gb(self):
-        if self._modulus_gb is None:
-            self._modulus_gb = groebner.buchberger(self.modulus)
-        return self._modulus_gb
+        self.zero_ideal = Ideal(self, ())  # its basis is the modulus basis
 
     def reduce(self, f):
         """Canonical representative of f modulo the modulus."""
         if not self.modulus:
             return f
-        return groebner.normal_form(f, self.modulus_gb())
+        return groebner.normal_form(f, self.zero_ideal.gb())
 
     def __eq__(self, other):
         """Same ring and same ideal: the reduced modulus bases agree."""
         return self is other or (
             isinstance(other, AffineAlgebra)
             and self.ring == other.ring
-            and self.modulus_gb() == other.modulus_gb()
+            and self.zero_ideal.gb() == other.zero_ideal.gb()
         )
 
     def __hash__(self):
@@ -100,11 +95,10 @@ class Ideal:
         self.algebra = algebra
         self.gens = tuple(gens)
         self._gb = None
-        self._powers = []  # layer n: pairs (n-fold product, index of its last factor)
+        self._powers = []  # layer n: (pairs (n-fold product, index of its last factor), I^n)
         self._symbolic_powers = {}  # filled by symbolic.symbolic_power
-        self._ordinary_powers = {}  # n -> the handle of I^n whose basis symbolic reads
         self._separators = {}  # separator text -> (separator, proven), by symbolic
-        self._jacobian = None  # J_{R/P} of the Jacobian criterion, filled by symbolic
+        self._jacobian = None  # J_{R/I} of the Jacobian criterion, filled by symbolic
 
     def __repr__(self):
         return f"Ideal({', '.join(str(g) for g in self.gens) or '0'})"
@@ -114,13 +108,14 @@ class Ideal:
 
     def gb(self):
         """Reduced Groebner basis, a tuple, of generators + modulus in the
-        ambient ring; with no nonzero generator, the algebra's own (cached)
-        modulus basis."""
+        ambient ring; with no nonzero generator, the basis of the algebra's
+        zero ideal, the modulus basis."""
         if self._gb is None:
-            if any(not g.is_zero() for g in self.gens):
+            zero = self.algebra.zero_ideal
+            if self is zero or any(not g.is_zero() for g in self.gens):
                 self._gb = groebner.buchberger(self.ambient_gens())
             else:
-                self._gb = self.algebra.modulus_gb()
+                self._gb = zero.gb()
         return self._gb
 
     def contains_poly(self, f):
@@ -128,7 +123,7 @@ class Ideal:
 
     def contains_ideal(self, other):
         self._check(other)
-        return all(self.contains_poly(g) for g in other.ambient_gens())
+        return all(self.contains_poly(g) for g in other.gens)
 
     def equals(self, other):
         return self.contains_ideal(other) and other.contains_ideal(self)
@@ -150,16 +145,17 @@ class Ideal:
 
     def power(self, n):
         """All n-fold products of the generators in combinations_with_replacement
-        order, each one a product of the cached layer n - 1 times a generator."""
+        order, each one a product of the cached layer n - 1 times a generator.
+        Layer n keeps its handle, so every call for n returns the same Ideal."""
         if n < 0:
             raise PreconditionError("negative power")
-        layers = self._powers or [((self.algebra.ring.one, 0),)]
+        one = self.algebra.ring.one
+        layers = self._powers or [(((one, 0),), Ideal(self.algebra, (one,)))]
         while len(layers) <= n:
-            layers.append(
-                tuple((p * g, k) for p, i in layers[-1] for k, g in enumerate(self.gens[i:], i))
-            )
+            pairs = [(p * g, k) for p, i in layers[-1][0] for k, g in enumerate(self.gens[i:], i)]
+            layers.append((pairs, Ideal(self.algebra, [p for p, _ in pairs])))
         self._powers = layers
-        return Ideal(self.algebra, tuple(p for p, _ in layers[n]))
+        return layers[n][1]
 
     # -- elimination-backed operations ---------------------------------------
 

@@ -129,7 +129,7 @@ def graded_invariants(I):
 
 def multiplicity_graded(S):
     """Hilbert-Samuel multiplicity of a standard graded algebra."""
-    return graded_invariants(Ideal(S, ()))[0]
+    return graded_invariants(S.zero_ideal)[0]
 
 
 def krull_dim(I):
@@ -218,7 +218,7 @@ def read_length_table(R, I, f=None, N=5):
     lengths alone, so their dim-th differences settle at 0. A stabilized
     e <= 0 is refused."""
     table = length_sampler(R, I, f=f, N=N)
-    dim = krull_dim(Ideal(R, (f,) if f is not None else ()))
+    dim = krull_dim(Ideal(R, (f,)) if f is not None else R.zero_ideal)
     e, stabilized = multiplicity_from_table(table, dim)
     if stabilized and e <= 0:
         raise PreconditionError(

@@ -23,9 +23,10 @@ generator, whichever of them is saturated.
 Results and proofs are cached on the prime's own Ideal handle, as its
 Groebner basis is, so they live as long as that handle: repeated calls with
 the same handle reuse them, and a re-parsed session starts with none.
-J_{R/P} is cached there too, so each separator tried reuses it, and so is
-the handle of P^n, whose basis every separator's depth reads; J_R is
-cached on the algebra, which all its primes share.
+J_{R/P} is cached there too, so each separator tried reuses it, and J_R is
+cached the same way on the algebra's zero ideal, which all its primes
+share. P.power(n) keeps one handle per n, so the basis of P^n that every
+separator's depth reads is computed once.
 """
 
 from __future__ import annotations
@@ -90,11 +91,10 @@ def _prove(P, separator):
         if separator == "auto":
             raise PreconditionError("no proven separator: R is not asserted a domain")
         return separator, False
-    if alg._jacobian is None:
-        alg._jacobian = _jacobian_ideal(alg, (), krull_dim(Ideal(alg, ())))
-    if P._jacobian is None:
-        P._jacobian = _jacobian_ideal(alg, P.gens, d)
-    loci = (alg._jacobian, P._jacobian)
+    for I in (alg.zero_ideal, P):
+        if I._jacobian is None:
+            I._jacobian = _jacobian_ideal(alg, I.gens, krull_dim(I))
+    loci = (alg.zero_ideal._jacobian, P._jacobian)
     if separator != "auto":
         return separator, all(J.radical_contains(separator) for J in loci)
     for x in alg.ring.gens():
@@ -126,7 +126,7 @@ def symbolic_power(P, n, separator="auto"):
     if separator != "auto" and not isinstance(separator, Polynomial):
         raise PreconditionError('separator must be "auto" or a polynomial')
     if n <= 1:
-        power = P if n else Ideal(P.algebra, (P.algebra.ring.one,))
+        power = P if n else P.power(0)
         return power, _certificate(None, 0, True, True)
     key = (n, str(separator))
     if key in P._symbolic_powers:
@@ -136,7 +136,7 @@ def symbolic_power(P, n, separator="auto"):
     if str(separator) not in P._separators:
         P._separators[str(separator)] = _prove(P, separator)
     separator, proven = P._separators[str(separator)]
-    Pn = P._ordinary_powers.setdefault(n, P.power(n))
+    Pn = P.power(n)
     if separator is None:
         result, steps = Pn, 0
     else:
@@ -199,7 +199,7 @@ def _order_along(Q, g):
     alg = Q.algebra
     if alg.modulus and "domain" not in alg.asserted:
         raise PreconditionError("no height screen: the algebra is not asserted a domain")
-    if krull_dim(Ideal(alg, ())) - 1 != krull_dim(Q):
+    if krull_dim(alg.zero_ideal) - 1 != krull_dim(Q):
         raise PreconditionError("Q does not have height 1 in the algebra")
     return ord_at(Q, g)
 

@@ -3,10 +3,10 @@ sweep that emits a report.
 
 No check ever claims a proof. By one rule (_verdict) each verdict is "pass"
 or "fail" as the statement holds on the swept range of the fixture, or
-"budget" when the evidence ran out; by another (_check_verdict) the whole
-check fails if any verdict fails, else is "budget" if any ran out. Every
-report (_report) echoes each assertion its verdict leans on: its claims,
-then the words asserted of its ring.
+"budget" when the evidence ran out; by another (CheckReport.verdict) the
+whole check fails if any verdict fails, else is "budget" if any ran out.
+Every report (_report) echoes each assertion its verdict leans on: its
+claims, then the words asserted of its ring.
 """
 
 from __future__ import annotations
@@ -42,8 +42,13 @@ class CheckReport:
     details: dict = field(default_factory=dict)
 
     @property
+    def verdict(self):
+        """The whole check's: fail if any n fails, else budget if any ran out."""
+        return next((v for v in ("fail", "budget") if v in self.verdicts.values()), "pass")
+
+    @property
     def passed(self):
-        return _check_verdict(self.verdicts.values()) == "pass"
+        return self.verdict == "pass"
 
     def to_dict(self):
         return {
@@ -60,11 +65,6 @@ class CheckReport:
 def _verdict(holds):
     """pass if holds, fail if not, budget if holds is None: the evidence ran out."""
     return "budget" if holds is None else ("pass" if holds else "fail")
-
-
-def _check_verdict(verdicts):
-    """The verdict of a whole check: fail if any n fails, else budget if any ran out."""
-    return next((v for v in ("fail", "budget") if v in verdicts), "pass")
 
 
 def _sweep(name, bound, holds):
@@ -215,7 +215,7 @@ def check_order_ideal_theorem_presentation(I, f, pres, primes):
 
 def check_order_ideal_theorem_graded(S, F):
     """Single-valuation graded form: e(S/FS) = e(S) * (degree order of F)."""
-    eS, _dim = graded_invariants(Ideal(S, ()))
+    eS, _dim = graded_invariants(S.zero_ideal)
     F = S.reduce(F)
     if F.is_zero():
         raise PreconditionError("F is zero in S")

@@ -1,9 +1,9 @@
 """Groebner bases are computed where they are cached.
 
-Only groebner (which defines buchberger) and ideals (Ideal.gb,
-AffineAlgebra.modulus_gb and elimination) name buchberger. Every other
-module reads a basis through Ideal.gb() or AffineAlgebra.modulus_gb(), so
-each basis is computed once and kept on the ideal or algebra it belongs to.
+Only groebner (which defines buchberger) and ideals (Ideal.gb and
+elimination) name buchberger. Every other module reads a basis through
+Ideal.gb(), the modulus basis through the algebra's zero_ideal, so each
+basis is computed once and kept on the ideal it belongs to.
 """
 
 import ast

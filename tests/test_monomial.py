@@ -17,6 +17,7 @@ from reesval import (
     monomial,
     monomial_multiplicity,
     newton_polyhedron,
+    groebner,
     rees_valuations_monomial,
 )
 from reesval.errors import PreconditionError
@@ -374,6 +375,15 @@ def test_briancon_skoda_bounds(poly_xy):
     assert find_min_briancon_skoda(_ideal(poly_xy, (1, 0), (0, 1)), 4) == 0
     with pytest.raises(PreconditionError):
         find_min_briancon_skoda(_ideal(poly_xy, (2, 0), (0, 3)), 0)
+
+
+def test_briancon_skoda_computes_each_power_basis_once(poly_xy):
+    # tripwire: B = 0 fails at n = 1, since xy is integral over (x^2, y^2),
+    # and B = 1 asks for I^1 again; I.power(n) keeps one handle per n, so
+    # I^1, I^2 and I^3 cost one buchberger call each
+    with groebner.budget(groebner.DEFAULT_BUDGET) as work:
+        assert find_min_briancon_skoda(_ideal(poly_xy, (2, 0), (0, 2)), 3) == 1
+    assert work.calls == 3
 
 
 def test_artin_rees_bounds(poly_xy, paper_ring):

@@ -16,7 +16,6 @@ SOURCES = sorted(PACKAGE.glob("*.py"))
 
 # (importing module, "module._name") -> why the private import stays
 EXEMPT = {
-    ("cli", "verify._check_verdict"): "the session reads each check's verdict by verify's rule",
     ("verify", "symbolic._order_along"): "the order along an exceptional prime, unscreened",
     ("monomial", "groebner._minimalize"): "the minimal generators of a monomial ideal",
 }

@@ -7,10 +7,10 @@ recorded error, with exit status 1, never as a traceback.
 
 import pytest
 
-from reesval import AffineAlgebra, GrevLex, PolyRing, QQ
+from reesval import AffineAlgebra, GrevLex, Lex, PolyRing, QQ
 from reesval.cli import main, parse_session, run
 from reesval.errors import PreconditionError, RingMismatchError
-from reesval.groebner import normal_form
+from reesval.groebner import buchberger, normal_form
 from reesval.ideals import Ideal, kernel_of_map
 from reesval.monomial import MonomialValuation, gaussian_extension, newton_polyhedron
 from reesval.multiplicity import graded_invariants, local_multiplicity_via_gr
@@ -29,6 +29,7 @@ CONE_RING = PolyRing(("x1", "x2", "x3"), QQ, GrevLex())
 X1, X2, X3 = CONE_RING.gens()
 CONE = AffineAlgebra(CONE_RING, (X1 * X2 + X3**3,), asserted=("normal", "domain"))
 XT = PolyRing(("x", "t"), QQ, GrevLex())
+YX_LEX = PolyRing(("y", "x"), QQ, Lex())
 
 
 def _izumi_with_one_prime():
@@ -129,6 +130,14 @@ REFUSALS = [
     pytest.param(
         lambda: normal_form(X, [XT.gens()[0]]),
         RingMismatchError, "polynomial from a different ring", None, id="groebner-ring",
+    ),
+    pytest.param(
+        # the S-pair of x^(2^24 - 1) + 1 and y*x + x^2 shifts x^2 to x^(2^24)
+        lambda: buchberger([YX_LEX.parse(f"x^{2**24 - 1} + 1"), YX_LEX.parse("y*x + x^2")]),
+        PreconditionError,
+        "an exponent exceeds 16777215 = 2^24 - 1, the Groebner limit",
+        None,
+        id="groebner-s-pair-limit",
     ),
 ]
 

@@ -437,5 +437,5 @@ def test_order_ideal_check_sums_no_unconfirmed_valuation(
 )
 def test_one_rule_gives_the_check_verdict_and_passed(verdicts, whole):
     report = verify.CheckReport("c", {}, (0, 0), dict(enumerate(verdicts)), ())
-    assert verify._check_verdict(report.verdicts.values()) == whole
+    assert report.verdict == whole
     assert report.passed == (whole == "pass")
