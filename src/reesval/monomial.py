@@ -1,11 +1,11 @@
 """Monomial-ideal fast path: Newton polyhedra, facet valuations, closures.
 
 All geometry is exact. Its linear algebra is one fraction-free integer
-elimination (Bareiss): solutions come out as integer numerators over one
-denominator, nullspace vectors as integer vectors. Facets are enumerated
-from subset candidates (desk scale: at most 4 variables, 12 generators),
-integral closures by lattice scanning against the facet inequalities, and a
-Caratheodory-style oracle decides membership with no facets at all so
+pivot (Bareiss): nullspace vectors come out as integer vectors, simplex
+tableaux as integers over one denominator. Facets are enumerated from
+subset candidates (desk scale: at most 4 variables, 12 generators),
+integral closures by lattice scanning against the facet inequalities, and an
+exact simplex on a packing LP decides membership with no facets at all so
 the two can be played against each other. Multiplicities need no vertex
 solving: the covolume is summed over integer simplices by pulling every
 bounded face, in any dimension, from its first generator.
@@ -29,6 +29,18 @@ MAX_GENS = 12
 # small exact linear algebra
 
 
+def _pivot(rows, r, col, d):
+    """Fraction-free pivot on p = rows[r][col] (Bareiss): each other row becomes
+    (p * row - row[col] * rows[r]) / d, an exact division. Returns p, the next d."""
+    prow = rows[r]
+    p = prow[col]
+    for i, row in enumerate(rows):
+        if i != r:
+            f = row[col]
+            rows[i] = [(p * x - f * y) // d for x, y in zip(row, prow)]
+    return p
+
+
 def _reduce(rows):
     """Fraction-free Gauss-Jordan elimination (Bareiss) of an integer matrix.
 
@@ -47,25 +59,9 @@ def _reduce(rows):
         if piv is None:
             continue
         a[r], a[piv] = a[piv], a[r]
-        p, prow = a[r][col], a[r]
-        for i in range(len(a)):
-            if i != r:
-                f = a[i][col]
-                a[i] = [(p * x - f * y) // d for x, y in zip(a[i], prow)]
+        d = _pivot(a, r, col, d)
         pivots.append(col)
-        d = p
     return a, pivots, d
-
-
-def _solve(rows, rhs):
-    """Solve the square system A x = b as x = nums / den with den > 0;
-    None if A is singular."""
-    k = len(rows)
-    a, pivots, d = _reduce([[*row, b] for row, b in zip(rows, rhs)])
-    if pivots != list(range(k)):
-        return None
-    s = 1 if d > 0 else -1
-    return [s * row[k] for row in a], s * d
 
 
 def _nullspace(rows, n):
@@ -206,17 +202,16 @@ def integral_closure_power(I, n=1):
 
 
 def membership_oracle_caratheodory(exps, nvars, e, n=1):
-    """Decide e in n*NP(exps) without facets.
+    """Decide e in n*NP(exps) without facets, by an exact simplex.
 
-    Searches exact convex combinations: a subset S of generators, a set A
-    of coordinates where the combination is tight, weights solving the
-    square system sum = n and matching e on A, accepted when the weights
-    and the leftover e - sum are all nonnegative. Basic solutions of the
-    feasibility LP have this shape, so the search is complete for any
-    generating list, redundant or repeated entries included. Nonnegative
-    weights summing to n put coordinate j of the sum between n times the
-    least and the largest g_j over S, so S is skipped when the least
-    already exceeds e_j, and A when e_j exceeds the largest for a j in A.
+    For nonnegative generators, e is in n*NP iff the packing LP max{sum(lam) :
+    lam >= 0, sum(lam_i * g_i) <= e} reaches n: weights with a larger sum
+    scale down to sum n and only lower sum(lam_i * g_i). lam = 0 is feasible,
+    so the simplex starts from the slack basis, with no phase 1. Bland's rule
+    keeps it from cycling: the least column with a negative reduced cost
+    enters, the row of least ratio (cross-multiplied, ties to the least basic
+    column) leaves. An unbounded column, a zero generator, accepts, and so
+    does one generator g with e >= n * g, before any pivot.
     """
     if n < 0:
         raise PreconditionError("negative power")
@@ -224,25 +219,28 @@ def membership_oracle_caratheodory(exps, nvars, e, n=1):
         return False
     if any(all(x >= n * g for x, g in zip(e, gen)) for gen in exps):
         return True  # one generator: its weight is n, so e >= n * gen
-    for k in range(2, min(len(exps), nvars + 1) + 1):
-        for subset in combinations(exps, k):
-            columns = list(zip(*subset))
-            if any(n * min(c) > x for c, x in zip(columns, e)):
-                continue
-            for tight in combinations(range(nvars), k - 1):
-                if any(e[j] > n * max(columns[j]) for j in tight):
-                    continue
-                rows = [[1] * k] + [columns[j] for j in tight]
-                sol = _solve(rows, [n] + [e[j] for j in tight])
-                if sol is None or any(x < 0 for x in sol[0]):
-                    continue
-                lam, den = sol
-                if all(
-                    den * e[j] >= sum(l * g[j] for l, g in zip(lam, subset))
-                    for j in range(nvars)
-                ):
-                    return True
-    return False
+    # rows: slack_j + sum(lam_i * g_ij) = e_j, then d * (reduced costs, sum(lam))
+    rows = [
+        [*(int(k == j) for k in range(nvars)), *(g[j] for g in exps), e[j]]
+        for j in range(nvars)
+    ]
+    rows.append([0] * nvars + [-1] * len(exps) + [0])
+    basis, d = list(range(nvars)), 1
+    while True:
+        col = next((c for c, x in enumerate(rows[-1][:-1]) if x < 0), None)
+        if col is None:
+            return False
+        r = None
+        for i in sorted(range(nvars), key=basis.__getitem__):
+            a = rows[i][col]
+            if a > 0 and (r is None or rows[i][-1] * rows[r][col] < rows[r][-1] * a):
+                r = i
+        if r is None:
+            return True
+        d = _pivot(rows, r, col, d)
+        basis[r] = col
+        if rows[-1][-1] >= n * d:
+            return True
 
 
 # ---------------------------------------------------------------------------
@@ -329,13 +327,15 @@ def find_min_artin_rees(c, I, nmax):
     no A <= nmax works. Works in any affine algebra, not just monomially."""
     if nmax < 1:
         raise PreconditionError("search bound must be at least 1")
-    alg = I.algebra
-    c_ideal = Ideal(alg, (c,))
+    c_ideal = Ideal(I.algebra, (c,))
+    # one handle per exponent, so each basis is computed once
+    multiples = [c_ideal.product(I.power(n)) for n in range(nmax + 1)]
+    caps = {}
     for A in range(nmax + 1):
         for n in range(1, nmax + 1):
-            lhs = c_ideal.intersect(I.power(n + A))
-            rhs = Ideal(alg, tuple(c * g for g in I.power(n).gens))
-            if not rhs.contains_ideal(lhs):
+            if n + A not in caps:
+                caps[n + A] = c_ideal.intersect(I.power(n + A))
+            if not multiples[n].contains_ideal(caps[n + A]):
                 break
         else:
             return A

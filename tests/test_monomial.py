@@ -22,7 +22,7 @@ from reesval import (
 )
 from reesval.errors import PreconditionError
 from reesval.ideals import Ideal
-from reesval.monomial import _nullspace, _reduce, _solve
+from reesval.monomial import _nullspace, _reduce
 from reesval.multiplicity import length_sampler, multiplicity_from_table
 
 from conftest import _exps_ideal
@@ -92,26 +92,6 @@ def test_reduce_shape_and_determinant():
             assert (abs(d) if len(pivots) == len(m) else 0) == abs(det), m
             singular += det == 0
     assert negative >= 10 and singular >= 10
-
-
-def test_solve_by_substitution():
-    rng = random.Random(4243)
-    solved = singular = 0
-    for m in _kernel_matrices():
-        if len(m) != len(m[0]):
-            continue
-        b = [rng.randint(-5, 5) for _ in m]
-        sol = _solve(m, b)
-        if _leibniz(m) == 0:
-            assert sol is None, m
-            singular += 1
-            continue
-        nums, den = sol
-        assert den > 0, (m, den)
-        for row, rhs in zip(m, b):
-            assert sum(x * y for x, y in zip(row, nums)) == den * rhs, (m, b)
-        solved += 1
-    assert solved >= 10 and singular >= 10
 
 
 def test_nullspace_by_substitution():
@@ -193,14 +173,102 @@ def test_caratheodory_examples():
 
 
 def test_caratheodory_settles_one_generator_without_a_solve(monkeypatch):
-    # e >= n * g for one generator g is a hit before any square system
-    def no_solve(*args):
-        raise AssertionError("solved a system")
+    # e >= n * g for one generator g is a hit before any simplex pivot
+    def no_pivot(*args):
+        raise AssertionError("pivoted")
 
-    monkeypatch.setattr(monomial, "_solve", no_solve)
+    monkeypatch.setattr(monomial, "_pivot", no_pivot)
     gens = [(2, 0), (0, 3), (1, 1)]
     assert membership_oracle_caratheodory(gens, 2, (2, 5), 2)
     assert membership_oracle_caratheodory(gens, 2, (7, 0), 3)
+
+
+def _caratheodory_by_subsets(exps, nvars, e, n=1):
+    """Reference oracle: exact convex combinations by enumeration.
+
+    A subset S of generators, a set A of coordinates where the combination
+    is tight, weights solving the square system sum = n and matching e on A,
+    accepted when the weights and the leftover e - sum are all nonnegative.
+    Basic solutions of the feasibility LP have this shape, so the search is
+    complete for any generating list. The square systems go through _reduce.
+    """
+    if any(x < 0 for x in e):
+        return False
+    if any(all(x >= n * g for x, g in zip(e, gen)) for gen in exps):
+        return True
+    for k in range(2, min(len(exps), nvars + 1) + 1):
+        for subset in combinations(exps, k):
+            columns = list(zip(*subset))
+            for tight in combinations(range(nvars), k - 1):
+                rows = [[1] * k + [n]] + [[*columns[j], e[j]] for j in tight]
+                a, pivots, d = _reduce(rows)
+                if pivots != list(range(k)):
+                    continue
+                s = 1 if d > 0 else -1
+                lam, den = [s * row[k] for row in a], s * d
+                if all(x >= 0 for x in lam) and all(
+                    den * e[j] >= sum(x * g[j] for x, g in zip(lam, subset))
+                    for j in range(nvars)
+                ):
+                    return True
+    return False
+
+
+# (gens, nvars, e, n, member): ratio-test ties, degenerate pivots, facet points
+CARATHEODORY_HAND_ROWS = [
+    ([(1, 1), (2, 0), (0, 2)], 2, (1, 1), 2, False),  # two rows tie for (1, 1)
+    ([(1, 1, 1), (2, 0, 0), (0, 2, 0), (0, 0, 2)], 3, (1, 1, 1), 2, False),  # three tie
+    ([(2, 0), (0, 2), (1, 1)], 2, (1, 1), 1, True),
+    ([(2, 0), (0, 3)], 2, (2, 3), 2, True),  # on the facet 3x + 2y = 12
+    ([(2, 0), (0, 3)], 2, (1, 4), 2, False),  # one below it
+    ([(2, 0), (0, 3)], 2, (3, 2), 2, True),
+    ([(2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 1)], 3, (1, 1, 0), 1, True),  # x+y+z = 2
+    ([(2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 1)], 3, (2, 2, 2), 3, True),  # x+y+z = 6
+    ([(2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 1)], 3, (1, 1, 3), 3, False),
+    ([(0, 0), (3, 1)], 2, (0, 0), 5, True),  # the zero generator
+    ([], 2, (1, 1), 0, False),  # no generator, no polyhedron
+]
+
+
+@pytest.mark.parametrize("gens, nvars, e, n, member", CARATHEODORY_HAND_ROWS)
+def test_caratheodory_hand_rows(gens, nvars, e, n, member):
+    assert membership_oracle_caratheodory(gens, nvars, e, n) == member
+    assert _caratheodory_by_subsets(gens, nvars, e, n) == member
+    if gens and all(any(g) for g in gens):
+        np_ = newton_polyhedron(_exps_ideal(gens, nvars))
+        assert np_.contains(e, n) == member
+
+
+def test_simplex_agrees_with_subset_enumeration():
+    # four variables, repeated and zero generators and n = 0, which
+    # newton_polyhedron refuses or cannot express
+    rng = random.Random(3407)
+    hits = 0
+    for _ in range(1500):
+        nvars = rng.randint(1, 4)
+        gens = [tuple(rng.randrange(4) for _ in range(nvars)) for _ in range(rng.randint(1, 5))]
+        if rng.random() < 0.3:
+            gens.append(rng.choice(gens))
+        if rng.random() < 0.1:
+            gens.append((0,) * nvars)
+        n = rng.randint(0, 3)
+        e = tuple(rng.randrange(3 * n + 2) for _ in range(nvars))
+        member = membership_oracle_caratheodory(gens, nvars, e, n)
+        assert member == _caratheodory_by_subsets(gens, nvars, e, n), (gens, e, n)
+        hits += member
+    assert min(hits, 1500 - hits) > 300
+
+
+def test_caratheodory_pivots_on_the_staircase_grid(monkeypatch):
+    # the n = 1, 2 grid of the staircase (x^2, y^2, z^2, xyz), 152 points;
+    # the square-system search made 661 solves on it
+    pivots = []
+    pivot = monomial._pivot
+    monkeypatch.setattr(monomial, "_pivot", lambda *a: pivots.append(a) or pivot(*a))
+    gens = [(2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 1)]
+    grid = [(e, n) for n in (1, 2) for e in product(range(2 * n + 1), repeat=3)]
+    hits = sum(membership_oracle_caratheodory(gens, 3, e, n) for e, n in grid)
+    assert (len(grid), hits, len(pivots)) == (152, 128, 172)
 
 
 def test_both_membership_routes_refuse_a_negative_power():
@@ -384,6 +452,16 @@ def test_briancon_skoda_computes_each_power_basis_once(poly_xy):
     with groebner.budget(groebner.DEFAULT_BUDGET) as work:
         assert find_min_briancon_skoda(_ideal(poly_xy, (2, 0), (0, 2)), 3) == 1
     assert work.calls == 3
+
+
+def test_artin_rees_computes_each_basis_once(poly_xy):
+    # tripwire: A = 0 fails at n = 1, and A = 1 asks for c*I^1 again; c*I^n
+    # and (c) cap I^k are built once per exponent, so the 7 distinct
+    # inputs (k = 1..4, n = 1..3) cost one buchberger call each
+    x, y = poly_xy.ring.gens()
+    with groebner.budget(groebner.DEFAULT_BUDGET) as work:
+        assert find_min_artin_rees(x, Ideal(poly_xy, (x**2, y)), 3) == 1
+    assert work.calls == 7
 
 
 def test_artin_rees_bounds(poly_xy, paper_ring):
