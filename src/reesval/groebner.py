@@ -5,8 +5,9 @@ order, () for the zero ideal. It is unique (Cox-Little-O'Shea, ch. 2
 section 7), so two ideals are equal iff their bases compare equal, and the
 unit ideal's basis is exactly (1,).
 
-Pair selection is fixed (normal strategy: minimal lcm degree first,
-lexicographic tie-break on pair indices) so output is deterministic.
+Pair selection is fixed (normal strategy: minimal lcm degree first, then
+minimal sugar, Giovini et al., ISSAC 1991, then pair indices) so output is
+deterministic.
 Inside this module a monomial is one int X = K*2^SH + E (Bachmann-
 Schoenemann, ISSAC 1998; Monagan-Pearce, CASC 2007). E, the low SH bits,
 holds each exponent in its own field under a guard bit; K is the order
@@ -15,7 +16,7 @@ sit in fields wider than their spread. So a product of monomials adds X,
 comparing X compares keys, and a divides b iff ((X_b | G) - X_a) & G == G
 for the guard bits G. Exponents stay below 2^EXPONENT_BITS; a larger one,
 given or created, is refused with PreconditionError. Pairs come off a heap
-keyed by (lcm degree, i, j) and division takes terms off a heap of -X,
+keyed by (lcm degree, sugar, i, j) and division takes terms off a heap of -X,
 largest first, so neither rescans what it has ranked and the remainder
 comes back sorted. Division combines plain-int numerators over one common
 denominator (over 1 on Fp), each reducer cleared and packed once, cached
@@ -323,29 +324,34 @@ def buchberger(gens):
         return tuple(map(ring.monomial, leads))
 
     p = _packing(ring)
-    # packed[i] is basis[i] packed; a pair is (lcm degree, i, j, lcm E)
-    basis, packed, pairs, done = [], [], [], set()
+    # packed[i] is basis[i] packed and excess[i] its sugar less its lead
+    # degree; a pair is (lcm degree, sugar, i, j, lcm E), its sugar the
+    # larger excess plus the lcm degree
+    basis, packed, excess, pairs, done = [], [], [], [], set()
 
-    def append(r):
-        # (lcm degree, i, j) keys are unique, so popping the least pair is
-        # the same choice as a min over every pending pair
+    def append(r, sugar):
+        # (lcm degree, sugar, i, j) keys are unique, so popping the least
+        # pair is the same choice as a min over every pending pair
         r = r.monic()
         t, lt = len(basis), _packed(r)[0]
+        e = sugar - p.degree(lt & p.emask)
         for k, b in enumerate(packed):
             m = p.lcm(b[0], lt)
-            heapq.heappush(pairs, (p.degree(m), k, t, m))
+            d = p.degree(m)
+            heapq.heappush(pairs, (d, max(excess[k], e) + d, k, t, m))
         record.formed += t
         basis.append(r)
         packed.append(_packed(r))
+        excess.append(e)
 
     for g in sorted(gens, key=lambda p: ring.order.key(p.lead_exp)):
         r = normal_form(g, basis)
         if not r.is_zero():
-            append(r)
+            append(r, g.total_degree())  # an input's sugar is its degree
 
     first = {}  # packed only grows at its end, so one memo serves every S-pair
     while pairs:
-        _, i, j, m = heapq.heappop(pairs)
+        _, sugar, i, j, m = heapq.heappop(pairs)
         done.update(((i, j), (j, i)))
         # criterion: coprime lead terms reduce to zero
         if m == (packed[i][0] + packed[j][0]) & p.emask:
@@ -364,7 +370,7 @@ def buchberger(gens):
         r = _divide(ring, *_s_pair(basis[i], basis[j]), packed, None, first)
         record.zeros += r.is_zero()
         if not r.is_zero():
-            append(r)
+            append(r, sugar)  # it takes its pair's sugar
 
     reduced = _reduce_basis(ring, basis)
     record.largest = max(record.largest, len(reduced))

@@ -200,33 +200,37 @@ class Ideal:
         gens.append(tring.one - t * f.to_ring(tring))
         return eliminate(gens, ring)
 
-    @groebner._budgeted
-    def saturate(self, f, source=None):
-        """(I : f^infinity) by one elimination; returns (ideal, depth).
-
-        The depth is the least k with f^k * (I : f^infinity) inside I, found
-        by normal forms against the basis of I; it equals the number of
-        colons by f before the chain I, I:f, I:f^2, ... stabilizes. At depth
-        0 the ideal returned is self. The elimination runs on source when
-        one is given: any ideal between I and I : f^infinity has the same
-        saturation, whose reduced basis is unique, so only the work changes.
-        Under grevlex that basis is the one the elimination returns, so the
-        ideal returned carries it and never recomputes it.
-        """
+    def saturation(self, f, source=None):
+        """(I : f^infinity) by one elimination, on source when one is given:
+        any ideal between I and I : f^infinity has the same saturation, whose
+        reduced basis is unique, so only the work changes. Under grevlex that
+        basis is the one the elimination returns, so the ideal returned
+        carries it and never recomputes it."""
         if self.algebra.reduce(f).is_zero():
             raise PreconditionError("colon by zero")
-        sat = (self if source is None else source)._saturation_gens(f)
+        result = Ideal(self.algebra, (self if source is None else source)._saturation_gens(f))
+        if self.algebra.ring.order == GrevLex():
+            result._gb = result.gens
+        return result
+
+    @groebner._budgeted
+    def saturation_depth(self, f, sat):
+        """The least k with f^k * sat inside I, sat = I : f^infinity, by
+        normal forms against the basis of I; it equals the number of colons
+        by f before the chain I, I:f, I:f^2, ... stabilizes."""
         depth, power = 0, self.algebra.ring.one
-        pending = [g for g in sat if not self.contains_poly(g)]
+        pending = [g for g in sat.gens if not self.contains_poly(g)]
         while pending:
             depth, power = depth + 1, power * f
             pending = [g for g in pending if not self.contains_poly(power * g)]
-        if not depth:
-            return self, 0
-        result = Ideal(self.algebra, sat)
-        if self.algebra.ring.order == GrevLex():
-            result._gb = sat
-        return result, depth
+        return depth
+
+    @groebner._budgeted
+    def saturate(self, f, source=None):
+        """(saturation, its depth) in one budget scope; self at depth 0."""
+        sat = self.saturation(f, source)
+        depth = self.saturation_depth(f, sat)
+        return (sat, depth) if depth else (self, 0)
 
     def radical_contains(self, f):
         """f in rad(I): at once when f in I, else iff I : f^infinity = (1)."""

@@ -25,8 +25,9 @@ Groebner basis is, so they live as long as that handle: repeated calls with
 the same handle reuse them, and a re-parsed session starts with none.
 J_{R/P} is cached there too, so each separator tried reuses it, and J_R is
 cached the same way on the algebra's zero ideal, which all its primes
-share. P.power(n) keeps one handle per n, so the basis of P^n that every
-separator's depth reads is computed once.
+share. The saturation depth, which only a certificate reports, is measured
+against the basis of P^n when the first certificate is built and kept with
+the result; exact_power, and so ord_at and every check, never measures it.
 """
 
 from __future__ import annotations
@@ -121,13 +122,19 @@ def symbolic_power(P, n, separator="auto"):
     on P by the same separator, else P^n (see the module docstring); the
     saturation exponent is always the depth of P^n's saturation.
     """
+    entry = _saturated(P, n, separator)
+    return entry[0], _certificate(P, n, entry)
+
+
+def _saturated(P, n, separator):
+    """P^(n)'s entry [ideal, separator, radical_ok, proven, depth], cached on
+    P for n >= 2; the depth stays None until _certificate measures it."""
     if n < 0:
         raise PreconditionError("negative symbolic power")
     if separator != "auto" and not isinstance(separator, Polynomial):
         raise PreconditionError('separator must be "auto" or a polynomial')
     if n <= 1:
-        power = P if n else P.power(0)
-        return power, _certificate(None, 0, True, True)
+        return [P if n else P.power(0), None, True, True, 0]
     key = (n, str(separator))
     if key in P._symbolic_powers:
         return P._symbolic_powers[key]
@@ -136,13 +143,12 @@ def symbolic_power(P, n, separator="auto"):
     if str(separator) not in P._separators:
         P._separators[str(separator)] = _prove(P, separator)
     separator, proven = P._separators[str(separator)]
-    Pn = P.power(n)
     if separator is None:
-        result, steps = Pn, 0
+        result, depth = P.power(n), 0
     else:
-        result, steps = Pn.saturate(separator, _lower_product(P, key))
+        result, depth = P.power(n).saturation(separator, _lower_product(P, key)), None
     radical_ok = all(P.radical_contains(g) for g in result.gens)
-    P._symbolic_powers[key] = result, _certificate(separator, steps, radical_ok, proven)
+    P._symbolic_powers[key] = [result, separator, radical_ok, proven, depth]
     return P._symbolic_powers[key]
 
 
@@ -158,10 +164,14 @@ def _lower_product(P, key):
     return P._symbolic_powers[k, text][0].product(cofactor[0] if cofactor else P.power(n - k))
 
 
-def _certificate(separator, steps, radical_ok, proven):
+def _certificate(P, n, entry):
+    """P^(n)'s certificate; an unmeasured depth is measured and kept on entry."""
+    result, separator, radical_ok, proven, depth = entry
+    if depth is None:
+        entry[4] = depth = P.power(n).saturation_depth(separator, result)
     return {
         "separator": str(separator) if separator is not None else None,
-        "saturation_steps": steps,
+        "saturation_steps": depth,
         "radical_ok": radical_ok,
         "proven": proven,
         "status": "exact" if radical_ok and proven else "upper bound candidate",
@@ -169,10 +179,10 @@ def _certificate(separator, steps, radical_ok, proven):
 
 
 def exact_power(P, n):
-    """P^(n) from symbolic_power; one whose certificate is not exact is refused."""
-    power, cert = symbolic_power(P, n)
-    if cert["status"] != "exact":
-        raise PreconditionError(f"symbolic power downgraded: {cert}")
+    """P^(n) by "auto", its depth unmeasured; a power not exact is refused."""
+    power, _, radical_ok, proven, _ = entry = _saturated(P, n, "auto")
+    if not (radical_ok and proven):
+        raise PreconditionError(f"symbolic power downgraded: {_certificate(P, n, entry)}")
     return power
 
 

@@ -321,6 +321,24 @@ def test_budget_exhaustion_raises():
         buchberger(gens)
 
 
+def test_sugar_keeps_lex_coefficients_small():
+    # pairs of equal lcm degree are taken by sugar, the degree their
+    # S-polynomial would have in the homogenized input (Giovini et al.,
+    # ISSAC 1991); taken by pair index alone, this lex basis needs 821 steps
+    # and coefficients of thousands of digits on the way
+    R = PolyRing(("x", "y", "z"), QQ, Lex())
+    gens = [R.parse(t) for t in ("2*x^2*z - 9*y^2*z + 2*y^2", "x^2*y - 2*x^2 - x*z",
+                                 "x^2 + 2*x + y^2*z")]
+    with groebner.budget(258):
+        G = buchberger(gens)
+    assert len(G) == 3 and is_groebner(G)
+    # the same ideal: each side reduces to zero on the other's basis
+    grevlex = PolyRing(R.names, QQ, GrevLex())
+    H = buchberger([g.to_ring(grevlex) for g in gens])
+    assert all(normal_form(g, G).is_zero() for g in gens)
+    assert all(normal_form(g.to_ring(grevlex), H).is_zero() for g in G)
+
+
 def _cyclic4():
     R = PolyRing(("a", "b", "c", "d"), QQ, GrevLex())
     v = R.gens()

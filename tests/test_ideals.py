@@ -137,6 +137,32 @@ def test_saturation_matches_iterated_colons(poly_xyz, n):
     assert steps == ref_steps
 
 
+PAPER_SESSION = """\
+ring { vars: x1 x2 x3; field: QQ; mod: x1*x2 + x3^3; order: grevlex; assert: normal domain }
+ideal m = x1, x2, x3
+ideal p = x1, x3
+"""
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_symbolic_power_reports_the_same_depth_whoever_cached_it(paper_ring, n):
+    # check main-a at nmax 1 caches p^(4) and p^(6) (e(S) = 3) without
+    # measuring their depths; symbolic-power then measures it on request
+    def results(cmds):
+        report, ok = run(parse_session(PAPER_SESSION + cmds))
+        assert ok
+        return [c["result"] for c in report["commands"]]
+
+    cmd = f"cmd: symbolic-power p {n}\n"
+    after = results("cmd: check main-a --p p --q m --nmax 1\n" + cmd)[1]
+    (fresh,) = results(cmd)
+    assert after == fresh
+    x1, x2, x3 = paper_ring.ring.gens()
+    separator = paper_ring.ring.parse(fresh["certificate"]["separator"])
+    depth = _saturate_by_colons(Ideal(paper_ring, (x1, x3)).power(n), separator)[1]
+    assert fresh["certificate"]["saturation_steps"] == depth > 0
+
+
 def test_saturation_carries_its_reduced_basis_under_grevlex(paper_ring, poly_xyz):
     # cross-check: the basis a grevlex saturation presets on its handle is
     # the one buchberger builds from the handle's generators

@@ -198,8 +198,12 @@ def _not_prime(alg):
 
 
 def test_checks_refuse_a_downgraded_symbolic_power(poly_xyz):
-    with pytest.raises(PreconditionError, match="downgraded"):
+    # the refusal quotes the whole certificate, its saturation depth measured
+    cert = symbolic_power(_not_prime(poly_xyz), 2)[1]
+    with pytest.raises(PreconditionError, match="downgraded") as refused:
         symbolic.exact_power(_not_prime(poly_xyz), 2)
+    assert str(refused.value) == f"symbolic power downgraded: {cert}"
+    assert isinstance(cert["saturation_steps"], int)
 
 
 def test_ord_at_refuses_a_downgraded_symbolic_power(poly_xyz):
@@ -244,7 +248,7 @@ def test_curve_sweep_work_counts():
     with groebner.budget(groebner.DEFAULT_BUDGET) as work:
         for n in range(2, 9):
             symbolic_power(P, n, separator=x)
-    assert (work.pairs, work.steps) == (563, 3830)
+    assert (work.pairs, work.steps) == (561, 3830)
 
 
 def test_containment_chain(paper_ring):

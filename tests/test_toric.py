@@ -18,12 +18,22 @@ normal form is a sum of distinct characters u^a v^b.
   least of these over the terms of f's normal form.
 
 Both must equal `ord_at`, which saturates by a proven separator for p and
-reads the ordinary powers for the maximal ideal m.
+reads the ordinary powers for the maximal ideal m. The same counts predict
+the verdict of the main-theorem-A sweep and the least constant C_emp of the
+Chevalley sweep for p and m, which read their powers the same way.
 """
 
 import pytest
 
-from reesval import AffineAlgebra, GrevLex, PolyRing, QQ, ord_at
+from reesval import (
+    AffineAlgebra,
+    GrevLex,
+    PolyRing,
+    QQ,
+    check_improved_chevalley,
+    check_main_theorem_A,
+    ord_at,
+)
 from reesval.ideals import Ideal
 
 NMAX = 6
@@ -91,3 +101,22 @@ def test_ord_at_equals_the_toric_orders(k):
     agrees()
     # the inputs reach orders 0 and NMAX and several between, on both primes
     assert all({0, NMAX} <= orders and len(orders) >= 5 for orders in seen.values()), seen
+
+
+@pytest.mark.parametrize("nmax", (2, 3, 4))
+@pytest.mark.parametrize("k", KS)
+def test_theorem_sweeps_match_the_lattice(k, nmax):
+    # The projective closure of R_k is cut out by the homogenized xy - z^k, of
+    # degree k, so e(S) = k. A point (a, b) has m-order at least a/k, and
+    # x^c is the point (kc, 0) of m-order c, so the least m-order at u-order
+    # a or more is ceil(a/k). So p^(cn) lies in m^n iff cn > k(n - 1), and
+    # the least c that serves every n <= nmax is floor(k(nmax - 1)/nmax) + 1.
+    # p lies in m but not in m^2, so t = 1.
+    R = _surface(k)
+    x, y, z = R.ring.gens()
+    p, m = Ideal(R, (x, z)), Ideal(R, (x, y, z))
+    main_a = check_main_theorem_A(p, m, nmax)
+    assert main_a.passed and main_a.details == {"e(S)": k}
+    chevalley = check_improved_chevalley(p, m, nmax, A=0, B=0, C=1, E=1, e=1)
+    assert chevalley.details["t"] == 1
+    assert chevalley.details["C_emp"] == k * (nmax - 1) // nmax + 1

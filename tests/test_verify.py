@@ -99,6 +99,22 @@ def test_main_theorem_a_sweep(paper_ring, paper_m, paper_setup):
     assert same.passed
 
 
+def test_main_theorem_a_measures_no_saturation_depth(paper_m, paper_setup, monkeypatch):
+    # tripwire: the sweep reads p^(4)..p^(18) through exact_power, which
+    # leaves each saturation depth unmeasured, so it builds no basis of an
+    # ordinary power p^n for one
+    _, _, p = paper_setup
+    depths = []
+    real = Ideal.saturation_depth
+    monkeypatch.setattr(
+        Ideal, "saturation_depth", lambda *args: depths.append(args) or real(*args)
+    )
+    with groebner.budget(groebner.DEFAULT_BUDGET) as work:
+        assert check_main_theorem_A(p, paper_m, 3).passed
+    assert not depths
+    assert work.calls == 14
+
+
 def test_izumi_multiplicity_bound(paper_ring, paper_m):
     ring = paper_ring.ring
     x1, x2, x3 = ring.gens()
@@ -145,7 +161,7 @@ def test_order_ideal_theorem_presentation_work_count(
     x1 = paper_ring.ring.gen("x1")
     with groebner.budget(groebner.DEFAULT_BUDGET) as work:
         assert check_order_ideal_theorem_presentation(paper_m, x1, pres, list(primes)).passed
-    assert len(calls) == len(set(calls)) == work.calls == 20
+    assert len(calls) == len(set(calls)) == work.calls == 17
 
 
 def test_order_ideal_theorem_graded_route():
