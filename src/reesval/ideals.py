@@ -96,7 +96,7 @@ class Ideal:
         self.gens = tuple(gens)
         self._gb = None
         self._powers = []  # layer n: (pairs (n-fold product, index of its last factor), I^n)
-        self._symbolic_powers = {}  # filled by symbolic.symbolic_power
+        self._symbolic_powers = {}  # (n, separator text) -> P^(n)'s entry, by symbolic
         self._separators = {}  # separator text -> (separator, proven), by symbolic
         self._jacobian = None  # J_{R/I} of the Jacobian criterion, filled by symbolic
 
@@ -227,7 +227,8 @@ class Ideal:
 
     @groebner._budgeted
     def saturate(self, f, source=None):
-        """(saturation, its depth) in one budget scope; self at depth 0."""
+        """(I : f^infinity, its depth), the saturation and its depth loop in
+        one budget scope; at depth 0 the ideal returned is self."""
         sat = self.saturation(f, source)
         depth = self.saturation_depth(f, sat)
         return (sat, depth) if depth else (self, 0)

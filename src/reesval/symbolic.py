@@ -25,9 +25,8 @@ Groebner basis is, so they live as long as that handle: repeated calls with
 the same handle reuse them, and a re-parsed session starts with none.
 J_{R/P} is cached there too, so each separator tried reuses it, and J_R is
 cached the same way on the algebra's zero ideal, which all its primes
-share. The saturation depth, which only a certificate reports, is measured
-against the basis of P^n when the first certificate is built and kept with
-the result; exact_power, and so ord_at and every check, never measures it.
+share. Only a certificate reports the saturation depth, so symbolic_power
+measures it on first request and keeps it; exact_power never does.
 """
 
 from __future__ import annotations
@@ -123,18 +122,20 @@ def symbolic_power(P, n, separator="auto"):
     saturation exponent is always the depth of P^n's saturation.
     """
     entry = _saturated(P, n, separator)
-    return entry[0], _certificate(P, n, entry)
+    if entry[2] is None:
+        entry[2] = P.power(n).saturation_depth(entry[1], entry[0])
+    return entry[0], _certificate(*entry[1:])
 
 
 def _saturated(P, n, separator):
-    """P^(n)'s entry [ideal, separator, radical_ok, proven, depth], cached on
-    P for n >= 2; the depth stays None until _certificate measures it."""
+    """P^(n)'s entry [ideal, separator, depth, radical_ok, proven], cached on
+    P for n >= 2; the depth stays None until symbolic_power measures it."""
     if n < 0:
         raise PreconditionError("negative symbolic power")
     if separator != "auto" and not isinstance(separator, Polynomial):
         raise PreconditionError('separator must be "auto" or a polynomial')
     if n <= 1:
-        return [P if n else P.power(0), None, True, True, 0]
+        return [P if n else P.power(0), None, 0, True, True]
     key = (n, str(separator))
     if key in P._symbolic_powers:
         return P._symbolic_powers[key]
@@ -148,7 +149,7 @@ def _saturated(P, n, separator):
     else:
         result, depth = P.power(n).saturation(separator, _lower_product(P, key)), None
     radical_ok = all(P.radical_contains(g) for g in result.gens)
-    P._symbolic_powers[key] = [result, separator, radical_ok, proven, depth]
+    P._symbolic_powers[key] = [result, separator, depth, radical_ok, proven]
     return P._symbolic_powers[key]
 
 
@@ -164,14 +165,10 @@ def _lower_product(P, key):
     return P._symbolic_powers[k, text][0].product(cofactor[0] if cofactor else P.power(n - k))
 
 
-def _certificate(P, n, entry):
-    """P^(n)'s certificate; an unmeasured depth is measured and kept on entry."""
-    result, separator, radical_ok, proven, depth = entry
-    if depth is None:
-        entry[4] = depth = P.power(n).saturation_depth(separator, result)
+def _certificate(separator, steps, radical_ok, proven):
     return {
         "separator": str(separator) if separator is not None else None,
-        "saturation_steps": depth,
+        "saturation_steps": steps,
         "radical_ok": radical_ok,
         "proven": proven,
         "status": "exact" if radical_ok and proven else "upper bound candidate",
@@ -180,9 +177,9 @@ def _certificate(P, n, entry):
 
 def exact_power(P, n):
     """P^(n) by "auto", its depth unmeasured; a power not exact is refused."""
-    power, _, radical_ok, proven, _ = entry = _saturated(P, n, "auto")
+    power, _, _, radical_ok, proven = _saturated(P, n, "auto")
     if not (radical_ok and proven):
-        raise PreconditionError(f"symbolic power downgraded: {_certificate(P, n, entry)}")
+        raise PreconditionError(f"symbolic power downgraded: {symbolic_power(P, n)[1]}")
     return power
 
 
