@@ -192,24 +192,19 @@ class Ideal:
         gens = tuple(_exact_divide(g, f) for g in inter)
         return Ideal(self.algebra, gens)
 
-    def _saturation_gens(self, f):
-        """Rabinowitsch: (I + modulus) : f^infinity is (I + modulus, 1 - t*f) cap k[x]."""
+    def saturation(self, f):
+        """(I : f^infinity) by one Rabinowitsch elimination: (I + modulus,
+        1 - t*f) intersected with k[x]. Under grevlex that intersection's
+        basis is the saturation's reduced basis, so the ideal returned
+        carries it and never recomputes it."""
+        if self.algebra.reduce(f).is_zero():
+            raise PreconditionError("colon by zero")
         ring = self.algebra.ring
         tring, t = _with_t(ring)
         gens = [g.to_ring(tring) for g in self.ambient_gens()]
         gens.append(tring.one - t * f.to_ring(tring))
-        return eliminate(gens, ring)
-
-    def saturation(self, f, source=None):
-        """(I : f^infinity) by one elimination, on source when one is given:
-        any ideal between I and I : f^infinity has the same saturation, whose
-        reduced basis is unique, so only the work changes. Under grevlex that
-        basis is the one the elimination returns, so the ideal returned
-        carries it and never recomputes it."""
-        if self.algebra.reduce(f).is_zero():
-            raise PreconditionError("colon by zero")
-        result = Ideal(self.algebra, (self if source is None else source)._saturation_gens(f))
-        if self.algebra.ring.order == GrevLex():
+        result = Ideal(self.algebra, eliminate(gens, ring))
+        if ring.order == GrevLex():
             result._gb = result.gens
         return result
 
@@ -226,10 +221,10 @@ class Ideal:
         return depth
 
     @groebner._budgeted
-    def saturate(self, f, source=None):
+    def saturate(self, f):
         """(I : f^infinity, its depth), the saturation and its depth loop in
         one budget scope; at depth 0 the ideal returned is self."""
-        sat = self.saturation(f, source)
+        sat = self.saturation(f)
         depth = self.saturation_depth(f, sat)
         return (sat, depth) if depth else (self, 0)
 
@@ -237,7 +232,7 @@ class Ideal:
         """f in rad(I): at once when f in I, else iff I : f^infinity = (1)."""
         if self.contains_poly(f):
             return True
-        return self._saturation_gens(f) == (self.algebra.ring.one,)
+        return self.saturation(f).gens == (self.algebra.ring.one,)
 
 
 def _intersect_ambient(ring, gens1, gens2):

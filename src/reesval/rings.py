@@ -1,8 +1,8 @@
 """Projective closures and extended Rees presentations, each one saturation
-by a variable (`Ideal._saturation_gens`) over the affine algebras of
-`ideals`; no elimination ring is built here. Base and presentation
-variables are matched by name (`to_ring`); the homogenizing X0 is the one
-variable read by position, as the first of its ring.
+by a variable (`Ideal.saturation`) over the affine algebras of `ideals`;
+no elimination ring is built here. Base and presentation variables are
+matched by name (`to_ring`); the homogenizing X0 is the one variable read
+by position, as the first of its ring.
 
 Normality / primality of user-supplied algebras and primes are ASSERTED,
 never decided here; operations that rely on an assertion echo it in their
@@ -45,7 +45,7 @@ def homogenize_ideal(P):
     hring = PolyRing(ring.fresh_names("X0") + ring.names, ring.field, GrevLex())
     halg = AffineAlgebra(hring)
     hgens = [homogenize_poly(g, hring) for g in P.gens if not g.is_zero()]
-    return Ideal(halg, Ideal(halg, hgens)._saturation_gens(hring.gens()[0]))
+    return Ideal(halg, hgens).saturation(hring.gens()[0])
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +100,7 @@ def extended_rees_presentation(R, I):
     else:
         rel = [m.to_ring(pres_ring) for m in R.modulus]
         rel += [u * pres_ring.gen(y) - g.to_ring(pres_ring) for y, g in zip(y_names, gens)]
-    kernel = Ideal(AffineAlgebra(pres_ring), rel)._saturation_gens(u)
+    kernel = Ideal(AffineAlgebra(pres_ring), rel).saturation(u).gens
     algebra = AffineAlgebra(
         pres_ring, kernel, asserted=R.asserted - {"standard_graded"}
     )

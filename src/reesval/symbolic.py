@@ -118,8 +118,8 @@ def symbolic_power(P, n, separator="auto"):
     never an error.
 
     The elimination saturates P^(k) * P^(n-k) for the largest k < n cached
-    on P by the same separator, else P^n (see the module docstring); the
-    saturation exponent is always the depth of P^n's saturation.
+    on P by the same separator, else P^n (see the module docstring). Only
+    the certificate's saturation exponent, P^n's depth, reads P^n itself.
     """
     entry = _saturated(P, n, separator)
     if entry[2] is None:
@@ -147,20 +147,20 @@ def _saturated(P, n, separator):
     if separator is None:
         result, depth = P.power(n), 0
     else:
-        result, depth = P.power(n).saturation(separator, _lower_product(P, key)), None
+        result, depth = _lower_product(P, key).saturation(separator), None
     radical_ok = all(P.radical_contains(g) for g in result.gens)
     P._symbolic_powers[key] = [result, separator, depth, radical_ok, proven]
     return P._symbolic_powers[key]
 
 
 def _lower_product(P, key):
-    """P^(k) * P^(n-k) for the largest k < n, k >= 2, cached on P under the
-    same separator text, the cofactor the cached P^(n-k) or else the
-    ordinary power; None when no such k is cached."""
+    """What P^(n)'s elimination saturates: P^(k) * P^(n-k) for the largest
+    cached k < n, k >= 2, under the same separator text, the cofactor the
+    cached P^(n-k) or else the ordinary power; P^n when no k is cached."""
     n, text = key
     k = max((k for k in range(2, n) if (k, text) in P._symbolic_powers), default=None)
     if k is None:
-        return None
+        return P.power(n)
     cofactor = P._symbolic_powers.get((n - k, text))
     return P._symbolic_powers[k, text][0].product(cofactor[0] if cofactor else P.power(n - k))
 

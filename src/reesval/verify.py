@@ -21,7 +21,6 @@ from .monomial import rees_valuations_monomial
 from .multiplicity import (
     graded_invariants,
     local_multiplicity_via_gr,
-    multiplicity_graded,
     read_length_table,
 )
 from .poly import Polynomial
@@ -96,11 +95,9 @@ def _require_fs(fs):
 
 
 def graded_multiplicity_of_closure(R):
-    """e(S) for S the projective closure of Spec R (homogenized modulus)."""
-    P = Ideal(AffineAlgebra(R.ring), R.modulus)
-    H = homogenize_ideal(P)
-    S = AffineAlgebra(H.algebra.ring, H.gens, asserted=("standard_graded",))
-    return multiplicity_graded(S), S
+    """e(S) for S the projective closure of Spec R, read off the basis the
+    closure ideal (the homogenized modulus, saturated) carries."""
+    return graded_invariants(homogenize_ideal(Ideal(AffineAlgebra(R.ring), R.modulus)))[0]
 
 
 def verify_exceptional_certificate(pres, primes, multiplicities):
@@ -146,7 +143,7 @@ def check_main_theorem_A(p, q, nmax):
     """p^(e(S)n+1) inside q^(n), and the chain p^(2e(S)n) inside p^(e(S)n+1),
     where S is the projective closure of p's ring and all powers are symbolic."""
     sweep_range("nmax", nmax)  # an empty sweep is refused before any work
-    eS, _ = graded_multiplicity_of_closure(p.algebra)
+    eS = graded_multiplicity_of_closure(p.algebra)
 
     def holds(n):
         big = exact_power(p, eS * n + 1)
@@ -167,7 +164,7 @@ def check_uniform_izumi_multiplicity(q, fs):
     symbolic.DEFAULT_NMAX."""
     _require_fs(fs)
     R = q.algebra
-    C, _ = graded_multiplicity_of_closure(R)
+    C = graded_multiplicity_of_closure(R)
     verdicts, details = {}, {}
     for i, f in enumerate(fs):
         e_f = local_multiplicity_via_gr(R, f)

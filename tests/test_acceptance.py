@@ -149,7 +149,7 @@ def test_acceptance_03_paper_worked_example(paper):
         pres, (paper["Q1"], paper["Q2"]), (1, 1)
     )
     ok = ok and local_multiplicity_via_gr(paper["R"]) == 2
-    eS, _ = graded_multiplicity_of_closure(paper["R"])
+    eS = graded_multiplicity_of_closure(paper["R"])
     ok = ok and eS == 3
     _verdict(3, "paper worked example", ok)
 
@@ -192,7 +192,7 @@ def test_acceptance_05_izumi_tightness(paper):
     R, m, pres = paper["R"], paper["m"], paper["pres"]
     ring = R.ring
     x1, x2, x3 = ring.gens()
-    eS, _ = graded_multiplicity_of_closure(R)
+    eS = graded_multiplicity_of_closure(R)
     g = lift_to_rees(pres, x1)
     nu1 = symbolic_order_along(paper["Q1"], g)
     nu2 = symbolic_order_along(paper["Q2"], g)

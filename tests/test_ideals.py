@@ -210,12 +210,12 @@ def test_saturation_is_one_groebner_computation(poly_xy, monkeypatch):
 
 
 def test_saturation_depth_loop_draws_on_one_budget(poly_xyz, monkeypatch):
-    # P^(2) is one power short of a source for P^3: its saturation is not
-    # P^(3), so no power of x carries all of it into P^3 and the depth loop
-    # never ends. Its membership tests share one scope, which runs out
+    # P^(2) is not P^3's saturation P^(3), so no power of x carries all of it
+    # into P^3 and the depth loop never ends. Its membership tests share one
+    # scope, which runs out
     x, y, z = poly_xyz.ring.gens()
     P = Ideal(poly_xyz, (y**2 - x * z, x**2 * y - z**2, x**3 - y * z))
-    source = symbolic.symbolic_power(P, 2, separator=x)[0]
+    short = symbolic.symbolic_power(P, 2, separator=x)[0]
     monkeypatch.setattr(groebner, "DEFAULT_BUDGET", 20_000)
     real, tests = Ideal.contains_poly, []
 
@@ -227,7 +227,7 @@ def test_saturation_depth_loop_draws_on_one_budget(poly_xyz, monkeypatch):
 
     monkeypatch.setattr(Ideal, "contains_poly", tripwire)
     with pytest.raises(BudgetExceededError, match="^reduction-step budget exhausted$"):
-        P.power(3).saturate(x, source=source)
+        P.power(3).saturation_depth(x, short)
 
 
 def test_power_work_count(poly_xy, monkeypatch):
@@ -297,7 +297,7 @@ def test_radical_membership(poly_xy, paper_ring, monkeypatch):
     # in R = k[x]/(x1x2+x3^3): rad(x1, x3^2) = (x1, x3)
     x1, x2, x3 = paper_ring.ring.gens()
     J = Ideal(paper_ring, (x1, x3**2))
-    eliminations = _record_calls(monkeypatch, Ideal, "_saturation_gens")
+    eliminations = _record_calls(monkeypatch, Ideal, "saturation")
     assert J.radical_contains(x1 * x2)
     assert not eliminations  # a member of J is answered by its normal form
     assert J.radical_contains(x3) and not J.contains_poly(x3)

@@ -21,6 +21,9 @@ Both must equal `ord_at`, which saturates by a proven separator for p and
 reads the ordinary powers for the maximal ideal m. The same counts predict
 the verdict of the main-theorem-A sweep and the least constant C_emp of the
 Chevalley sweep for p and m, which read their powers the same way.
+
+The 3-fold node Q[x,y,z,w]/(xy - zw) gets the same sweeps over every pair
+of its torus-invariant primes (see `test_theorem_a_on_every_pair_of_the_node`).
 """
 
 import pytest
@@ -32,6 +35,7 @@ from reesval import (
     QQ,
     check_improved_chevalley,
     check_main_theorem_A,
+    local_multiplicity_via_gr,
     ord_at,
 )
 from reesval.ideals import Ideal
@@ -120,3 +124,41 @@ def test_theorem_sweeps_match_the_lattice(k, nmax):
     chevalley = check_improved_chevalley(p, m, nmax, A=0, B=0, C=1, E=1, e=1)
     assert chevalley.details["t"] == 1
     assert chevalley.details["C_emp"] == k * (nmax - 1) // nmax + 1
+
+
+# The torus-invariant primes of the node xy = zw, by their generators: the
+# four of height 1, the four of height 2 and the maximal ideal m.
+NODE_PRIMES = ("xz", "xw", "yz", "yw", "xyz", "xyw", "xzw", "yzw", "xyzw")
+
+
+@pytest.mark.parametrize("nmax", (2, 3))
+def test_theorem_a_on_every_pair_of_the_node(nmax):
+    # Each height-1 prime is the facet functional that is 1 on its two
+    # variables and 0 on the other two, e.g. 1 on x, z for (x, z); symbolic
+    # powers of these primes are spanned by monomials. At a height-2 prime Q,
+    # R_Q is regular with monomial parameters, so ord_Q of a monomial is the
+    # sum of the two facet functionals of the height-1 primes inside Q: z has
+    # order 1 + 1 at (x, y, z). And m^(n) = m^n, so ord_m is the degree.
+    # - p of height 1: ord_q >= ord_p for every q containing p, as ord_q
+    #   sums ord_p with a second functional, or is the degree, which bounds
+    #   each functional. So p^(n) lies in q^(n): C_emp = 1.
+    # - p of height 2 and q = m: ord_p <= 2 * degree, so C = 2 serves, and
+    #   C = 1 fails at n = 2, since z lies in (x, y, z)^(2) but not in m^2.
+    # A variable of ord_q 1 lies in p, so t = 1 on every pair. The closure
+    # is the quadric cone xy = zw, so e(S) = 2, as the node's own local
+    # multiplicity is.
+    ring = PolyRing(("x", "y", "z", "w"), QQ, GrevLex())
+    x, y, z, w = ring.gens()
+    R = AffineAlgebra(ring, (x * y - z * w,), asserted=("normal", "domain"))
+    assert local_multiplicity_via_gr(R) == 2
+    primes = {g: Ideal(R, tuple(map(ring.gen, g))) for g in NODE_PRIMES}
+    pairs = [(a, b) for a in NODE_PRIMES for b in NODE_PRIMES if set(a) < set(b)]
+    assert len(pairs) == 16
+    for a, b in pairs:
+        p, q = primes[a], primes[b]
+        main_a = check_main_theorem_A(p, q, nmax)
+        assert main_a.passed and main_a.details == {"e(S)": 2}, (a, b)
+        chevalley = check_improved_chevalley(p, q, nmax, A=0, B=0, C=1, E=1, e=2)
+        assert chevalley.passed, (a, b)
+        assert chevalley.details["t"] == 1, (a, b)
+        assert chevalley.details["C_emp"] == (1 if len(a) == 2 else 2), (a, b)

@@ -4,7 +4,9 @@ A function nothing in the package reaches is code kept alive by its tests
 alone. A definition passes when its name is read somewhere in `src/`
 outside its own body, when `__init__` imports it, when it is a CLI
 `cmd_`/`check_` method (the session dispatches to those by name) or a
-dunder, or when EXEMPT lists it with the reason it stays.
+dunder, or when EXEMPT lists it with the reason it stays. A function is
+read by its bare name or as an attribute; a method (a def in a class) only
+as an attribute, so a call to a function of the same name keeps no method.
 """
 
 import ast
@@ -22,12 +24,14 @@ EXEMPT = {
     "HilbertSeries.coefficients": "the expansion the Hilbert-series tests compare with counts",
     "PolyRing.monomials_up_to_degree": "a test-data helper",
     "clear_cache": "the benchmark still calls it",
+    "Ideal.eliminate": "perfbench/tracer.py wraps it; ROADMAP item 2 deletes it with that target",
 }
 
 
 def _definitions_and_reads(tree):
-    """(qualified names of the functions and methods defined, names read
-    with the qualified names of the functions enclosing each read)."""
+    """(the functions and methods defined, as (qualified name, is a method),
+    the names read, as (name, read as an attribute, the qualified names of
+    the functions enclosing the read))."""
     defs, reads = [], []
 
     def visit(node, prefix, enclosing):
@@ -36,13 +40,13 @@ def _definitions_and_reads(tree):
                 visit(child, prefix + child.name + ".", enclosing)
             elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 name = prefix + child.name
-                defs.append(name)
+                defs.append((name, isinstance(node, ast.ClassDef)))
                 visit(child, name + ".", enclosing | {name})
             else:
                 if isinstance(child, ast.Name):
-                    reads.append((child.id, enclosing))
+                    reads.append((child.id, False, enclosing))
                 elif isinstance(child, ast.Attribute):
-                    reads.append((child.attr, enclosing))
+                    reads.append((child.attr, True, enclosing))
                 visit(child, prefix, enclosing)
 
     visit(tree, "", frozenset())
@@ -63,17 +67,20 @@ def _uncalled(modules):
     defined, reads = [], []
     for stem, tree in modules.items():
         defs, file_reads = _definitions_and_reads(tree)
-        defined.extend((stem, q) for q in defs)
+        defined.extend((stem, q, method) for q, method in defs)
         reads.extend(file_reads)
     exported = _exported(modules["__init__"]) if "__init__" in modules else set()
     found = []
-    for stem, qual in defined:
+    for stem, qual, method in defined:
         short = qual.rsplit(".", 1)[-1]
         if (
             (short.startswith("__") and short.endswith("__"))
             or (stem == "cli" and short.startswith(("cmd_", "check_")))
             or short in exported
-            or any(n == short and qual not in inside for n, inside in reads)
+            or any(
+                n == short and (attr or not method) and qual not in inside
+                for n, attr, inside in reads
+            )
         ):
             continue
         found.append(qual)
@@ -97,8 +104,10 @@ def test_the_guard_sees_uncalled_functions():
         "__init__": ast.parse("from .m import public\n"),
         "m": ast.parse(
             "def public():\n"
-            "    return helper()\n"
+            "    return helper() + twin()\n"
             "def helper():\n"
+            "    return 0\n"
+            "def twin():\n"
             "    return 0\n"
             "def recursive(n):\n"
             "    return recursive(n - 1)\n"
@@ -113,6 +122,8 @@ def test_the_guard_sees_uncalled_functions():
             "        return 0\n"
             "    def unused(self):\n"
             "        return 0\n"
+            "    def twin(self):\n"
+            "        return 0\n"
             "def cmd_x():\n"
             "    return 0\n"
         ),
@@ -124,4 +135,5 @@ def test_the_guard_sees_uncalled_functions():
             "        return 0\n"
         ),
     }
-    assert _uncalled(modules) == ["recursive", "dead", "K.unused", "cmd_x"]
+    # K.twin shares its name with the function twin, which public calls
+    assert _uncalled(modules) == ["recursive", "dead", "K.unused", "K.twin", "cmd_x"]

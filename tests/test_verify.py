@@ -19,6 +19,7 @@ from reesval import (
 )
 from reesval.errors import PreconditionError
 from reesval.ideals import Ideal, kernel_of_map
+from reesval.rings import homogenize_ideal
 from reesval import verify
 from reesval.verify import graded_multiplicity_of_closure
 
@@ -36,9 +37,9 @@ def paper_setup(paper_ring, paper_m):
 
 
 def test_closure_multiplicity(paper_ring):
-    eS, S = graded_multiplicity_of_closure(paper_ring)
-    assert eS == 3
-    assert all(g.is_homogeneous() for g in S.modulus)
+    assert graded_multiplicity_of_closure(paper_ring) == 3
+    closure = homogenize_ideal(Ideal(AffineAlgebra(paper_ring.ring), paper_ring.modulus))
+    assert all(g.is_homogeneous() for g in closure.gens)
 
 
 def test_zariski_nagata_variable_primes(poly_xyz):
@@ -102,7 +103,9 @@ def test_main_theorem_a_sweep(paper_ring, paper_m, paper_setup):
 def test_main_theorem_a_measures_no_saturation_depth(paper_m, paper_setup, monkeypatch):
     # tripwire: the sweep reads p^(4)..p^(18) through exact_power, which
     # leaves each saturation depth unmeasured, so it builds no basis of an
-    # ordinary power p^n for one
+    # ordinary power p^n for one. Past p^(4), each p^(n) saturates a cached
+    # lower product, whose ordinary cofactors reach p^5 at most (p^(12) is
+    # p^(7) * p^5 saturated), so no layer of p past p^5 is built
     _, _, p = paper_setup
     depths = []
     real = Ideal.saturation_depth
@@ -112,7 +115,8 @@ def test_main_theorem_a_measures_no_saturation_depth(paper_m, paper_setup, monke
     with groebner.budget(groebner.DEFAULT_BUDGET) as work:
         assert check_main_theorem_A(p, paper_m, 3).passed
     assert not depths
-    assert work.calls == 14
+    assert work.calls == 13
+    assert len(p._powers) == 6  # layers p^0..p^5
 
 
 def test_izumi_multiplicity_bound(paper_ring, paper_m):
