@@ -11,11 +11,12 @@ deterministic.
 Inside this module a monomial is one int X = K*2^SH + E (Bachmann-
 Schoenemann, ISSAC 1998; Monagan-Pearce, CASC 2007). E, the low SH bits,
 holds each exponent in its own field under a guard bit; K is the order
-key, whose entries are linear in the exponent (lex, grevlex, block) and
-sit in fields wider than their spread. So a product of monomials adds X,
-comparing X compares keys, and a divides b iff ((X_b | G) - X_a) & G == G
-for the guard bits G. Exponents stay below 2^EXPONENT_BITS; a larger one,
-given or created, is refused with PreconditionError. Pairs come off a heap
+key, whose entries are linear in the exponent (lex, grevlex, block,
+weighted reverse lex) and sit in fields wider than their spread. So a
+product of monomials adds X, comparing X compares keys, and a divides b
+iff ((X_b | G) - X_a) & G == G for the guard bits G. Exponents stay
+below 2^EXPONENT_BITS; a larger one, given or created, is refused with
+PreconditionError. Pairs come off a heap
 keyed by (lcm degree, sugar, i, j) and division takes terms off a heap of -X,
 largest first, so neither rescans what it has ranked and the remainder
 comes back sorted. Division combines plain-int numerators over one common
@@ -62,7 +63,7 @@ class Work:
 
     __slots__ = (
         "budget", "calls", "largest", "pairs", "divisions", "steps", "formed", "coprime",
-        "chain", "zeros",
+        "chain", "zeros", "divided",
     )
 
     def __init__(self, budget):
@@ -76,6 +77,7 @@ class Work:
         self.coprime = 0  # pairs skipped for coprime lead terms
         self.chain = 0  # pairs skipped by the chain criterion
         self.zeros = 0  # S-pairs reduced to zero
+        self.divided = 0  # saturations read off a divided basis (Ideal.saturation)
 
 
 # the work record of the innermost scope

@@ -5,20 +5,25 @@ An Ideal handle holds generators inside an AffineAlgebra and denotes
 generators, and the algebra's one zero_ideal handle caches the modulus
 basis itself. Bases are the plain tuples `groebner.buchberger` returns, so
 the unit ideal is the one whose basis is (1,), and two algebras are equal
-when their rings and reduced modulus bases are. Intersections, colons,
-saturations, radical membership and kernels each write their relations in
-`elimination_ring(front, target)`, which puts the variables to drop first
-under a block order, and call `eliminate`; this module is the only one that
-does. Rees presentations and projective closures reach it through one
-saturation each. Polynomials enter and leave that ring by `to_ring`,
-which matches variables by name.
+when their rings and reduced modulus bases are. Intersections, colons and
+kernels write their relations in `elimination_ring(front, target)`, which
+puts the variables to drop first under a block order, and call
+`eliminate`; this module is the only one that does. A saturation, which
+radical membership, Rees presentations and projective closures each reach
+through `Ideal.saturation`, does the same unless it is by a variable of an
+ideal that positive weights grade: then it divides a basis instead.
+Polynomials enter and leave other rings by `to_ring`, which matches
+variables by name.
 """
 
 from __future__ import annotations
 
+from operator import sub
+
 from . import groebner
 from .errors import NotHomogeneousError, PreconditionError
-from .poly import Block, GrevLex, PolyRing
+from .linalg import positive_null_vector
+from .poly import Block, GrevLex, PolyRing, WeightedRevLex
 
 
 # What an algebra may be asserted to be: "normal" (read by verify), "domain"
@@ -192,18 +197,32 @@ class Ideal:
         gens = tuple(_exact_divide(g, f) for g in inter)
         return Ideal(self.algebra, gens)
 
+    @groebner._budgeted
     def saturation(self, f):
-        """(I : f^infinity) by one Rabinowitsch elimination: (I + modulus,
-        1 - t*f) intersected with k[x]. Under grevlex that intersection's
-        basis is the saturation's reduced basis, so the ideal returned
-        carries it and never recomputes it."""
+        """(I : f^infinity), generated by the reduced grevlex basis of
+        (I + modulus) : f^infinity in increasing order, read in the ring;
+        under grevlex the ideal returned carries it and never recomputes it.
+
+        When f is a variable x_i and weights w >= 1 make every ambient
+        generator w-homogeneous, the basis is divided (Bayer): under the
+        w-degree reverse lex order with x_i last, in(I : x_i^infinity) =
+        in(I) : x_i^infinity, so I's reduced basis, each element divided by
+        its largest power of x_i, is a basis of the saturation (Bayer-
+        Stillman, Invent. Math. 87, 1987; Eisenbud, Commutative Algebra,
+        Prop. 15.12), and buchberger reduces it under grevlex. Otherwise it
+        is one Rabinowitsch elimination: (I + modulus, 1 - t*f) intersected
+        with k[x], whose block order is grevlex on k[x].
+        """
         if self.algebra.reduce(f).is_zero():
             raise PreconditionError("colon by zero")
-        ring = self.algebra.ring
-        tring, t = _with_t(ring)
-        gens = [g.to_ring(tring) for g in self.ambient_gens()]
-        gens.append(tring.one - t * f.to_ring(tring))
-        result = Ideal(self.algebra, eliminate(gens, ring))
+        ring, gens = self.algebra.ring, self.ambient_gens()
+        basis = _divided_basis(ring, gens, f)
+        if basis is None:
+            tring, t = _with_t(ring)
+            gens = [g.to_ring(tring) for g in gens]
+            gens.append(tring.one - t * f.to_ring(tring))
+            basis = eliminate(gens, ring)
+        result = Ideal(self.algebra, basis)
         if ring.order == GrevLex():
             result._gb = result.gens
         return result
@@ -233,6 +252,29 @@ class Ideal:
         if self.contains_poly(f):
             return True
         return self.saturation(f).gens == (self.algebra.ring.one,)
+
+
+def _divided_basis(ring, gens, f):
+    """The reduced grevlex basis of (gens) : f^infinity, read in ring, off
+    a basis divided by x_i (Ideal.saturation); None unless f is a variable
+    x_i and some w >= 1 makes every gen w-homogeneous."""
+    (e, c), *rest = f.terms
+    if rest or c != ring.field.one or sum(e) != 1:
+        return None
+    i = e.index(1)
+    diffs = (tuple(map(sub, x, g.lead_exp)) for g in gens for x, _ in g.terms[1:])
+    w = positive_null_vector(list(dict.fromkeys(diffs)), ring.nvars)
+    if w is None:
+        return None
+    wring = PolyRing(ring.names, ring.field, WeightedRevLex(w, i))
+    grevlex = PolyRing(ring.names, ring.field, GrevLex())
+    divided = []
+    for g in groebner.buchberger([g.to_ring(wring) for g in gens]):
+        k = min(x[i] for x, _ in g.terms)
+        terms = {x[:i] + (x[i] - k,) + x[i + 1 :]: c for x, c in g.terms}
+        divided.append(grevlex.poly_from_dict(terms))
+    groebner._work.get().divided += 1
+    return tuple(g.to_ring(ring) for g in groebner.buchberger(divided))
 
 
 def _intersect_ambient(ring, gens1, gens2):

@@ -1,8 +1,8 @@
 """Monomial-ideal fast path: Newton polyhedra, facet valuations, closures.
 
-All geometry is exact. Its linear algebra is one fraction-free integer
-pivot (Bareiss): nullspace vectors come out as integer vectors, simplex
-tableaux as integers over one denominator. Facets are enumerated from
+All geometry is exact. Its linear algebra is `linalg`'s one fraction-free
+integer pivot (Bareiss), so nullspaces and simplex tableaux stay integral.
+Facets are enumerated from
 subset candidates (desk scale: at most 4 variables, 12 generators),
 integral closures by lattice scanning against the facet inequalities, and an
 exact simplex on a packing LP decides membership with no facets at all so
@@ -20,6 +20,7 @@ from math import gcd
 from .errors import PreconditionError
 from .groebner import _minimalize
 from .ideals import Ideal
+from .linalg import nullspace, pivot, row_reduce
 
 MAX_VARS = 4
 MAX_GENS = 12
@@ -29,60 +30,10 @@ MAX_GENS = 12
 # small exact linear algebra
 
 
-def _pivot(rows, r, col, d):
-    """Fraction-free pivot on p = rows[r][col] (Bareiss): each other row becomes
-    (p * row - row[col] * rows[r]) / d, an exact division. Returns p, the next d."""
-    prow = rows[r]
-    p = prow[col]
-    for i, row in enumerate(rows):
-        if i != r:
-            f = row[col]
-            rows[i] = [(p * x - f * y) // d for x, y in zip(row, prow)]
-    return p
-
-
-def _reduce(rows):
-    """Fraction-free Gauss-Jordan elimination (Bareiss) of an integer matrix.
-
-    Returns (a, pivots, d): pivot row i of a holds d in column pivots[i]
-    and 0 in every other pivot column, and the rows past the pivots are
-    zero. Every entry is up to sign a minor of the input, so each division
-    is exact, and at full rank a square input has determinant +-d. Rows
-    are replaced, never mutated, so the input rows may be tuples.
-    """
-    a = list(rows)
-    pivots = []
-    d = 1
-    for col in range(len(a[0]) if a else 0):
-        r = len(pivots)
-        piv = next((i for i in range(r, len(a)) if a[i][col]), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        d = _pivot(a, r, col, d)
-        pivots.append(col)
-    return a, pivots, d
-
-
-def _nullspace(rows, n):
-    """Integer basis of the nullspace of the given rows, vectors of length n."""
-    a, pivots, d = _reduce(rows)
-    basis = []
-    for fc in range(n):
-        if fc in pivots:
-            continue
-        v = [0] * n
-        v[fc] = d
-        for i, pc in enumerate(pivots):
-            v[pc] = -a[i][fc]
-        basis.append(v)
-    return basis
-
-
 def _affine_rank(points, rays=()):
     """Dimension of the affine hull of the points, widened by the rays."""
     rows = [[x - y for x, y in zip(p, points[0])] for p in points[1:]]
-    return len(_reduce([*rows, *rays])[1])
+    return len(row_reduce([*rows, *rays])[1])
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +105,7 @@ def newton_polyhedron(I):
             for zeros in combinations(range(n), n - k):
                 rows = [[a - b for a, b in zip(g, subset[0])] for g in subset[1:]]
                 rows += [unit[j] for j in zeros]
-                basis = _nullspace(rows, n)
+                basis = nullspace(rows, n)
                 if len(basis) != 1:
                     continue
                 v = basis[0]
@@ -237,7 +188,7 @@ def membership_oracle_caratheodory(exps, nvars, e, n=1):
                 r = i
         if r is None:
             return True
-        d = _pivot(rows, r, col, d)
+        d = pivot(rows, r, col, d)
         basis[r] = col
         if rows[-1][-1] >= n * d:
             return True
@@ -276,7 +227,7 @@ def monomial_multiplicity(I):
 
     def pulled(face, dim, chain):
         if dim == 0:
-            _, pivots, d = _reduce([*chain, face[0]])
+            _, pivots, d = row_reduce([*chain, face[0]])
             return abs(d) if len(pivots) == n else 0
         v = face[0]
         subfaces = {tuple(g for g in face if g in t) for t in tight}

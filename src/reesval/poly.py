@@ -158,7 +158,8 @@ QQ = RationalField()
 # Each order maps an exponent tuple to a sort key; exponents compare by key.
 # Bigger key = bigger monomial. Keys are flat int tuples of one length per
 # ring, linear in the exponent, so groebner packs each key into one int
-# (exponents below 2^24) and its division heap holds the negated ints.
+# (exponents below 2^24) and its division heap holds the negated ints. The
+# linear keys: lex, grevlex, block and weighted reverse lex.
 
 
 class MonomialOrder:
@@ -206,6 +207,25 @@ class Block(MonomialOrder):
 
     def __repr__(self):
         return f"block({self.k},grevlex,grevlex)"
+
+
+class WeightedRevLex(MonomialOrder):
+    """Weighted degree under positive weights first, then reverse lex with
+    variable `last` the last variable, so that the least power of it wins.
+
+    A polynomial f homogeneous for the weights has x_last | in(f) iff
+    x_last | f, which is what saturating by x_last needs (ideals).
+    """
+
+    def __init__(self, weights, last):
+        self.weights, self.last = tuple(weights), last
+
+    def key(self, exp):
+        rest = exp[: self.last] + exp[self.last + 1 :]
+        return (sum(map(operator.mul, self.weights, exp)), -exp[self.last]) + _grevlex(rest)[1:]
+
+    def __repr__(self):
+        return f"wrevlex({','.join(map(str, self.weights))};{self.last})"
 
 
 # ---------------------------------------------------------------------------

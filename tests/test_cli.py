@@ -124,12 +124,12 @@ CURVE_SQUARE = parse_session(
 
 
 def test_budget_bounds_the_whole_command():
-    # the command's Groebner computations together take 112 reduction
-    # steps; the largest single one takes 35
-    report, ok = run(CURVE_SQUARE, budget=111)
+    # the command's Groebner computations together take 92 reduction
+    # steps; the largest single one takes 24
+    report, ok = run(CURVE_SQUARE, budget=91)
     assert not ok
     assert report["commands"][0]["error"] == "reduction-step budget exhausted"
-    report, ok = run(CURVE_SQUARE, budget=112)
+    report, ok = run(CURVE_SQUARE, budget=92)
     assert ok and "result" in report["commands"][0]
 
 

@@ -6,18 +6,23 @@ and grevlex,
 the reduced basis must equal sympy's (made monic), normal forms must
 equal sympy's remainders and membership must agree with sympy's. The
 elimination ideal must equal the part of sympy's lex basis free of the
-dropped variables, and each partial derivative must equal sympy's.
+dropped variables, a saturation by a variable the reduced basis of the
+part of sympy's lex basis of (I, 1 - t*x_i) free of t, and each partial
+derivative must equal sympy's.
 """
 
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
 sympy = pytest.importorskip("sympy")
 
-from reesval import GrevLex, Lex, PolyRing, PrimeField, QQ, buchberger, normal_form
-from reesval.ideals import eliminate, elimination_ring
+from reesval import (
+    AffineAlgebra, GrevLex, Lex, PolyRing, PrimeField, QQ, buchberger, groebner, normal_form,
+)
+from reesval.ideals import Ideal, eliminate, elimination_ring
 
 P = 32003
 NAMES = ("x", "y", "z")
@@ -166,6 +171,39 @@ def test_elimination_agrees_with_sympy(field):
         G = buchberger(ours)
         assert all(normal_form(h, G).is_zero() for h in theirs), trial
     assert 0 in sizes and len(sizes) > 1
+
+
+def test_saturation_by_a_variable_agrees_with_sympy():
+    # ideals graded by seeded weights w in 1..3, so each saturation by a
+    # variable reads a divided basis; sympy eliminates t from (I, 1 - t*x_i)
+    # under lex, and the reduced grevlex basis of what is free of t must be
+    # the saturation's generators
+    rng = random.Random(20246)
+    ring = PolyRing(NAMES, QQ, GrevLex())
+    t = sympy.Symbol("t")
+    grew = 0
+    for trial in range(30):
+        w = [rng.randint(1, 3) for _ in NAMES]
+        gens = []
+        for _ in range(rng.choice((1, 2, 3))):
+            degree = rng.randint(2, 6)
+            same = [e for e in ring.monomials_up_to_degree(degree) if sum(map(mul, w, e)) == degree]
+            if same:
+                terms = {rng.choice(same): rng.randint(-9, 9) for _ in range(3)}
+                gens.append(ring.poly_from_dict({e: Fraction(c) for e, c in terms.items()}))
+        I = Ideal(AffineAlgebra(ring), gens)
+        i = rng.randrange(len(NAMES))
+        with groebner.budget(groebner.DEFAULT_BUDGET) as work:
+            sat = I.saturation(ring.gens()[i])
+        assert work.divided == 1, trial
+        oracle = sympy.groebner(
+            [_to_sympy(g).as_expr() for g in I.ambient_gens()] + [1 - t * SYMBOLS[i]],
+            t, *SYMBOLS, order="lex", domain=sympy.QQ,
+        )
+        theirs = [_from_sympy(ring, g) for g in oracle.exprs if t not in g.free_symbols]
+        assert sat.gens == buchberger(theirs), trial
+        grew += not I.contains_ideal(sat)
+    assert grew >= 10
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(P)], ids=repr)

@@ -1,11 +1,13 @@
 import random
 from functools import reduce
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 from operator import mul
 
 import pytest
 
-from reesval import AffineAlgebra, GrevLex, Lex, PolyRing, PrimeField, QQ, groebner, symbolic
+from reesval import (
+    AffineAlgebra, Block, GrevLex, Lex, PolyRing, PrimeField, QQ, groebner, symbolic,
+)
 from reesval.cli import parse_session, run
 from reesval.errors import BudgetExceededError, PreconditionError
 from reesval.ideals import (
@@ -187,6 +189,145 @@ def test_saturation_carries_its_reduced_basis_under_grevlex(paper_ring, poly_xyz
     assert sat.gb() == (b,)
 
 
+def _saturate_by_elimination(I, f):
+    """Independent route: the Rabinowitsch elimination (I + modulus,
+    1 - t*f) intersected with k[x], its generators read in I's ring."""
+    ring = I.algebra.ring
+    tring = elimination_ring(ring.fresh_names("_t"), ring)
+    t = tring.gens()[0]
+    gens = [g.to_ring(tring) for g in I.ambient_gens()]
+    return eliminate(gens + [tring.one - t * f.to_ring(tring)], ring)
+
+
+def _record_saturations(monkeypatch):
+    """Wrap Ideal.saturation so that each call's (I, f, result) lands in the
+    list returned."""
+    saturations, real = [], Ideal.saturation
+
+    def recording(self, f):
+        saturations.append((self, f, real(self, f)))
+        return saturations[-1][2]
+
+    monkeypatch.setattr(Ideal, "saturation", recording)
+    return saturations
+
+
+# the two session texts `perfbench/run.py --workload session --seed 3` runs
+SEED_3_SESSION = (
+    "ring { vars: x1 x3 x2; field: QQ; mod: x1*x3 + x2^3; order: grevlex;\n"
+    "       assert: normal domain }\n"
+    "ideal m = x1, x3, x2\n"
+    "ideal p = x1, x2\n"
+    "cmd: gb m\n"
+    "cmd: multiplicity\n"
+    "cmd: multiplicity --f x1\n"
+    "cmd: ord m x1*x3 --nmax 6\n"
+    "cmd: rees m\n"
+    "cmd: length-table m 6 --f x1\n"
+    "cmd: symbolic-power p 2\n"
+    "cmd: check main-a --p p --q m --nmax 3\n"
+    "cmd: check izumi-mult --q m --fs x1+x2;x2^2;x1;x2;x1*x3;x3\n"
+    "cmd: check chevalley --p p --q m --nmax 3 --C 3 --E 2 --e 2 --A 1 --B 1\n",
+    "ring { vars: y x z; field: QQ; order: grevlex }\n"
+    "ideal P = x^2 - y*z, y^2*x - z^2, y^3 - x*z\n"
+    "cmd: symbolic-power P 2 --separator y\n"
+    "cmd: symbolic-power P 3 --separator y\n",
+)
+
+NODE_SESSION = (
+    "ring { vars: x y z w; field: QQ; mod: x*y - z*w; order: grevlex; assert: normal domain }\n"
+    "ideal m = x, y, z, w\n"
+    "ideal p = x, z\n"
+    "ideal q = x, y, z\n"
+    "cmd: symbolic-power p 3\n"
+    "cmd: symbolic-power q 3\n"
+    "cmd: rees m\n"
+    "cmd: check main-a --p q --q m --nmax 2\n"
+)
+
+
+@pytest.mark.parametrize(
+    "texts, count", [(SEED_3_SESSION, 23), ((NODE_SESSION,), 7)], ids=["session", "node"]
+)
+def test_every_fixture_saturation_divides_a_basis(texts, count, monkeypatch):
+    # cross-check: every saturation of the texts, run in one budget scope, is
+    # by a variable of an ideal that positive weights grade: the paper ring's
+    # primes under (2, 1, 1), its Rees lift, the projective closures, the
+    # curve under (3, 4, 5) and the node. Each one reads its basis off a
+    # divided basis and returns the elimination's generators
+    saturations = _record_saturations(monkeypatch)
+    with groebner.budget(groebner.DEFAULT_BUDGET) as work:
+        assert all(run(parse_session(text))[1] for text in texts)
+    assert len(saturations) == work.divided == count
+    for I, f, sat in saturations:
+        assert sat.gens == _saturate_by_elimination(I, f), (I, f)
+
+
+def test_a_saturation_the_route_refuses_counts_no_divided_basis(paper_ring, monkeypatch):
+    # no w >= 1 grades x^2 - x; a saturation by a polynomial that is not a
+    # variable, as radical membership of x2 + x3 asks, is an elimination too
+    x, y = PolyRing(("x", "y"), QQ, GrevLex()).gens()
+    I = Ideal(AffineAlgebra(x.ring), (x**2 - x, x * y))
+    x1, x2, x3 = paper_ring.ring.gens()
+    J = Ideal(paper_ring, (x1, x3**2))
+    saturations = _record_saturations(monkeypatch)
+    with groebner.budget(groebner.DEFAULT_BUDGET) as work:
+        assert I.saturation(x).gens == (y, x - 1)
+        assert not J.radical_contains(x2 + x3)
+    assert len(saturations) == 2 and work.divided == 0
+    for I, f, sat in saturations:
+        assert sat.gens == _saturate_by_elimination(I, f)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=str)
+def test_divided_basis_matches_the_elimination(field):
+    # cross-check on ideals graded by weights w in 1..4, in 2 to 4 variables,
+    # with and without a modulus, in every order, saturated by any variable:
+    # the same generators in the same order, carried as the basis under grevlex
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    coeffs = st.integers(-3, 3).filter(bool) if field == QQ else st.integers(1, field.p - 1)
+
+    @st.composite
+    def cases(draw):
+        n = draw(st.integers(2, 4))
+        w = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+        order = draw(st.sampled_from([GrevLex(), Lex(), Block(1)]))
+        ring = PolyRing(("a", "b", "c", "d")[:n], field, order)
+
+        def homogeneous():
+            degree = draw(st.integers(1, 6))
+            exps = [
+                e for e in product(*(range(degree // a + 1) for a in w))
+                if sum(map(mul, w, e)) == degree
+            ]
+            hypothesis.assume(exps)
+            terms = draw(st.dictionaries(st.sampled_from(exps), coeffs, min_size=1, max_size=3))
+            return ring.poly_from_dict({e: field.coerce(c) for e, c in terms.items()})
+
+        gens = [homogeneous() for _ in range(draw(st.integers(1, 3)))]
+        modulus = [homogeneous()] if draw(st.booleans()) else []
+        return AffineAlgebra(ring, modulus), gens, ring.gens()[draw(st.integers(0, n - 1))]
+
+    grew = []
+
+    @hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @hypothesis.given(cases())
+    def agrees(case):
+        A, gens, x = case
+        hypothesis.assume(not A.reduce(x).is_zero())
+        I = Ideal(A, gens)
+        with groebner.budget(groebner.DEFAULT_BUDGET) as work:
+            sat = I.saturation(x)
+        assert work.divided == 1
+        assert sat.gens == _saturate_by_elimination(I, x), (A, I, x)
+        assert (sat._gb == sat.gens) if A.ring.order == GrevLex() else sat._gb is None
+        grew.append(not I.contains_ideal(sat))
+
+    agrees()
+    assert sum(grew) >= 10 and not all(grew)
+
+
 def _record_calls(monkeypatch, owner, name):
     """Wrap owner.name so that each call's arguments land in the list returned."""
     calls = []
@@ -201,12 +342,31 @@ def _record_calls(monkeypatch, owner, name):
 
 
 def test_saturation_is_one_groebner_computation(poly_xy, monkeypatch):
+    # the elimination is one basis; a divided basis is two, the one divided
+    # and its grevlex re-basis. No w >= 1 grades x^2 - x, so (x^2 - x, xy)
+    # by x takes the elimination
     x, y = poly_xy.ring.gens()
-    I = Ideal(poly_xy, (x**2 * y, x * y**2))
-    I.gb()
-    calls = _record_calls(monkeypatch, groebner, "buchberger")
-    I.saturate(x)
-    assert len(calls) == 1
+    for gens, route in (((x**2 * y, x * y**2), 2), ((x**2 - x, x * y), 1)):
+        I = Ideal(poly_xy, gens)
+        I.gb()
+        calls = _record_calls(monkeypatch, groebner, "buchberger")
+        with groebner.budget(groebner.DEFAULT_BUDGET) as work:
+            I.saturate(x)
+        assert len(calls) == work.calls == route
+        assert work.divided == (route == 2)
+
+
+def test_curve_power_saturation_work_count(poly_xyz):
+    # tripwire, layer 4: P^8 : x^infinity of the curve prime, no power of it
+    # cached, is a basis under the (3, 4, 5)-degree reverse lex order divided
+    # by x, then its grevlex re-basis; as an elimination it was 1 call, 438
+    # S-pairs and 3853 steps
+    x, y, z = poly_xyz.ring.gens()
+    P = Ideal(poly_xyz, (y**2 - x * z, x**2 * y - z**2, x**3 - y * z))
+    P8 = P.power(8)
+    with groebner.budget(groebner.DEFAULT_BUDGET) as work:
+        P8.saturation(x)
+    assert (work.calls, work.pairs, work.steps, work.divided) == (2, 84, 763, 1)
 
 
 def test_saturation_depth_loop_draws_on_one_budget(poly_xyz, monkeypatch):
@@ -254,7 +414,7 @@ def test_symbolic_power_work_count(monkeypatch):
     with groebner.budget(groebner.DEFAULT_BUDGET) as work:
         report, ok = run(session)
     assert ok
-    assert len(calls) == work.calls == 9
+    assert len(calls) == work.calls == 12
 
 
 def test_two_separators_share_the_jacobian_ideal(monkeypatch):
@@ -276,7 +436,7 @@ def test_two_separators_share_the_jacobian_ideal(monkeypatch):
     inputs = [frozenset(gens) for gens, in calls]
     assert len(jacobian) == 12 and inputs.count(jacobian) == 1
     assert [inputs.count(frozenset(P.power(n).gens)) for n in (2, 3)] == [1, 1]
-    assert len(calls) == work.calls == 12
+    assert len(calls) == work.calls == 18
 
 
 def test_elimination(poly_xyz):

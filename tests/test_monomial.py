@@ -22,7 +22,7 @@ from reesval import (
 )
 from reesval.errors import PreconditionError
 from reesval.ideals import Ideal
-from reesval.monomial import _nullspace, _reduce
+from reesval.linalg import nullspace, row_reduce
 from reesval.multiplicity import length_sampler, multiplicity_from_table
 
 from conftest import _exps_ideal
@@ -81,7 +81,7 @@ def _kernel_matrices():
 def test_reduce_shape_and_determinant():
     negative = singular = 0
     for m in _kernel_matrices():
-        a, pivots, d = _reduce(m)
+        a, pivots, d = row_reduce(m)
         assert len(pivots) == _minor_rank(m), m
         for i, pc in enumerate(pivots):
             assert [a[i][c] for c in pivots] == [d if c == pc else 0 for c in pivots]
@@ -97,7 +97,7 @@ def test_reduce_shape_and_determinant():
 def test_nullspace_by_substitution():
     for m in _kernel_matrices():
         n = len(m[0])
-        basis = _nullspace(m, n)
+        basis = nullspace(m, n)
         assert len(basis) == n - _minor_rank(m), m
         for v in basis:
             assert any(v), m
@@ -105,7 +105,7 @@ def test_nullspace_by_substitution():
                 assert sum(x * y for x, y in zip(row, v)) == 0, (m, v)
         # independent: the basis matrix has full rank
         assert _minor_rank(basis) == len(basis), m
-    assert _nullspace([], 3) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert nullspace([], 3) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
 
 def test_newton_polyhedron_x2_y3(poly_xy):
@@ -177,7 +177,7 @@ def test_caratheodory_settles_one_generator_without_a_solve(monkeypatch):
     def no_pivot(*args):
         raise AssertionError("pivoted")
 
-    monkeypatch.setattr(monomial, "_pivot", no_pivot)
+    monkeypatch.setattr(monomial, "pivot", no_pivot)
     gens = [(2, 0), (0, 3), (1, 1)]
     assert membership_oracle_caratheodory(gens, 2, (2, 5), 2)
     assert membership_oracle_caratheodory(gens, 2, (7, 0), 3)
@@ -190,7 +190,7 @@ def _caratheodory_by_subsets(exps, nvars, e, n=1):
     is tight, weights solving the square system sum = n and matching e on A,
     accepted when the weights and the leftover e - sum are all nonnegative.
     Basic solutions of the feasibility LP have this shape, so the search is
-    complete for any generating list. The square systems go through _reduce.
+    complete for any generating list. The square systems go through row_reduce.
     """
     if any(x < 0 for x in e):
         return False
@@ -201,7 +201,7 @@ def _caratheodory_by_subsets(exps, nvars, e, n=1):
             columns = list(zip(*subset))
             for tight in combinations(range(nvars), k - 1):
                 rows = [[1] * k + [n]] + [[*columns[j], e[j]] for j in tight]
-                a, pivots, d = _reduce(rows)
+                a, pivots, d = row_reduce(rows)
                 if pivots != list(range(k)):
                     continue
                 s = 1 if d > 0 else -1
@@ -263,8 +263,8 @@ def test_caratheodory_pivots_on_the_staircase_grid(monkeypatch):
     # the n = 1, 2 grid of the staircase (x^2, y^2, z^2, xyz), 152 points;
     # the square-system search made 661 solves on it
     pivots = []
-    pivot = monomial._pivot
-    monkeypatch.setattr(monomial, "_pivot", lambda *a: pivots.append(a) or pivot(*a))
+    pivot = monomial.pivot
+    monkeypatch.setattr(monomial, "pivot", lambda *a: pivots.append(a) or pivot(*a))
     gens = [(2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 1)]
     grid = [(e, n) for n in (1, 2) for e in product(range(2 * n + 1), repeat=3)]
     hits = sum(membership_oracle_caratheodory(gens, 3, e, n) for e, n in grid)

@@ -248,7 +248,7 @@ def test_curve_sweep_work_counts():
     with groebner.budget(groebner.DEFAULT_BUDGET) as work:
         for n in range(2, 9):
             symbolic_power(P, n, separator=x)
-    assert (work.pairs, work.steps) == (561, 3830)
+    assert (work.pairs, work.steps) == (376, 2626)
 
 
 def test_containment_chain(paper_ring):

@@ -23,13 +23,15 @@ the verdict of the main-theorem-A sweep and the least constant C_emp of the
 Chevalley sweep for p and m, which read their powers the same way.
 
 The 3-fold node Q[x,y,z,w]/(xy - zw) gets the same sweeps over every pair
-of its torus-invariant primes (see `test_theorem_a_on_every_pair_of_the_node`).
+of its torus-invariant primes (see `test_theorem_a_on_every_pair_of_the_node`),
+and `ord_at` at its height-2 primes is checked against the lattice too.
 """
 
 import pytest
 
 from reesval import (
     AffineAlgebra,
+    cli,
     GrevLex,
     PolyRing,
     QQ,
@@ -162,3 +164,73 @@ def test_theorem_a_on_every_pair_of_the_node(nmax):
         assert chevalley.passed, (a, b)
         assert chevalley.details["t"] == 1, (a, b)
         assert chevalley.details["C_emp"] == (1 if len(a) == 2 else 2), (a, b)
+
+
+def _node():
+    """Q[x,y,z,w]/(xy - zw), normality and primality asserted."""
+    ring = PolyRing(("x", "y", "z", "w"), QQ, GrevLex())
+    x, y, z, w = ring.gens()
+    return AffineAlgebra(ring, (x * y - z * w,), asserted=("normal", "domain"))
+
+
+def _facet(a, b):
+    """The facet functional of the height-1 prime (a, b): the exponent sum
+    of those two variables of x, y, z, w."""
+    return lambda e: sum(e["xyzw".index(v)] for v in a + b)
+
+
+@pytest.mark.parametrize("prime", ("xyz", "xyw", "xzw", "yzw"))
+def test_ord_at_a_height_2_prime_of_the_node(prime):
+    # R_Q is regular with monomial parameters, so ord_Q of a standard
+    # monomial is the sum of the two facet functionals of the height-1
+    # primes inside Q, and ord_Q of f is the least of these over the terms of
+    # f's normal form: distinct standard monomials (none divisible by xy) are
+    # distinct characters. ord_at saturates by a proven variable outside Q
+    # in a ring with a modulus, which reads a divided basis
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    R = _node()
+    Q = Ideal(R, tuple(map(R.ring.gen, prime)))
+    facets = [_facet(*pair) for pair in ("xz", "xw", "yz", "yw") if set(pair) < set(prime)]
+    nmax = 4
+    exps = st.tuples(*[st.integers(min_value=0, max_value=2)] * 4)
+    coeffs = st.integers(min_value=-3, max_value=3).filter(bool)
+    seen = set()
+
+    @hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=25)
+    @hypothesis.given(st.dictionaries(exps, coeffs, min_size=1, max_size=3))
+    @hypothesis.example({(0, 0, 0, 0): 1, (1, 1, 1, 1): 2})  # a unit at Q: order 0
+    def agrees(terms):
+        f = R.ring.poly_from_dict(terms)
+        hypothesis.assume(not R.reduce(f).is_zero())
+        want = min(sum(F(e) for F in facets) for e, _ in R.reduce(f).terms)
+        assert ord_at(Q, f, nmax=nmax) == (min(want, nmax), want < nmax), str(f)
+        seen.add(min(want, nmax))
+
+    assert len(facets) == 2
+    agrees()
+    assert {0, nmax} <= seen and len(seen) >= 4, seen
+
+
+def test_node_symbolic_cube_of_a_height_1_prime():
+    # p = (x, z) is the facet u-order: p^(3) is spanned by the monomials of
+    # x-plus-z exponent at least 3, which p^3 already holds, so the
+    # saturation is p^3 itself, at depth 0
+    session = cli.parse_session(
+        "ring { vars: x y z w; field: QQ; mod: x*y - z*w; order: grevlex; "
+        "assert: normal domain }\n"
+        "ideal p = x, z\n"
+        "cmd: symbolic-power p 3\n"
+    )
+    report, ok = cli.run(session)
+    assert ok
+    assert report["commands"][0]["result"] == {
+        "generators": ["x*y - z*w", "z^3", "x*z^2", "x^2*z", "x^3"],
+        "certificate": {
+            "separator": "y",
+            "saturation_steps": 0,
+            "radical_ok": True,
+            "proven": True,
+            "status": "exact",
+        },
+    }

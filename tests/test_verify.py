@@ -115,7 +115,7 @@ def test_main_theorem_a_measures_no_saturation_depth(paper_m, paper_setup, monke
     with groebner.budget(groebner.DEFAULT_BUDGET) as work:
         assert check_main_theorem_A(p, paper_m, 3).passed
     assert not depths
-    assert work.calls == 13
+    assert work.calls == 20
     assert len(p._powers) == 6  # layers p^0..p^5
 
 
@@ -165,7 +165,7 @@ def test_order_ideal_theorem_presentation_work_count(
     x1 = paper_ring.ring.gen("x1")
     with groebner.budget(groebner.DEFAULT_BUDGET) as work:
         assert check_order_ideal_theorem_presentation(paper_m, x1, pres, list(primes)).passed
-    assert len(calls) == len(set(calls)) == work.calls == 17
+    assert len(calls) == len(set(calls)) == work.calls == 20
 
 
 def test_order_ideal_theorem_graded_route():
