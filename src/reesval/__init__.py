@@ -31,7 +31,7 @@ from .multiplicity import (
     multiplicity_graded,
     read_length_table,
 )
-from .poly import QQ, Block, GrevLex, Lex, PolyRing, Polynomial, PrimeField, WeightedRevLex
+from .poly import QQ, Block, GrevLex, Lex, PolyRing, Polynomial, PrimeField
 from .rings import (
     ReesPresentation,
     associated_graded,

@@ -258,8 +258,8 @@ def _divided_basis(ring, gens, f):
     """The reduced grevlex basis of (gens) : f^infinity, read in ring, off
     a basis divided by x_i (Ideal.saturation); None unless f is a variable
     x_i and some w >= 1 makes every gen w-homogeneous."""
-    (e, c), *rest = f.terms
-    if rest or c != ring.field.one or sum(e) != 1:
+    (e, lc), *rest = f.terms
+    if rest or lc != ring.field.one or sum(e) != 1:
         return None
     i = e.index(1)
     diffs = (tuple(map(sub, x, g.lead_exp)) for g in gens for x, _ in g.terms[1:])

@@ -222,7 +222,8 @@ class WeightedRevLex(MonomialOrder):
 
     def key(self, exp):
         rest = exp[: self.last] + exp[self.last + 1 :]
-        return (sum(map(operator.mul, self.weights, exp)), -exp[self.last]) + _grevlex(rest)[1:]
+        degree = sum(map(operator.mul, self.weights, exp))
+        return (degree, -exp[self.last], *map(neg, reversed(rest)))
 
     def __repr__(self):
         return f"wrevlex({','.join(map(str, self.weights))};{self.last})"

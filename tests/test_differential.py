@@ -187,7 +187,8 @@ def test_saturation_by_a_variable_agrees_with_sympy():
         gens = []
         for _ in range(rng.choice((1, 2, 3))):
             degree = rng.randint(2, 6)
-            same = [e for e in ring.monomials_up_to_degree(degree) if sum(map(mul, w, e)) == degree]
+            monomials = ring.monomials_up_to_degree(degree)
+            same = [e for e in monomials if sum(map(mul, w, e)) == degree]
             if same:
                 terms = {rng.choice(same): rng.randint(-9, 9) for _ in range(3)}
                 gens.append(ring.poly_from_dict({e: Fraction(c) for e, c in terms.items()}))
