@@ -3,8 +3,8 @@
 Every routine here runs on `pivot`, so no `Fraction` or float arithmetic
 runs in it: eliminations come out as integer rows over one denominator,
 nullspace vectors as integer vectors, simplex tableaux as integers over
-one denominator. `monomial` builds its polyhedral geometry on it and
-`ideals` finds the positive weights that grade an ideal.
+one denominator. `monomial` runs its packing LP on `simplex`, the one
+Bland's-rule loop, and `ideals` the phase 1 that finds grading weights.
 """
 
 from __future__ import annotations
@@ -62,16 +62,41 @@ def nullspace(rows, n):
     return basis
 
 
+def simplex(tableau, basis, stop=None):
+    """Run Bland's rule on a bounded LP's integer tableau, in place.
+
+    Rows end in their right sides, basis[r] is row r's basic column and the
+    last row holds the reduced costs. The least column with a negative one
+    enters, the least-ratio row (cross-multiplied, ties to the least
+    basic[r]) leaves (Bland, Math. Oper. Res. 2, 1977). From d = 1, each
+    basic column holds d in its row. stop(v, d), v the last right side, is
+    tested after each pivot: True when it ends the run, False at optimum.
+    """
+    d = 1
+    while True:
+        col = next((c for c, x in enumerate(tableau[-1][:-1]) if x < 0), None)
+        if col is None:
+            return False
+        r = None
+        for i in sorted(range(len(basis)), key=basis.__getitem__):
+            x = tableau[i][col]
+            if x > 0 and (r is None or tableau[i][-1] * tableau[r][col] < tableau[r][-1] * x):
+                r = i
+        d = pivot(tableau, r, col, d)
+        basis[r] = col
+        if stop is not None and stop(tableau[-1][-1], d):
+            return True
+
+
 def positive_null_vector(rows, n):
     """The primitive integer w >= 1 with rows . w = 0 that an exact phase-1
     simplex finds, or None when there is none.
 
     With the rows reduced to independent ones A and w = 1 + v, it solves
     A v = -A . 1 (each row signed to a right side >= 0), v >= 0, from a
-    basis of one artificial variable per row, and drives their sum down
-    under Bland's rule, as `monomial`'s membership oracle does: w exists
-    iff the least sum is 0. Pivots are positive, so d * w is an integer
-    vector >= d for the positive denominator d.
+    basis of one artificial variable per row, and `simplex` drives their
+    sum, bounded by 0, down: w exists iff the least sum is 0. Pivots are
+    positive, so d * w is an integer vector >= d for the denominator d.
     """
     a, pivots, _ = row_reduce(rows)
     m = len(pivots)
@@ -84,21 +109,11 @@ def positive_null_vector(rows, n):
     # d * (the reduced costs, minus the artificials' sum)
     costs = [-sum(col) for col in zip(*tableau)]
     tableau.append(costs[:n] + [0] * m + costs[-1:])
-    basis, d = [n + i for i in range(m)], 1
-    while True:
-        col = next((c for c, x in enumerate(tableau[-1][:-1]) if x < 0), None)
-        if col is None:
-            break
-        r = None
-        for i in sorted(range(m), key=basis.__getitem__):
-            x = tableau[i][col]
-            if x > 0 and (r is None or tableau[i][-1] * tableau[r][col] < tableau[r][-1] * x):
-                r = i
-        d = pivot(tableau, r, col, d)
-        basis[r] = col
+    basis = [n + i for i in range(m)]
+    simplex(tableau, basis)
     if tableau[-1][-1]:
         return None
-    w = [d] * n
+    w = [tableau[0][basis[0]]] * n  # d, held by a basic column
     for i, j in enumerate(basis):
         if j < n:
             w[j] += tableau[i][-1]

@@ -1,8 +1,7 @@
 """Monomial-ideal fast path: Newton polyhedra, facet valuations, closures.
 
-All geometry is exact. Its linear algebra is `linalg`'s one fraction-free
-integer pivot (Bareiss), so nullspaces and simplex tableaux stay integral.
-Facets are enumerated from
+All geometry is exact. Its linear algebra is `linalg`'s Bareiss row reduction
+and `linalg.simplex`, so it never pivots itself. Facets are enumerated from
 subset candidates (desk scale: at most 4 variables, 12 generators),
 integral closures by lattice scanning against the facet inequalities, and an
 exact simplex on a packing LP decides membership with no facets at all so
@@ -20,14 +19,10 @@ from math import gcd
 from .errors import PreconditionError
 from .groebner import _minimalize
 from .ideals import Ideal
-from .linalg import nullspace, pivot, row_reduce
+from .linalg import nullspace, row_reduce, simplex
 
 MAX_VARS = 4
 MAX_GENS = 12
-
-
-# ---------------------------------------------------------------------------
-# small exact linear algebra
 
 
 def _affine_rank(points, rays=()):
@@ -69,6 +64,8 @@ class NewtonPolyhedron:
         """exp in n * NP, by the facet inequalities."""
         if n < 0:
             raise PreconditionError("negative power")
+        if len(exp) != self.nvars:
+            raise PreconditionError(f"exponents must have {self.nvars} entries")
         if any(e < 0 for e in exp):
             return False
         return all(
@@ -158,14 +155,16 @@ def membership_oracle_caratheodory(exps, nvars, e, n=1):
     For nonnegative generators, e is in n*NP iff the packing LP max{sum(lam) :
     lam >= 0, sum(lam_i * g_i) <= e} reaches n: weights with a larger sum
     scale down to sum n and only lower sum(lam_i * g_i). lam = 0 is feasible,
-    so the simplex starts from the slack basis, with no phase 1. Bland's rule
-    keeps it from cycling: the least column with a negative reduced cost
-    enters, the row of least ratio (cross-multiplied, ties to the least basic
-    column) leaves. An unbounded column, a zero generator, accepts, and so
-    does one generator g with e >= n * g, before any pivot.
+    so `linalg.simplex` starts from the slack basis and stops once the sum
+    reaches n. One generator g with e >= n * g, a zero one too, accepts
+    first, so every column has a positive entry and the LP is bounded.
     """
     if n < 0:
         raise PreconditionError("negative power")
+    if len(e) != nvars or any(len(g) != nvars for g in exps):
+        raise PreconditionError(f"exponents must have {nvars} entries")
+    if any(x < 0 for g in exps for x in g):
+        raise PreconditionError("generators must have nonnegative exponents")
     if any(x < 0 for x in e):
         return False
     if any(all(x >= n * g for x, g in zip(e, gen)) for gen in exps):
@@ -176,22 +175,7 @@ def membership_oracle_caratheodory(exps, nvars, e, n=1):
         for j in range(nvars)
     ]
     rows.append([0] * nvars + [-1] * len(exps) + [0])
-    basis, d = list(range(nvars)), 1
-    while True:
-        col = next((c for c, x in enumerate(rows[-1][:-1]) if x < 0), None)
-        if col is None:
-            return False
-        r = None
-        for i in sorted(range(nvars), key=basis.__getitem__):
-            a = rows[i][col]
-            if a > 0 and (r is None or rows[i][-1] * rows[r][col] < rows[r][-1] * a):
-                r = i
-        if r is None:
-            return True
-        d = pivot(rows, r, col, d)
-        basis[r] = col
-        if rows[-1][-1] >= n * d:
-            return True
+    return simplex(rows, list(range(nvars)), lambda v, d: v >= n * d)
 
 
 # ---------------------------------------------------------------------------

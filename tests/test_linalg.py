@@ -1,9 +1,12 @@
-"""The positive weights that grade a set of polynomials, against sympy's LP.
+"""The one simplex on hand tableaux, and the positive weights that grade a
+set of polynomials, against sympy's LP.
 
-`positive_null_vector(rows, n)` returns an integer w >= 1 with rows . w = 0
-or None. For the exponent differences of each polynomial's terms, w makes
-every polynomial w-homogeneous; sympy's `lpmin` minimizes sum(w) over the
-same constraints, and raises InfeasibleLPError exactly when no w exists.
+`simplex(tableau, basis, stop)` is pinned pivot by pivot on tableaux small
+enough to follow by hand. `positive_null_vector(rows, n)` returns an integer
+w >= 1 with rows . w = 0 or None. For the exponent differences of each
+polynomial's terms, w makes every polynomial w-homogeneous; sympy's `lpmin`
+minimizes sum(w) over the same constraints, and raises InfeasibleLPError
+exactly when no w exists.
 """
 
 from itertools import product
@@ -12,7 +15,65 @@ from operator import mul, sub
 
 import pytest
 
-from reesval.linalg import positive_null_vector
+from reesval import linalg
+from reesval.linalg import positive_null_vector, simplex
+from reesval.monomial import membership_oracle_caratheodory
+
+
+def _recorded_pivots(monkeypatch):
+    """The (row, column) of every pivot from here on."""
+    seen, pivot = [], linalg.pivot
+
+    def recorded(rows, r, col, d):
+        seen.append((r, col))
+        return pivot(rows, r, col, d)
+
+    monkeypatch.setattr(linalg, "pivot", recorded)
+    return seen
+
+
+def _two_pivot_tableau():
+    # max x + y with 2x <= 3, y <= 3 from the slack basis: x enters at row 0
+    # over d = 2, for 3/2, then y at row 1, for 9/2
+    return [[1, 0, 2, 0, 3], [0, 1, 0, 1, 3], [0, 0, -1, -1, 0]], [0, 1]
+
+
+def test_simplex_stops_at_once_at_an_optimum(monkeypatch):
+    seen = _recorded_pivots(monkeypatch)
+    tableau = [[1, 0, 2, 3], [0, 1, 1, 4], [0, 0, 1, 0]]  # no negative reduced cost
+    before, basis = [row[:] for row in tableau], [0, 1]
+
+    def stop(v, d):
+        raise AssertionError("stop is tested only after a pivot")
+
+    assert simplex(tableau, basis, stop) is False
+    assert (seen, tableau, basis) == ([], before, [0, 1])
+
+
+def test_simplex_runs_to_the_optimum_while_stop_does_not_hold(monkeypatch):
+    seen = _recorded_pivots(monkeypatch)
+    tableau, basis = _two_pivot_tableau()
+    calls = []
+    assert simplex(tableau, basis, lambda v, d: calls.append((v, d)) or False) is False
+    assert (seen, basis, calls) == ([(0, 2), (1, 3)], [2, 3], [(3, 2), (9, 2)])
+    assert tableau == [[1, 0, 2, 0, 3], [0, 2, 0, 2, 6], [1, 2, 0, 0, 9]]
+
+
+def test_simplex_stops_right_after_the_pivot_that_reaches_the_stop(monkeypatch):
+    seen = _recorded_pivots(monkeypatch)
+    tableau, basis = _two_pivot_tableau()
+    calls = []
+    assert simplex(tableau, basis, lambda v, d: calls.append((v, d)) or v >= d) is True
+    assert (seen, basis, calls) == ([(0, 2)], [2, 1], [(3, 2)])
+    assert tableau[-1] == [1, 0, 0, -2, 3]
+
+
+def test_simplex_breaks_a_ratio_tie_to_the_least_basic_column(monkeypatch):
+    # the oracle row "two rows tie": lam_(1,1) enters with ratio 1 in both
+    # slack rows, and row 0, basic in slack column 0, leaves
+    seen = _recorded_pivots(monkeypatch)
+    assert not membership_oracle_caratheodory([(1, 1), (2, 0), (0, 2)], 2, (1, 1), 2)
+    assert seen == [(0, 2), (1, 4)]
 
 
 def _differences(polys):

@@ -14,7 +14,6 @@ from reesval import (
     gaussian_extension,
     integral_closure_power,
     membership_oracle_caratheodory,
-    monomial,
     monomial_multiplicity,
     newton_polyhedron,
     groebner,
@@ -22,6 +21,7 @@ from reesval import (
 )
 from reesval.errors import PreconditionError
 from reesval.ideals import Ideal
+from reesval import linalg
 from reesval.linalg import nullspace, row_reduce
 from reesval.multiplicity import length_sampler, multiplicity_from_table
 
@@ -177,7 +177,7 @@ def test_caratheodory_settles_one_generator_without_a_solve(monkeypatch):
     def no_pivot(*args):
         raise AssertionError("pivoted")
 
-    monkeypatch.setattr(monomial, "pivot", no_pivot)
+    monkeypatch.setattr(linalg, "pivot", no_pivot)
     gens = [(2, 0), (0, 3), (1, 1)]
     assert membership_oracle_caratheodory(gens, 2, (2, 5), 2)
     assert membership_oracle_caratheodory(gens, 2, (7, 0), 3)
@@ -263,8 +263,8 @@ def test_caratheodory_pivots_on_the_staircase_grid(monkeypatch):
     # the n = 1, 2 grid of the staircase (x^2, y^2, z^2, xyz), 152 points;
     # the square-system search made 661 solves on it
     pivots = []
-    pivot = monomial.pivot
-    monkeypatch.setattr(monomial, "pivot", lambda *a: pivots.append(a) or pivot(*a))
+    pivot = linalg.pivot
+    monkeypatch.setattr(linalg, "pivot", lambda *a: pivots.append(a) or pivot(*a))
     gens = [(2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 1)]
     grid = [(e, n) for n in (1, 2) for e in product(range(2 * n + 1), repeat=3)]
     hits = sum(membership_oracle_caratheodory(gens, 3, e, n) for e, n in grid)

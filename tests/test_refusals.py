@@ -12,7 +12,12 @@ from reesval.cli import main, parse_session, run
 from reesval.errors import PreconditionError, RingMismatchError
 from reesval.groebner import buchberger, normal_form
 from reesval.ideals import Ideal, kernel_of_map
-from reesval.monomial import MonomialValuation, gaussian_extension, newton_polyhedron
+from reesval.monomial import (
+    MonomialValuation,
+    gaussian_extension,
+    membership_oracle_caratheodory,
+    newton_polyhedron,
+)
 from reesval.multiplicity import graded_invariants, local_multiplicity_via_gr
 from reesval.rings import extended_rees_presentation, homogenize_ideal, lift_to_rees
 from reesval.symbolic import symbolic_power
@@ -122,6 +127,24 @@ REFUSALS = [
     pytest.param(
         lambda: newton_polyhedron(Ideal(PLANE, tuple(X**i * Y ** (12 - i) for i in range(13)))),
         PreconditionError, "at most 12 generators supported", None, id="monomial-generators",
+    ),
+    pytest.param(
+        lambda: membership_oracle_caratheodory([(2, 0), (0, 3)], 2, (1,)),
+        PreconditionError, "exponents must have 2 entries", None, id="caratheodory-short-e",
+    ),
+    pytest.param(
+        lambda: membership_oracle_caratheodory([(2, 0, 1), (0, 3)], 2, (1, 1)),
+        PreconditionError, "exponents must have 2 entries", None,
+        id="caratheodory-long-generator",
+    ),
+    pytest.param(
+        lambda: membership_oracle_caratheodory([(2, -1), (0, 3)], 2, (1, 1)),
+        PreconditionError, "generators must have nonnegative exponents", None,
+        id="caratheodory-negative-generator",
+    ),
+    pytest.param(
+        lambda: newton_polyhedron(Ideal(PLANE, (X**2, Y**3))).contains((1,)),
+        PreconditionError, "exponents must have 2 entries", None, id="newton-contains-short",
     ),
     pytest.param(
         lambda: gaussian_extension(MonomialValuation((1,), 1), XT.zero, "t"),
